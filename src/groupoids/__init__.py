@@ -7,8 +7,8 @@ from .actions import (GroupoidAction, action_from_object_map, arrow_orbits,
 from .catalog import (alternating_group, connected_groupoid, cyclic_group,
                       dihedral_group, discrete_groupoid, group_isomorphic,
                       group_of_one_object_groupoid, groupoid_from_group,
-                      klein_group, one_object_groupoid, quaternion_group,
-                      symmetric_group, tree_groupoid, trivial_group)
+                      klein_group, quaternion_group, symmetric_group,
+                      tree_groupoid, trivial_group)
 from .constructions import (RegularCoverReport, RestrictOrbitReport,
                             generated_wide_subgroupoid, normal_closure,
                             orbit_groupoid, orbit_kernel_generators,

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .core import (FiniteGroupoid, GroupTable, full_subgroupoid,
-                   subgroup_table)
+from .core import full_subgroupoid, subgroup_table, subgroupoid
 
 
 class GroupoidAction:
@@ -24,12 +23,6 @@ class GroupoidAction:
         # optional: the one-object groupoid the group was read from, kept so
         # emitting the action reproduces the original block byte for byte
         self.group_groupoid = group_groupoid
-
-    def on_object(self, g, x):
-        return self.act_obj[(g, x)]
-
-    def on_arrow(self, g, a):
-        return self.act_arrow[(g, a)]
 
     def __repr__(self):
         return (f"GroupoidAction({self.name!r}: {self.group.name} on "
@@ -157,16 +150,7 @@ def fixed_subgroupoid(act, elements=None, name=None):
     arrows = tuple(a for a in sp.arrows
                    if sp.source[a] in oset and sp.target[a] in oset
                    and all(act.act_arrow[(g, a)] == a for g in elements))
-    aset = set(arrows)
-    compose = {(v, u): w for (v, u), w in sp.compose.items()
-               if v in aset and u in aset}
-    return FiniteGroupoid(
-        objs, arrows,
-        {a: sp.source[a] for a in arrows},
-        {a: sp.target[a] for a in arrows},
-        {x: sp.identity_of[x] for x in objs},
-        {a: sp.inverse_of[a] for a in arrows},
-        compose, name=name or f"{sp.name}^fix")
+    return subgroupoid(sp, objs, arrows, name or f"{sp.name}^fix")
 
 
 def trivial_action(group, space, name=None):

@@ -116,11 +116,11 @@ def quaternion_group(name="Q8"):
     return GroupTable(units, mul, name=name)
 
 
-def one_object_groupoid(gt, object_name="pt", name=None):
+def groupoid_from_group(gt, object_name="pt", name=None):
     """A group as a one-object groupoid.
 
-    Returns (groupoid, element_to_arrow): the identity element becomes the
-    identity arrow id_<object>, every other element keeps its name.
+    The identity element becomes the identity arrow id_<object>; every other
+    element is the arrow of the same name.
     """
     ident = f"id_{object_name}"
     elem_arrow = {g: (ident if g == gt.identity else g) for g in gt.elements}
@@ -129,13 +129,12 @@ def one_object_groupoid(gt, object_name="pt", name=None):
     for a in gt.elements:
         for b in gt.elements:
             compose[(elem_arrow[a], elem_arrow[b])] = elem_arrow[gt.prod(a, b)]
-    gpd = FiniteGroupoid(
+    return FiniteGroupoid(
         (object_name,), arrows,
         {u: object_name for u in arrows}, {u: object_name for u in arrows},
         {object_name: ident},
         {elem_arrow[g]: elem_arrow[gt.inv[g]] for g in gt.elements},
         compose, name=name or f"{gt.name}-gpd")
-    return gpd, elem_arrow
 
 
 def discrete_groupoid(objects, name="discrete"):
@@ -229,16 +228,8 @@ def group_isomorphic(a, b):
     if sorted(element_order(a, x) for x in a.elements) != \
             sorted(element_order(b, x) for x in b.elements):
         return False
-    ga, _ = one_object_groupoid(a)
-    gb, _ = one_object_groupoid(b)
-    return search_isomorphism(ga, gb) is not None
-
-
-def groupoid_from_group(gt, object_name="pt", name=None):
-    """one_object_groupoid without the element map, for call sites that
-    only need the groupoid."""
-    gpd, _ = one_object_groupoid(gt, object_name=object_name, name=name)
-    return gpd
+    return search_isomorphism(groupoid_from_group(a),
+                              groupoid_from_group(b)) is not None
 
 
 def group_of_one_object_groupoid(gpd):

@@ -5,8 +5,9 @@ check, prints a short report, and can emit the result in the same text
 format with --emit (a path, or "-" for stdout, which suppresses the
 report).
 
-Exit codes: 0 success, 1 a check failed, 2 malformed input, 3 invalid
-hypotheses or selections.
+Exit codes: 0 success, 1 a check failed, 2 malformed input, an input file
+that cannot be read or is not UTF-8, or an --emit path that cannot be
+written, 3 invalid hypotheses or selections.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .constructions import (normal_closure, orbit_groupoid, quotient_groupoid,
                             restrict_orbit_full_subgroupoid,
                             semidirect_product)
 from .core import is_covering, is_quotient_morphism, object_group
-from .fileformat import ParseError, parse_input, render_entities
+from .fileformat import (ParseError, UnreadableInput, parse_input,
+                         render_entities)
 from .presented import (GraphAction, abelian_invariants, describe_vertex_group,
                         orbit_presentation, symmetric_square_presentation)
 
@@ -297,7 +299,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         lines, code, entities = args.handler(args)
-    except ParseError as err:
+    except (ParseError, UnreadableInput) as err:
         print(err, file=sys.stderr)
         return 2
     except ValueError as err:
@@ -309,8 +311,12 @@ def main(argv=None):
         if emit_to == "-":
             sys.stdout.write(text)
             return code
-        with open(emit_to, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(emit_to, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"{emit_to}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     for line in lines:
         print(line)
     return code

@@ -8,36 +8,36 @@ Addition is (b, h) + (a, g) = (b + h.a, hg) and the negative of (a, g) is
 product by the normal closure of the pairs (identity at g.x, g), and its
 canonical morphism from the acted-on groupoid is constant on orbits and
 universal among such morphisms.
+
+Results come back as dataclasses: SemidirectProduct (groupoid, projection,
+action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
+(groupoid, morphism, semidirect), and the RestrictOrbitReport and
+RegularCoverReport check reports.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
-                      object_orbits, restrict_action, stabilizer,
-                      validate_action)
-from .catalog import group_isomorphic, one_object_groupoid
+                      object_orbits, restrict_action, validate_action)
+from .catalog import group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, WideSubgroupoid,
                    components, compose_morphisms, is_covering, is_fibration,
                    is_normal_subgroup, is_normal_subgroupoid,
                    is_quotient_morphism, is_tree_groupoid, kernel,
-                   object_group, quotient_group, search_isomorphism,
-                   subgroup_closure, validate_groupoid, validate_morphism)
+                   object_group, quotient_group, star, subgroup_closure,
+                   validate_groupoid, validate_morphism)
 
 
+@dataclass
 class SemidirectProduct:
-    """Result bundle: unpacks as (groupoid, projection)."""
+    """A semidirect product groupoid and its projection onto the group."""
 
-    def __init__(self, groupoid, projection, action, name_of, pair_of,
-                 group_arrow):
-        self.groupoid = groupoid
-        self.projection = projection
-        self.action = action
-        self.name_of = name_of        # (arrow, group element) -> arrow name
-        self.pair_of = pair_of        # arrow name -> (arrow, group element)
-        self.group_arrow = group_arrow  # group element -> arrow of cod(projection)
-
-    def __iter__(self):
-        return iter((self.groupoid, self.projection))
+    groupoid: FiniteGroupoid
+    projection: GroupoidMorphism
+    action: GroupoidAction
+    name_of: dict               # (arrow, group element) -> arrow name
 
 
 def semidirect_product(act, name=None):
@@ -53,22 +53,17 @@ def semidirect_product(act, name=None):
     name = name or f"{sp.name}x{G.name}"
 
     name_of = {}
-    pair_of = {}
     order = []
     for x in sp.objects:
         pair = (sp.identity_of[x], G.identity)
-        label = f"id_{x}"
-        name_of[pair] = label
-        pair_of[label] = pair
+        name_of[pair] = f"id_{x}"
         order.append(pair)
     for a in sp.arrows:
         for g in G.elements:
             pair = (a, g)
             if pair in name_of:
                 continue
-            label = f"({a},{g})"
-            name_of[pair] = label
-            pair_of[label] = pair
+            name_of[pair] = f"({a},{g})"
             order.append(pair)
 
     source = {}
@@ -98,15 +93,15 @@ def semidirect_product(act, name=None):
         sp.objects, [name_of[p] for p in order], source, target,
         {x: f"id_{x}" for x in sp.objects}, inverse, compose, name=name)
 
-    cod, group_arrow = one_object_groupoid(G, name=f"{G.name}-gpd")
+    cod = groupoid_from_group(G, name=f"{G.name}-gpd")
     projection = GroupoidMorphism(
         gpd, cod, {x: "pt" for x in sp.objects},
-        {name_of[(a, g)]: group_arrow[g] for (a, g) in order},
+        {name_of[(a, g)]: "id_pt" if g == G.identity else g
+         for (a, g) in order},
         name=f"proj-{name}")
     assert validate_morphism(projection) == []
     assert is_fibration(projection)
-    return SemidirectProduct(gpd, projection, act, name_of, pair_of,
-                             group_arrow)
+    return SemidirectProduct(gpd, projection, act, name_of)
 
 
 def semidirect_action_on_arrows(act, pair, delta):
@@ -161,9 +156,7 @@ def normal_closure(g, arrows, name=None):
         x = g.source[h]
         if g.target[h] != x:
             continue
-        for k in g.arrows:
-            if g.source[k] != x:
-                continue
+        for k in star(g, x):
             conjugates.append(g.compose[(g.compose[(k, h)], g.inverse_of[k])])
     closed = generated_wide_subgroupoid(g, list(first.arrows) + conjugates)
     assert is_normal_subgroupoid(closed), \
@@ -172,17 +165,12 @@ def normal_closure(g, arrows, name=None):
                            name=name or f"N{len(closed.arrows)}")
 
 
+@dataclass
 class QuotientGroupoid:
-    """Result bundle: unpacks as (groupoid, morphism)."""
+    """A quotient groupoid and the morphism sending everything to its class."""
 
-    def __init__(self, groupoid, morphism, object_class_of, class_of):
-        self.groupoid = groupoid
-        self.morphism = morphism
-        self.object_class_of = object_class_of
-        self.class_of = class_of
-
-    def __iter__(self):
-        return iter((self.groupoid, self.morphism))
+    groupoid: FiniteGroupoid
+    morphism: GroupoidMorphism
 
 
 def quotient_groupoid(k, n, name=None):
@@ -200,13 +188,13 @@ def quotient_groupoid(k, n, name=None):
     name = name or f"{k.name}/{n.name}"
 
     blocks = components(n.as_groupoid())
-    object_class_of = {}
+    obj_class = {}
     class_objects = []
     for block in blocks:
         label = f"[{block[0]}]"
         class_objects.append(label)
         for x in block:
-            object_class_of[x] = label
+            obj_class[x] = label
 
     # arrow classes: [a] = { m + a + n' : m, n' in n }
     by_source = {}
@@ -214,11 +202,11 @@ def quotient_groupoid(k, n, name=None):
     for u in n.arrows:
         by_source.setdefault(k.source[u], []).append(u)
         by_target.setdefault(k.target[u], []).append(u)
-    class_of = {}
+    arrow_class = {}
     class_members = {}
     class_order = []
     for a in k.arrows:
-        if a in class_of:
+        if a in arrow_class:
             continue
         members = set()
         for nn in by_target.get(k.source[a], ()):
@@ -226,22 +214,22 @@ def quotient_groupoid(k, n, name=None):
             for m in by_source.get(k.target[a], ()):
                 members.add(k.compose[(m, mid)])
         is_identity_class = any(k.is_identity_arrow(u) for u in members)
-        label = (f"id_{object_class_of[k.source[a]]}"
+        label = (f"id_{obj_class[k.source[a]]}"
                  if is_identity_class else f"[{a}]")
         for u in members:
-            assert u not in class_of, "equivalence classes overlap"
-            class_of[u] = label
+            assert u not in arrow_class, "equivalence classes overlap"
+            arrow_class[u] = label
         class_members[label] = sorted(members, key=k.arrow_index.__getitem__)
         class_order.append(label)
 
     rep_of = {label: members[0] for label, members in class_members.items()}
-    source = {label: object_class_of[k.source[rep_of[label]]]
+    source = {label: obj_class[k.source[rep_of[label]]]
               for label in class_order}
-    target = {label: object_class_of[k.target[rep_of[label]]]
+    target = {label: obj_class[k.target[rep_of[label]]]
               for label in class_order}
-    identity_of = {object_class_of[x]: class_of[k.identity_of[x]]
+    identity_of = {obj_class[x]: arrow_class[k.identity_of[x]]
                    for x in k.objects}
-    inverse = {label: class_of[k.inverse_of[rep_of[label]]]
+    inverse = {label: arrow_class[k.inverse_of[rep_of[label]]]
                for label in class_order}
 
     # identities first, then the rest, by first-member index
@@ -260,34 +248,27 @@ def quotient_groupoid(k, n, name=None):
                           if k.source[l] == k.target[k1]
                           and k.target[l] == k.source[k2]]
             link = connectors[0]
-            compose[(v, u)] = class_of[
+            compose[(v, u)] = arrow_class[
                 k.compose[(k.compose[(k2, link)], k1)]]
 
     gpd = FiniteGroupoid(class_objects, arrows, source, target,
                          identity_of, inverse, compose, name=name)
     problems = validate_groupoid(gpd)
     assert problems == [], f"quotient is not a groupoid: {problems[0]}"
-    morphism = GroupoidMorphism(k, gpd, object_class_of, class_of,
+    morphism = GroupoidMorphism(k, gpd, obj_class, arrow_class,
                                 name=f"cls-{name}")
     assert validate_morphism(morphism) == []
     assert is_quotient_morphism(morphism)
-    return QuotientGroupoid(gpd, morphism, object_class_of, class_of)
+    return QuotientGroupoid(gpd, morphism)
 
 
+@dataclass
 class OrbitGroupoid:
-    """Result bundle: unpacks as (groupoid, morphism)."""
+    """An orbit groupoid, its canonical morphism and its semidirect product."""
 
-    def __init__(self, groupoid, morphism, semidirect, relation_arrows,
-                 normal, quotient):
-        self.groupoid = groupoid
-        self.morphism = morphism
-        self.semidirect = semidirect
-        self.relation_arrows = relation_arrows
-        self.normal = normal
-        self.quotient = quotient
-
-    def __iter__(self):
-        return iter((self.groupoid, self.morphism))
+    groupoid: FiniteGroupoid
+    morphism: GroupoidMorphism
+    semidirect: SemidirectProduct
 
 
 def orbit_groupoid(act, name=None):
@@ -300,7 +281,7 @@ def orbit_groupoid(act, name=None):
     """
     G, sp = act.group, act.space
     sd = semidirect_product(act)
-    relation_arrows = []
+    relations = []
     seen = set()
     for a, g in ((sp.identity_of[x], g) for x in sp.objects
                  for g in G.elements):
@@ -308,8 +289,8 @@ def orbit_groupoid(act, name=None):
         label = sd.name_of[(moved, g)]
         if label not in seen:
             seen.add(label)
-            relation_arrows.append(label)
-    n = normal_closure(sd.groupoid, relation_arrows, name="N-orbit")
+            relations.append(label)
+    n = normal_closure(sd.groupoid, relations, name="N-orbit")
     q = quotient_groupoid(sd.groupoid, n,
                           name=name or f"{sp.name}//{G.name}")
     embed = GroupoidMorphism(
@@ -334,8 +315,7 @@ def orbit_groupoid(act, name=None):
     assert set(morphism.object_map.values()) == set(q.groupoid.objects)
     assert set(morphism.arrow_map.values()) == set(q.groupoid.arrows)
     assert is_fibration(morphism)
-    return OrbitGroupoid(q.groupoid, morphism, sd, tuple(relation_arrows),
-                         n, q)
+    return OrbitGroupoid(q.groupoid, morphism, sd)
 
 
 def orbit_kernel_generators(act, orbit=None):
@@ -389,15 +369,14 @@ def tree_orbit_group(act):
     return quot
 
 
+@dataclass
 class RestrictOrbitReport:
     """Outcome of restricting an orbit groupoid to an invariant object set."""
 
-    def __init__(self, hypothesis_ok, hypothesis_failures, embedding_ok,
-                 details):
-        self.hypothesis_ok = hypothesis_ok
-        self.hypothesis_failures = tuple(hypothesis_failures)
-        self.embedding_ok = embedding_ok
-        self.details = tuple(details)
+    hypothesis_ok: bool
+    hypothesis_failures: tuple
+    embedding_ok: bool
+    details: tuple
 
     @property
     def ok(self):
@@ -467,8 +446,7 @@ def restrict_orbit_full_subgroupoid(act, objects):
         if image_objects != expected_objects:
             embedding_ok = False
             details.append("image objects differ from the orbit of the object set")
-        if len({obj_map[x] for x in sub_orbit.groupoid.objects}) != \
-                len(sub_orbit.groupoid.objects):
+        if len(image_objects) != len(sub_orbit.groupoid.objects):
             embedding_ok = False
             details.append("canonical map not injective on objects")
         if len({arr_map[a] for a in sub_orbit.groupoid.arrows}) != \
@@ -485,20 +463,19 @@ def restrict_orbit_full_subgroupoid(act, objects):
             embedding_ok = False
             details.append("image is not the full subgroupoid on the image objects")
     if embedding_ok:
-        details.append(
-            f"embeds as the full subgroupoid on "
-            f"{len({obj_map[x] for x in sub_orbit.groupoid.objects})} objects")
-    return RestrictOrbitReport(hypothesis_ok, hypothesis_failures,
-                               embedding_ok, details)
+        details.append(f"embeds as the full subgroupoid on "
+                       f"{len(image_objects)} objects")
+    return RestrictOrbitReport(hypothesis_ok, tuple(hypothesis_failures),
+                               embedding_ok, tuple(details))
 
 
+@dataclass
 class RegularCoverReport:
     """Outcome of checking a covering morphism against the orbit construction."""
 
-    def __init__(self, orbit_iso_ok, object_group_iso_ok, details):
-        self.orbit_iso_ok = orbit_iso_ok
-        self.object_group_iso_ok = object_group_iso_ok
-        self.details = tuple(details)
+    orbit_iso_ok: bool
+    object_group_iso_ok: bool
+    details: tuple
 
     @property
     def ok(self):
@@ -581,4 +558,5 @@ def regular_cover_orbit_check(p, deck):
                 f"semidirect object group at {x}")
     if object_group_iso_ok:
         details.append("target object groups match the semidirect object groups")
-    return RegularCoverReport(orbit_iso_ok, object_group_iso_ok, details)
+    return RegularCoverReport(orbit_iso_ok, object_group_iso_ok,
+                              tuple(details))

@@ -47,9 +47,11 @@ class FiniteGroupoid:
             raise ValueError(f"{name}: duplicate arrow names")
         self._identities = set(self.identity_of.values())
         self._hom = {}
+        self._star = {}
         for u in self.arrows:
             key = (self.source.get(u), self.target.get(u))
             self._hom.setdefault(key, []).append(u)
+            self._star.setdefault(key[0], []).append(u)
 
     def add(self, v, u):
         """v + u: traverse u first, then v."""
@@ -58,12 +60,6 @@ class FiniteGroupoid:
         except KeyError:
             raise ValueError(
                 f"{self.name}: compose({v}, {u}) is not defined") from None
-
-    def inv(self, u):
-        return self.inverse_of[u]
-
-    def identity(self, x):
-        return self.identity_of[x]
 
     def is_identity_arrow(self, u):
         return u in self._identities
@@ -84,7 +80,7 @@ def star(g, x):
     """All arrows with source x, in input order."""
     if x not in g.object_index:
         raise ValueError(f"{g.name}: unknown object {x}")
-    return tuple(u for u in g.arrows if g.source[u] == x)
+    return tuple(g._star.get(x, ()))
 
 
 def components(g):
@@ -243,9 +239,6 @@ class GroupTable:
     def prod(self, a, b):
         return self.mul[(a, b)]
 
-    def inverse(self, a):
-        return self.inv[a]
-
     def __repr__(self):
         return f"GroupTable({self.name!r}, order {self.order})"
 
@@ -387,12 +380,6 @@ class GroupoidMorphism:
         self.object_map = dict(object_map)
         self.arrow_map = dict(arrow_map)
 
-    def on_object(self, x):
-        return self.object_map[x]
-
-    def on_arrow(self, u):
-        return self.arrow_map[u]
-
     def __repr__(self):
         return f"GroupoidMorphism({self.name!r}: {self.dom.name} -> {self.cod.name})"
 
@@ -447,10 +434,6 @@ def compose_morphisms(outer, inner, name=None):
         name=name or f"{outer.name}.{inner.name}")
 
 
-def same_maps(f, g):
-    return f.object_map == g.object_map and f.arrow_map == g.arrow_map
-
-
 class WideSubgroupoid:
     """A wide subgroupoid of an ambient groupoid, stored as an arrow subset.
 
@@ -488,21 +471,11 @@ class WideSubgroupoid:
 
     def at(self, x):
         """Loops of the subgroupoid at x, in input order."""
-        return tuple(u for u in self.arrows
-                     if self.ambient.source[u] == x
-                     and self.ambient.target[u] == x)
+        return tuple(u for u in self.ambient.loops(x) if u in self.arrow_set)
 
     def as_groupoid(self, name=None):
-        g = self.ambient
-        compose = {(v, u): w for (v, u), w in g.compose.items()
-                   if v in self.arrow_set and u in self.arrow_set}
-        return FiniteGroupoid(
-            g.objects, self.arrows,
-            {u: g.source[u] for u in self.arrows},
-            {u: g.target[u] for u in self.arrows},
-            dict(g.identity_of),
-            {u: g.inverse_of[u] for u in self.arrows},
-            compose, name=name or self.name)
+        return subgroupoid(self.ambient, self.ambient.objects, self.arrows,
+                           name or self.name)
 
     def __repr__(self):
         flag = "normal" if self.normal else "wide"
@@ -546,13 +519,17 @@ def is_quotient_morphism(f):
     return True
 
 
+def _star_images(f, x):
+    """The images of star(x) under f, in input order, and star(f x)."""
+    return ([f.arrow_map[u] for u in star(f.dom, x)],
+            set(star(f.cod, f.object_map[x])))
+
+
 def is_fibration(f):
     """The induced map star(x) -> star(f x) is surjective for every x."""
     for x in f.dom.objects:
-        images = {f.arrow_map[u] for u in f.dom.arrows if f.dom.source[u] == x}
-        needed = {w for w in f.cod.arrows
-                  if f.cod.source[w] == f.object_map[x]}
-        if not needed <= images:
+        images, needed = _star_images(f, x)
+        if not needed <= set(images):
             return False
     return True
 
@@ -560,36 +537,37 @@ def is_fibration(f):
 def is_covering(f):
     """The induced map star(x) -> star(f x) is bijective for every x."""
     for x in f.dom.objects:
-        image_list = [f.arrow_map[u] for u in f.dom.arrows
-                      if f.dom.source[u] == x]
-        needed = {w for w in f.cod.arrows
-                  if f.cod.source[w] == f.object_map[x]}
-        if len(image_list) != len(set(image_list)):
-            return False
-        if set(image_list) != needed:
+        images, needed = _star_images(f, x)
+        if len(images) != len(set(images)) or set(images) != needed:
             return False
     return True
 
 
-def full_subgroupoid(g, objects, name=None):
-    """The full subgroupoid on a subset of objects (all arrows between them)."""
-    objs = tuple(x for x in g.objects if x in set(objects))
-    unknown = set(objects) - set(g.objects)
-    if unknown:
-        raise ValueError(f"{g.name}: unknown objects {sorted(unknown)}")
-    oset = set(objs)
-    arrows = tuple(u for u in g.arrows
-                   if g.source[u] in oset and g.target[u] in oset)
+def subgroupoid(g, objects, arrows, name):
+    """The tables of g restricted to objects and arrows of g, given in input
+    order and closed under identities, inverses and composition."""
     aset = set(arrows)
     compose = {(v, u): w for (v, u), w in g.compose.items()
                if v in aset and u in aset}
     return FiniteGroupoid(
-        objs, arrows,
+        objects, arrows,
         {u: g.source[u] for u in arrows},
         {u: g.target[u] for u in arrows},
-        {x: g.identity_of[x] for x in objs},
+        {x: g.identity_of[x] for x in objects},
         {u: g.inverse_of[u] for u in arrows},
-        compose, name=name or f"{g.name}|{len(objs)}")
+        compose, name=name)
+
+
+def full_subgroupoid(g, objects, name=None):
+    """The full subgroupoid on a subset of objects (all arrows between them)."""
+    unknown = set(objects) - set(g.objects)
+    if unknown:
+        raise ValueError(f"{g.name}: unknown objects {sorted(unknown)}")
+    oset = set(objects)
+    objs = tuple(x for x in g.objects if x in oset)
+    arrows = tuple(u for u in g.arrows
+                   if g.source[u] in oset and g.target[u] in oset)
+    return subgroupoid(g, objs, arrows, name or f"{g.name}|{len(objs)}")
 
 
 def disjoint_union(a, b, name=None):

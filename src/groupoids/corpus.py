@@ -13,14 +13,11 @@ from __future__ import annotations
 import random
 
 from .actions import GroupoidAction, action_from_object_map, trivial_action
-from .catalog import (cyclic_group, discrete_groupoid, groupoid_from_group,
-                      klein_group, symmetric_group, tree_groupoid,
-                      trivial_group)
-from .core import FiniteGroupoid, GroupTable, subgroup_closure
+from .catalog import (connected_groupoid, cyclic_group, discrete_groupoid,
+                      groupoid_from_group, klein_group, symmetric_group,
+                      tree_groupoid, trivial_group)
+from .core import FiniteGroupoid, disjoint_union, subgroup_closure
 from .presented import DirectedGraph, GraphAction
-
-CORPUS_VERSION = "1"
-TARGET_FAMILY_VERSION = "1"
 
 
 def standard_target_family():
@@ -360,9 +357,6 @@ def random_quotient_instances(seed=23, count=22, max_arrows=20):
 
     The generating sets are arbitrary arrow subsets; the caller takes the
     normal closure.  An empty set is drawn sometimes on purpose."""
-    from .catalog import connected_groupoid
-    from .core import disjoint_union
-
     rng = random.Random(seed)
     out = []
     vg_pool = [trivial_group(name="V1"), cyclic_group(2, name="V2"),

@@ -35,8 +35,9 @@ is a load error naming the pair.  Groups are one-object groupoid blocks; an
 action's GROUP names one, and its element names are that block's arrow
 names.  Unlisted action pairs are fixed, except identity arrows, which
 follow the object map.  '#' starts a comment; names must be free of
-whitespace and '#'.  Every entity is validated on load, and blocks may only
-refer to entities defined earlier in the file.
+whitespace and '#', and edge and generator names may not start with '-',
+which marks an inverse letter.  Every entity is validated on load, and
+blocks may only refer to entities defined earlier in the file.
 
 The emitter writes this same format back, skipping everything implied, so
 emitting a parsed emission is byte-identical.
@@ -45,11 +46,11 @@ emitting a parsed emission is byte-identical.
 from __future__ import annotations
 
 from .actions import GroupoidAction, validate_action
-from .catalog import group_of_one_object_groupoid, one_object_groupoid
+from .catalog import group_of_one_object_groupoid, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, validate_groupoid,
                    validate_morphism)
 from .presented import (DirectedGraph, GraphAction, GroupPresentation,
-                        PresentedGroupoid, Word, validate_graph_action)
+                        PresentedGroupoid, validate_graph_action)
 
 _HEADERS = ("groupoid", "action", "graph", "presentation", "morphism")
 
@@ -61,6 +62,11 @@ class ParseError(ValueError):
         self.col = col
         self.message = message
         super().__init__(f"{path}:{line}:{col}: {message}")
+
+
+class UnreadableInput(ValueError):
+    """An input file that cannot be opened or is not UTF-8 text; the
+    message is "path: reason"."""
 
 
 class ParsedFile:
@@ -106,8 +112,15 @@ class ParsedFile:
 
 
 def parse_input(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_text(handle.read(), path=path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise UnreadableInput(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(
+            f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_text(text, path=path)
 
 
 def parse_text(text, path="<input>"):
@@ -144,6 +157,13 @@ def _check_name(name, path, line_no, col, what):
     if name.startswith("id_"):
         raise ParseError(path, line_no, col,
                          f"{what} {name} uses the reserved id_ prefix")
+
+
+def _check_letter(name, path, line_no, col, what):
+    if name.startswith("-"):
+        raise ParseError(path, line_no, col,
+                         f"{what} {name} starts with '-', which marks an "
+                         f"inverse letter")
 
 
 class _GroupoidBlock:
@@ -250,11 +270,6 @@ class _GroupoidBlock:
                                  f"compose {v} {u} = {w} contradicts an "
                                  f"implied composition")
             compose[(v, u)] = w
-        for v in arrows:
-            for u in arrows:
-                if target[u] == source[v] and (v, u) not in compose:
-                    raise ParseError(path, self.head, 1,
-                                     f"missing composition: compose {v} {u}")
 
         gpd = FiniteGroupoid(self.objects, arrows, source, target,
                              identity_of, inverse, compose, name=self.name)
@@ -314,7 +329,7 @@ class _ActionBlock:
             g = self._element(tokens[1], line_no, col)
             x, y = tokens[3], tokens[5]
             names = self.space.objects if self.space_kind == "groupoid" \
-                else self._graph().vertices
+                else self.space.graph.vertices
             for v in (x, y):
                 if v not in names:
                     raise ParseError(path, line_no, col,
@@ -354,7 +369,7 @@ class _ActionBlock:
             g = self._element(tokens[1], line_no, col)
             e, tok = tokens[3], tokens[5]
             f = tok[1:] if tok.startswith("-") else tok
-            graph = self._graph()
+            graph = self.space.graph
             for edge in (e, f):
                 if edge not in graph.source:
                     raise ParseError(path, line_no, col,
@@ -366,10 +381,6 @@ class _ActionBlock:
         else:
             raise ParseError(path, line_no, col,
                              f"unexpected {word} in an action block")
-
-    def _graph(self):
-        return self.space.graph if isinstance(self.space, PresentedGroupoid) \
-            else self.space
 
     def finish(self):
         path = self.parsed.path
@@ -392,7 +403,7 @@ class _ActionBlock:
                                  group_groupoid=self.group_groupoid)
             problems = validate_action(act)
         else:
-            graph = self._graph()
+            graph = self.space.graph
             act_vertex = {}
             for g in G.elements:
                 for v in graph.vertices:
@@ -436,6 +447,7 @@ class _GraphBlock:
             _expect(tokens, ("edge", "*", ":", "*", "->", "*"),
                     path, line_no, col, "edge NAME : SRC -> TGT")
             name, src, tgt = tokens[1], tokens[3], tokens[5]
+            _check_letter(name, path, line_no, col, "edge")
             if name in self.source:
                 raise ParseError(path, line_no, col,
                                  f"duplicate edge {name}")
@@ -489,6 +501,7 @@ class _PresentationBlock:
         word = tokens[0]
         if word == "generators":
             for g in tokens[1:]:
+                _check_letter(g, path, line_no, col, "generator")
                 if g in self.generators:
                     raise ParseError(path, line_no, col,
                                      f"duplicate generator {g}")
@@ -602,6 +615,9 @@ def _token(name, what):
     if not name or any(ch.isspace() for ch in name) or "#" in name:
         raise ValueError(f"{what} {name!r} cannot be written to the text "
                          f"format (whitespace or '#')")
+    if what in ("edge", "generator") and name.startswith("-"):
+        raise ValueError(f"{what} {name!r} cannot be written to the text "
+                         f"format (a leading '-' marks an inverse letter)")
     return name
 
 
@@ -677,8 +693,7 @@ class _Emitter:
     def _group_block(self, act):
         if act.group_groupoid is not None:
             return self.emit(act.group_groupoid), act.group.identity
-        gpd, elem_arrow = one_object_groupoid(
-            act.group, name=f"{act.group.name}-gpd")
+        gpd = groupoid_from_group(act.group, name=f"{act.group.name}-gpd")
         return self.emit(gpd), act.group.identity
 
     def _action(self, act):

@@ -9,6 +9,7 @@ None of it calls the construction code it is meant to check.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from .core import (GroupoidMorphism, SizeCapError, is_abelian_group,
                    quotient_group, validate_morphism)
@@ -95,13 +96,13 @@ def invariant_morphisms(act, cod):
     return out
 
 
+@dataclass
 class UniversalPropertyReport:
     """Per-target factorization counts for a candidate orbit morphism."""
 
-    def __init__(self, entries):
-        # entries: (target name, invariant morphism count, existence failures,
-        #           uniqueness failures)
-        self.entries = tuple(entries)
+    # (target name, invariant morphism count, existence failures,
+    #  uniqueness failures) per target
+    entries: tuple
 
     @property
     def ok(self):
@@ -160,7 +161,7 @@ def check_universal_property(act, candidate, targets):
             elif hits > 1:
                 extra += 1
         entries.append((cod.name, len(wanted), missing, extra))
-    return UniversalPropertyReport(entries)
+    return UniversalPropertyReport(tuple(entries))
 
 
 def _closure(g, seed):

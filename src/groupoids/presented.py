@@ -58,7 +58,7 @@ class DirectedGraph:
             letters.append((e, sign))
         if not letters:
             raise ValueError("empty token list needs an explicit basepoint")
-        src = self._start(letters[0])
+        src = self._ends(letters[0])[0]
         at = src
         for letter in letters:
             begin, end = self._ends(letter)
@@ -73,9 +73,6 @@ class DirectedGraph:
         if s > 0:
             return self.source[e], self.target[e]
         return self.target[e], self.source[e]
-
-    def _start(self, letter):
-        return self._ends(letter)[0]
 
 
 def free_reduce(word):
@@ -117,16 +114,6 @@ class GroupPresentation:
             for g, s in r:
                 if g not in gens:
                     raise ValueError(f"{name}: relator uses unknown generator {g}")
-
-    def graph(self):
-        g = DirectedGraph(["*"], self.generators,
-                          {e: "*" for e in self.generators},
-                          {e: "*" for e in self.generators},
-                          name=self.name)
-        return g
-
-    def relator_words(self):
-        return [Word(tuple(r), "*", "*") for r in self.relators]
 
 
 @dataclass(frozen=True)
@@ -303,6 +290,18 @@ def spanning_tree(graph, root=None):
     if not graph.vertices:
         raise ValueError(f"{graph.name}: no vertices")
     root = root or graph.vertices[0]
+    tree, word_to_root = _tree_walk(graph, root)
+    missing = [v for v in graph.vertices if v not in word_to_root]
+    if missing:
+        raise ValueError(
+            f"{graph.name}: not connected; unreachable from {root}: "
+            + " ".join(missing))
+    return tree, word_to_root
+
+
+def _tree_walk(graph, root):
+    """spanning_tree of the component of root, whatever the rest of the
+    graph: word_to_root has exactly the vertices of that component."""
     incident = {v: [] for v in graph.vertices}
     for e in graph.edges:
         incident[graph.source[e]].append((e, 1))
@@ -323,11 +322,6 @@ def spanning_tree(graph, root=None):
                                        w, root)
                 nxt.append(w)
         frontier = nxt
-    missing = [v for v in graph.vertices if v not in word_to_root]
-    if missing:
-        raise ValueError(
-            f"{graph.name}: not connected; unreachable from {root}: "
-            + " ".join(missing))
     return tree, word_to_root
 
 
@@ -342,19 +336,13 @@ def vertex_group_presentation(pres, vertex, name=None):
     gr = pres.graph
     if vertex not in set(gr.vertices):
         raise ValueError(f"{gr.name}: unknown vertex {vertex}")
-    component = _component_of(gr, vertex)
-    sub_edges = [e for e in gr.edges
-                 if gr.source[e] in component]
-    sub = DirectedGraph([v for v in gr.vertices if v in component],
-                        sub_edges, {e: gr.source[e] for e in sub_edges},
-                        {e: gr.target[e] for e in sub_edges},
-                        name=f"{gr.name}@{vertex}")
-    tree, to_root = spanning_tree(sub, root=vertex)
+    tree, to_root = _tree_walk(gr, vertex)
     tree_set = set(tree)
-    generators = [e for e in sub_edges if e not in tree_set]
+    generators = [e for e in gr.edges
+                  if gr.source[e] in to_root and e not in tree_set]
     relators = []
     for w in pres.relators:
-        if w.source not in component:
+        if w.source not in to_root:
             continue
         # conjugate to the basepoint: walk root -> w.source, the relator,
         # then w.source -> root, all in traversal order
@@ -367,24 +355,6 @@ def vertex_group_presentation(pres, vertex, name=None):
             relators.append(tuple(reduced.letters))
     return GroupPresentation(generators, relators,
                              name=name or f"{pres.name}@{vertex}")
-
-
-def _component_of(graph, vertex):
-    reach = {vertex}
-    frontier = [vertex]
-    incident = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        incident[graph.source[e]].append(graph.target[e])
-        incident[graph.target[e]].append(graph.source[e])
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in incident[v]:
-                if w not in reach:
-                    reach.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return reach
 
 
 def direct_product_presentation(p1, p2, name=None):

@@ -205,7 +205,7 @@ def check_first_isomorphism(max_arrows=None):
                         f"kernel")
         for x in k.objects:
             small = quotient_group(object_group(k, x), n.at(x))
-            big = object_group(quot.groupoid, quot.object_class_of[x])
+            big = object_group(quot.groupoid, f.object_map[x])
             if not group_isomorphic(small, big):
                 return CheckResult(
                     "first-isomorphism", False,

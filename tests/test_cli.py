@@ -1,4 +1,7 @@
+import re
+import shlex
 from importlib import resources
+from pathlib import Path
 
 from groupoids import cli, cyclic_group, groupoid_from_group, parse_text
 from groupoids import render_entities
@@ -135,6 +138,48 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2
     assert not out
     assert f"{bad}:3:1: unknown object z" in err
+
+
+def test_missing_input_exits_2_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.act"
+    for argv in (["orbit", str(missing)],
+                 ["verify", "--targets", str(missing)]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert not out
+        assert err.startswith(f"{missing}: ")
+        assert err.count("\n") == 1
+
+
+def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "latin1.gpd"
+    bad.write_bytes(b"groupoid g\nobjects caf\xe9\n")
+    code, out, err = _run(capsys, "orbit", str(bad))
+    assert code == 2
+    assert not out
+    assert err.startswith(f"{bad}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_emit_path_exits_2_before_the_report(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.gpd"
+    code, out, err = _run(capsys, "semidirect", _data("tree_swap.act"),
+                          "--emit", str(target))
+    assert code == 2
+    assert not out
+    assert err.startswith(f"{target}: ")
+    assert err.count("\n") == 1
+
+
+def test_readme_tour_is_byte_exact(monkeypatch, capsys):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```\n\$ groupoids ([^\n]*)\n(.*?)```", readme, re.S)
+    assert len(blocks) == 6
+    monkeypatch.chdir(root)
+    for command, expected in blocks:
+        code, out, _err = _run(capsys, *shlex.split(command))
+        assert (code, out) == (0, expected), command
 
 
 def test_emit_to_stdout_is_stable_and_replaces_the_report(capsys):

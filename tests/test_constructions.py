@@ -107,7 +107,7 @@ def test_quotient_collapses_connected_normal_subgroupoid():
     quot = quotient_groupoid(sd.groupoid, n)
     # the relation pairs connect the two objects, so one class remains
     assert len(quot.groupoid.objects) == 1
-    assert quot.object_class_of["x"] == quot.object_class_of["y"]
+    assert quot.morphism.object_map["x"] == quot.morphism.object_map["y"]
 
 
 def test_orbit_groupoid_objects_are_orbits():

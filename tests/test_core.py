@@ -8,7 +8,7 @@ from groupoids import (FiniteGroupoid, GroupoidMorphism, SizeCapError,
                        identity_morphism, is_connected, is_covering,
                        is_discrete, is_fibration, is_normal_subgroupoid,
                        is_quotient_morphism, is_tree_groupoid, kernel,
-                       object_group, one_object_groupoid, quotient_group,
+                       object_group, quotient_group,
                        search_isomorphism, star, symmetric_group,
                        tree_groupoid, trivial_group, validate_group,
                        validate_groupoid, validate_morphism)
@@ -194,10 +194,14 @@ def test_search_isomorphism_cap():
         search_isomorphism(big, big)
 
 
-def test_one_object_groupoid_round():
-    gpd, arrow_of = one_object_groupoid(symmetric_group(3))
-    assert arrow_of["(01)"] == "(01)"
-    assert arrow_of[symmetric_group(3).identity] == "id_pt"
+def test_groupoid_from_group_round():
+    s3 = symmetric_group(3)
+    gpd = groupoid_from_group(s3)
+    # the identity element becomes id_pt, every other element keeps its name
+    assert gpd.identity_of["pt"] == "id_pt"
+    assert gpd.arrows == ("id_pt",) + tuple(
+        g for g in s3.elements if g != s3.identity)
+    assert "(01)" in gpd.arrow_index
     assert validate_groupoid(gpd) == []
 
 

@@ -1,8 +1,8 @@
 import pytest
 
-from groupoids import (GroupPresentation, ParseError, PresentedGroupoid,
-                       discrete_groupoid, parse_input, parse_text,
-                       render_entities, search_isomorphism,
+from groupoids import (DirectedGraph, GroupPresentation, ParseError,
+                       PresentedGroupoid, discrete_groupoid, parse_input,
+                       parse_text, render_entities, search_isomorphism,
                        validate_groupoid)
 from groupoids.corpus import named_actions, named_graph_actions
 
@@ -149,6 +149,21 @@ def test_data_files_parse(tmp_path):
         assert parse_input(str(target)).order
         count += 1
     assert count >= 6
+
+
+@pytest.mark.parametrize("text, where, entity", [
+    ("presentation p\ngenerators b -a\n", "in.txt:2:1: generator -a",
+     GroupPresentation(("-a", "b"), ((("-a", 1),),))),
+    ("graph g\nvertex v\nedge -e : v -> v\n", "in.txt:3:1: edge -e",
+     DirectedGraph(("v",), ("-e",), {"-e": "v"}, {"-e": "v"})),
+], ids=["generator", "edge"])
+def test_letter_names_may_not_start_with_minus(text, where, entity):
+    # relator and act lines read a leading '-' as an inverse letter
+    with pytest.raises(ParseError) as err:
+        parse_text(text, path="in.txt")
+    assert str(err.value).startswith(where)
+    with pytest.raises(ValueError, match="leading '-'"):
+        render_entities([entity])
 
 
 def test_emitter_rejects_unwritable_names():
