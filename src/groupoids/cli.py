@@ -7,7 +7,8 @@ report).
 
 Exit codes: 0 success, 1 a check failed, 2 malformed input, an input file
 that cannot be read or is not UTF-8, or an --emit path that cannot be
-written, 3 invalid hypotheses or selections.
+written, 3 invalid hypotheses or selections, or a result that cannot be
+emitted (such as two entities with one name).
 """
 
 from __future__ import annotations
@@ -289,25 +290,29 @@ def _parser():
     sub.add_argument("--targets", metavar="FILE",
                      help="groupoids file for the universal property targets")
     sub.add_argument("--max-arrows", type=int, default=None,
-                     help="skip corpus instances with more arrows")
+                     help="skip corpus instances with more arrows (at least 1)")
     sub.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "max_arrows", None) is not None and args.max_arrows < 1:
+        parser.error("argument --max-arrows: must be at least 1")
+    emit_to = getattr(args, "emit", None)
     try:
         lines, code, entities = args.handler(args)
+        text = None if entities is None or emit_to is None \
+            else render_entities(entities)
     except (ParseError, UnreadableInput) as err:
         print(err, file=sys.stderr)
         return 2
     except ValueError as err:
         print(err, file=sys.stderr)
         return 3
-    emit_to = getattr(args, "emit", None)
-    if entities is not None and emit_to is not None:
-        text = render_entities(entities)
+    if text is not None:
         if emit_to == "-":
             sys.stdout.write(text)
             return code

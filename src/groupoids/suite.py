@@ -15,9 +15,9 @@ from .actions import is_free_action, trivial_action, validate_action
 from .catalog import (alternating_group, cyclic_group, dihedral_group,
                       group_isomorphic, groupoid_from_group, quaternion_group,
                       symmetric_group, tree_groupoid, trivial_group)
-from .constructions import (normal_closure, orbit_groupoid,
-                            orbit_kernel_generators, quotient_groupoid,
-                            regular_cover_orbit_check,
+from .constructions import (generated_wide_subgroupoid, normal_closure,
+                            orbit_groupoid, orbit_kernel_generators,
+                            quotient_groupoid, regular_cover_orbit_check,
                             restrict_orbit_full_subgroupoid, semidirect_product,
                             tree_orbit_group)
 from .core import (GroupoidMorphism, components, direct_product_group,
@@ -249,13 +249,13 @@ def check_orbit_kernel(max_arrows=None):
     checked = 0
     for act in _orbit_actions(max_arrows):
         orb = orbit_groupoid(act)
-        gens = orbit_kernel_generators(act, orbit=orb)
-        for u in gens:
-            if not orb.groupoid.is_identity_arrow(orb.morphism.arrow_map[u]):
-                return CheckResult(
-                    "orbit-kernel", False,
-                    f"{act.name}: generator {u} survives in the orbit "
-                    f"groupoid")
+        gens = orbit_kernel_generators(act)
+        if set(generated_wide_subgroupoid(act.space, gens).arrows) != \
+                set(kernel(orb.morphism).arrows):
+            return CheckResult(
+                "orbit-kernel", False,
+                f"{act.name}: the stabilizer differences do not generate "
+                f"the kernel of the orbit morphism")
         if is_free_action(act):
             if not is_covering(orb.morphism):
                 return CheckResult(
@@ -354,6 +354,12 @@ def check_tree_orbit_groups(max_arrows=None):
             return CheckResult("tree-orbit-groups", False,
                                f"{name}: orbit object group is not "
                                f"{want.name}")
+        orbit = orbit_groupoid(named[name])
+        for x in orbit.groupoid.objects:
+            if not group_isomorphic(object_group(orbit.groupoid, x), got):
+                return CheckResult("tree-orbit-groups", False,
+                                   f"{name}: orbit object group at {x} is "
+                                   f"not G/K")
     return CheckResult("tree-orbit-groups", True,
                        f"{len(expected)} tree actions give the expected "
                        f"orbit object groups")

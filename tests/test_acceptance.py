@@ -103,6 +103,13 @@ def test_orbit_kernel_clauses():
         notes.append(result.detail)
 
 
+def test_orbit_kernel_check_needs_the_generators(monkeypatch):
+    # negative control: with no generators the generated subgroupoid is
+    # only the identities, which misses the kernel of zmod4-inversion
+    monkeypatch.setattr(suite, "orbit_kernel_generators", lambda act, **_: ())
+    assert not suite.check_orbit_kernel().ok
+
+
 def test_orbit_universal_property():
     with criterion("orbit-universal-property") as notes:
         small = [act for act in list(dict(named_actions()).values())

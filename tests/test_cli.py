@@ -3,6 +3,8 @@ import shlex
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from groupoids import cli, cyclic_group, groupoid_from_group, parse_text
 from groupoids import render_entities
 from groupoids.corpus import named_actions
@@ -107,7 +109,11 @@ def test_check_regular_cover_failure_exits_1(tmp_path, capsys):
     code, out, _err = _run(capsys, "check-regular-cover", str(bad),
                            "--action", "lazy")
     assert code == 1
-    assert out.strip()
+    assert out.splitlines() == [
+        "induced map is not an isomorphism",
+        "object group at pt does not match the semidirect object group at x",
+        "object group at pt does not match the semidirect object group at y",
+    ]
 
 
 def test_restrict_orbit_verb(tmp_path, capsys):
@@ -122,7 +128,10 @@ def test_restrict_orbit_verb(tmp_path, capsys):
     code, out, _err = _run(capsys, "restrict-orbit", str(path),
                            "--objects", "a,c")
     assert code == 1
-    assert "misses a fixed component" in out
+    assert out.splitlines() == [
+        "object set misses a fixed component of 1: {b}",
+        "canonical map not injective on arrows",
+    ]
 
     code, _out, err = _run(capsys, "restrict-orbit", str(path),
                            "--objects", "a")
@@ -171,6 +180,22 @@ def test_unwritable_emit_path_exits_2_before_the_report(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_unemittable_result_exits_3_without_output(tmp_path, capsys):
+    # the orbit morphism is named orbit-<action>, so it collides with a
+    # groupoid of that name
+    path = tmp_path / "collide.act"
+    path.write_text("groupoid orbit-s\nobjects pt\n\ngroupoid z1\n"
+                    "objects pt\n\naction s on orbit-s by z1\n",
+                    encoding="utf-8")
+    target = tmp_path / "out.gpd"
+    for emit in ("-", str(target)):
+        code, out, err = _run(capsys, "orbit", str(path), "--emit", emit)
+        assert code == 3
+        assert not out
+        assert err == "two entities would be emitted as orbit-s\n"
+    assert not target.exists()
+
+
 def test_readme_tour_is_byte_exact(monkeypatch, capsys):
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")
@@ -216,6 +241,14 @@ def test_verify_verb(tmp_path, capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) >= 10
     assert all(line.startswith("PASS") for line in lines)
+
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", "--max-arrows", bad])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "--max-arrows: must be at least 1" in captured.err
 
     empty = tmp_path / "none.pres"
     empty.write_text("presentation p\ngenerators a\n", encoding="utf-8")
