@@ -34,10 +34,14 @@ implied too; every other composable pair must be listed, and a missing one
 is a load error naming the pair.  Groups are one-object groupoid blocks; an
 action's GROUP names one, and its element names are that block's arrow
 names.  Unlisted action pairs are fixed, except identity arrows, which
-follow the object map.  '#' starts a comment; names must be free of
-whitespace and '#', and edge and generator names may not start with '-',
-which marks an inverse letter.  Every entity is validated on load, and
-blocks may only refer to entities defined earlier in the file.
+follow the object map.  An action's graph block may not have relators.
+'#' starts a comment; names must be free of whitespace and '#', and edge
+and generator names may not start with '-', which marks an inverse letter.
+Every entity is validated on load, and blocks may only refer to entities
+defined earlier in the file.  An error in a line points at that line; a
+problem of the whole block (a missing inverse, composition or image, a
+failed axiom, a duplicate entity name) points at the block's header line,
+column 1.
 
 The emitter writes this same format back, skipping everything implied, so
 emitting a parsed emission is byte-identical.
@@ -51,8 +55,6 @@ from .core import (FiniteGroupoid, GroupoidMorphism, validate_groupoid,
                    validate_morphism)
 from .presented import (DirectedGraph, GraphAction, GroupPresentation,
                         PresentedGroupoid, validate_graph_action)
-
-_HEADERS = ("groupoid", "action", "graph", "presentation", "morphism")
 
 
 class ParseError(ValueError):
@@ -90,12 +92,19 @@ class ParsedFile:
         return [n for n in self.order if self.kinds[n] == kind]
 
     def get(self, name, kind=None):
-        if name not in self.entities:
-            raise ValueError(f"{self.path}: no entity named {name}")
-        if kind is not None and self.kinds[name] != kind:
-            raise ValueError(
-                f"{self.path}: {name} is a {self.kinds[name]}, not a {kind}")
+        problem = self._problem(name, kind)
+        if problem:
+            raise ValueError(f"{self.path}: {problem}")
         return self.entities[name]
+
+    def _problem(self, name, kind):
+        """Why name names no entity of this kind (of any kind if kind is
+        None), or None."""
+        if name not in self.entities:
+            return f"no entity named {name}"
+        if kind is not None and self.kinds[name] != kind:
+            return f"{name} is a {self.kinds[name]}, not a {kind}"
+        return None
 
     def pick(self, kind, name=None):
         """The named entity, or the unique one of its kind."""
@@ -132,7 +141,7 @@ def parse_text(text, path="<input>"):
         if not tokens:
             continue
         col = len(line) - len(line.lstrip()) + 1
-        if tokens[0] in _HEADERS:
+        if tokens[0] in _BLOCKS:
             if block is not None:
                 block.finish()
             block = _BLOCKS[tokens[0]](parsed, tokens, line_no, col)
@@ -146,101 +155,157 @@ def parse_text(text, path="<input>"):
     return parsed
 
 
-def _expect(tokens, pattern, path, line_no, col, usage):
-    """Match fixed tokens in pattern against the line; '*' matches any."""
-    if len(tokens) != len(pattern) or any(
-            p != "*" and t != p for t, p in zip(tokens, pattern)):
-        raise ParseError(path, line_no, col, f"expected: {usage}")
+# Prefixes that a new name of this kind may not start with, and why.
+_BANNED = {
+    "object": ("id_", "uses the reserved id_ prefix"),
+    "arrow": ("id_", "uses the reserved id_ prefix"),
+    "edge": ("-", "starts with '-', which marks an inverse letter"),
+    "generator": ("-", "starts with '-', which marks an inverse letter"),
+}
+
+_IDENTITY_IMAGE = "identity arrow images follow the object map; remove " \
+    "this line"
 
 
-def _check_name(name, path, line_no, col, what):
-    if name.startswith("id_"):
-        raise ParseError(path, line_no, col,
-                         f"{what} {name} uses the reserved id_ prefix")
+def _rule(usage, handler=None):
+    """Compile a usage string into (arity, fixed tokens, wildcard positions,
+    usage, handler).  Upper-case words are wildcards, a final "..." takes
+    any number of further tokens (arity None), and an "or" clause only
+    shows in the error message.  The first word is left out of the fixed
+    tokens, since it chose the rule."""
+    words = usage.split(" or ")[0].split()
+    if words[-1] == "...":
+        return None, (), (), usage, handler
+    fixed = tuple((i, w) for i, w in enumerate(words)
+                  if i and not w.isupper())
+    slots = tuple(i for i, w in enumerate(words) if w.isupper())
+    return len(words), fixed, slots, usage, handler
 
 
-def _check_letter(name, path, line_no, col, what):
-    if name.startswith("-"):
-        raise ParseError(path, line_no, col,
-                         f"{what} {name} starts with '-', which marks an "
-                         f"inverse letter")
+class _Block:
+    """A block: the header line, the body lines, and at the end the entity.
 
+    A subclass gives the header's usage (its first word is the block kind,
+    its first wildcard the entity name) and one usage per line kind; a line
+    starting with WORD goes to do_WORD with the line's wildcard tokens.
+    start() takes the header's other wildcards; build() returns the entity
+    and its validator's problems.  Errors point at the current line, and
+    during build() at the header line, column 1.
+    """
 
-class _GroupoidBlock:
+    header = ""
+    grammar = ()
+
+    def __init_subclass__(cls):
+        cls.kind = cls.header.split()[0]
+        cls.header_rule = _rule(cls.header)
+        cls.rules = {}
+        for usage in cls.grammar:
+            word = usage.split()[0]
+            cls.rules[word] = _rule(usage, getattr(cls, f"do_{word}"))
+        article = "an" if cls.kind[0] in "aeiou" else "a"
+        cls.unexpected = f"in {article} {cls.kind} block"
+
     def __init__(self, parsed, tokens, line_no, col):
-        _expect(tokens, ("groupoid", "*"), parsed.path, line_no, col,
-                "groupoid NAME")
         self.parsed = parsed
-        self.name = tokens[1]
         self.head = line_no
+        self.at = (line_no, col)
+        self.name, *refs = self.match(self.header_rule, tokens)
+        self.start(*refs)
+
+    def fail(self, message, at=None):
+        raise ParseError(self.parsed.path, *(at or self.at), message) \
+            from None
+
+    def match(self, rule, tokens):
+        arity, fixed, slots, usage, _handler = rule
+        if arity is None:
+            return tokens[1:]
+        if len(tokens) == arity:
+            for i, w in fixed:
+                if tokens[i] != w:
+                    break
+            else:
+                return [tokens[i] for i in slots]
+        self.fail(f"expected: {usage}")
+
+    def line(self, tokens, line_no, col):
+        self.at = (line_no, col)
+        rule = self.rules.get(tokens[0])
+        if rule is None:
+            self.fail(f"unexpected {tokens[0]} {self.unexpected}")
+        rule[-1](self, *self.match(rule, tokens))
+
+    def known(self, what, pool, *names):
+        for name in names:
+            if name not in pool:
+                self.fail(f"unknown {what} {name}")
+
+    def fresh(self, what, pool, name):
+        """Check that name may be introduced as a new what."""
+        if name in pool:
+            self.fail(f"duplicate {what} {name}")
+        banned = _BANNED.get(what)
+        if banned and name.startswith(banned[0]):
+            self.fail(f"{what} {name} {banned[1]}")
+
+    def entity(self, name, kind):
+        problem = self.parsed._problem(name, kind)
+        if problem:
+            self.fail(problem)
+        return self.parsed.entities[name]
+
+    def finish(self):
+        self.at = (self.head, 1)
+        entity, problems = self.build()
+        if problems:
+            self.fail(f"{self.name}: {problems[0]}")
+        self.parsed.add(self.name, self.kind, entity, self.head)
+
+
+class _GroupoidBlock(_Block):
+    header = "groupoid NAME"
+    grammar = ("objects ...", "arrow NAME : SRC -> TGT", "inverse A B",
+               "compose V U = W")
+
+    def start(self):
         self.objects = []
-        self.arrows = []          # (name, src, tgt)
+        self.arrows = []          # non-identity arrows
+        self.names = set()        # all arrow names, identities included
         self.source = {}
         self.target = {}
         self.inverse = {}
         self.compose_lines = []   # (v, u, w, line, col)
 
-    def line(self, tokens, line_no, col):
-        path = self.parsed.path
-        word = tokens[0]
-        if word == "objects":
-            for x in tokens[1:]:
-                if x in self.objects:
-                    raise ParseError(path, line_no, col,
-                                     f"duplicate object {x}")
-                _check_name(x, path, line_no, col, "object")
-                self.objects.append(x)
-        elif word == "arrow":
-            _expect(tokens, ("arrow", "*", ":", "*", "->", "*"),
-                    path, line_no, col, "arrow NAME : SRC -> TGT")
-            name, src, tgt = tokens[1], tokens[3], tokens[5]
-            _check_name(name, path, line_no, col, "arrow")
-            if name in self.source:
-                raise ParseError(path, line_no, col,
-                                 f"duplicate arrow {name}")
-            for x in (src, tgt):
-                if x not in self.objects:
-                    raise ParseError(path, line_no, col,
-                                     f"unknown object {x}")
-            self.arrows.append(name)
-            self.source[name] = src
-            self.target[name] = tgt
-        elif word == "inverse":
-            _expect(tokens, ("inverse", "*", "*"), path, line_no, col,
-                    "inverse A B")
-            a, b = tokens[1], tokens[2]
-            for u in (a, b):
-                if u not in self.source:
-                    raise ParseError(path, line_no, col,
-                                     f"unknown arrow {u}")
-            if self.source[a] != self.target[b] or \
-                    self.target[a] != self.source[b]:
-                raise ParseError(path, line_no, col,
-                                 f"inverse pair {a} {b} has mismatched "
-                                 f"endpoints")
-            for u, v in ((a, b), (b, a)):
-                if self.inverse.get(u, v) != v:
-                    raise ParseError(path, line_no, col,
-                                     f"conflicting inverse for {u}")
-                self.inverse[u] = v
-        elif word == "compose":
-            _expect(tokens, ("compose", "*", "*", "=", "*"),
-                    path, line_no, col, "compose V U = W")
-            v, u, w = tokens[1], tokens[2], tokens[4]
-            for a in (v, u, w):
-                if a not in self.source and not self._is_identity_name(a):
-                    raise ParseError(path, line_no, col,
-                                     f"unknown arrow {a}")
-            self.compose_lines.append((v, u, w, line_no, col))
-        else:
-            raise ParseError(path, line_no, col,
-                             f"unexpected {word} in a groupoid block")
+    def do_objects(self, *names):
+        for x in names:
+            self.fresh("object", self.objects, x)
+            self.objects.append(x)
+            self.names.add(f"id_{x}")
 
-    def _is_identity_name(self, u):
-        return u.startswith("id_") and u[3:] in self.objects
+    def do_arrow(self, name, src, tgt):
+        self.fresh("arrow", self.source, name)
+        self.known("object", self.objects, src, tgt)
+        self.arrows.append(name)
+        self.names.add(name)
+        self.source[name] = src
+        self.target[name] = tgt
 
-    def finish(self):
-        path = self.parsed.path
+    def do_inverse(self, a, b):
+        self.known("arrow", self.source, a, b)
+        if self.source[a] != self.target[b] or \
+                self.target[a] != self.source[b]:
+            self.fail(f"inverse pair {a} {b} has mismatched endpoints")
+        for u, v in ((a, b), (b, a)):
+            if self.inverse.get(u, v) != v:
+                self.fail(f"conflicting inverse for {u}")
+            self.inverse[u] = v
+
+    def do_compose(self, v, u, w):
+        self.known("arrow", self.names, v, u, w)
+        self.compose_lines.append((v, u, w, *self.at))
+
+    def build(self):
         identity_of = {x: f"id_{x}" for x in self.objects}
         idents = [identity_of[x] for x in self.objects]
         source = {identity_of[x]: x for x in self.objects}
@@ -250,8 +315,7 @@ class _GroupoidBlock:
         inverse = {identity_of[x]: identity_of[x] for x in self.objects}
         for u in self.arrows:
             if u not in self.inverse:
-                raise ParseError(path, self.head, 1,
-                                 f"arrow {u} has no declared inverse")
+                self.fail(f"arrow {u} has no declared inverse")
         inverse.update(self.inverse)
         arrows = idents + self.arrows
 
@@ -261,354 +325,219 @@ class _GroupoidBlock:
             compose[(identity_of[target[u]], u)] = u
             compose[(u, inverse[u])] = identity_of[target[u]]
             compose[(inverse[u], u)] = identity_of[source[u]]
-        for (v, u, w, line_no, col) in self.compose_lines:
+        for (v, u, w, line, col) in self.compose_lines:
             if target[u] != source[v]:
-                raise ParseError(path, line_no, col,
-                                 f"compose {v} {u}: not composable")
+                self.fail(f"compose {v} {u}: not composable", (line, col))
             if compose.get((v, u), w) != w:
-                raise ParseError(path, line_no, col,
-                                 f"compose {v} {u} = {w} contradicts an "
-                                 f"implied composition")
+                self.fail(f"compose {v} {u} = {w} contradicts an implied "
+                          f"composition", (line, col))
             compose[(v, u)] = w
 
         gpd = FiniteGroupoid(self.objects, arrows, source, target,
                              identity_of, inverse, compose, name=self.name)
-        problems = validate_groupoid(gpd)
-        if problems:
-            raise ParseError(path, self.head, 1,
-                             f"{self.name}: {problems[0]}")
-        self.parsed.add(self.name, "groupoid", gpd, self.head)
+        return gpd, validate_groupoid(gpd)
 
 
-class _ActionBlock:
-    def __init__(self, parsed, tokens, line_no, col):
-        _expect(tokens, ("action", "*", "on", "*", "by", "*"),
-                parsed.path, line_no, col, "action NAME on TARGET by GROUP")
-        self.parsed = parsed
-        self.name = tokens[1]
-        self.head = line_no
-        try:
-            self.space = parsed.get(tokens[3])
-            self.space_kind = parsed.kinds[tokens[3]]
-        except ValueError:
-            raise ParseError(parsed.path, line_no, col,
-                             f"unknown target {tokens[3]}") from None
-        if self.space_kind not in ("groupoid", "graph"):
-            raise ParseError(parsed.path, line_no, col,
-                             f"{tokens[3]} is not a groupoid or graph")
-        try:
-            group_block = parsed.get(tokens[5], "groupoid")
-        except ValueError as exc:
-            raise ParseError(parsed.path, line_no, col, str(exc)) from None
-        if len(group_block.objects) != 1:
-            raise ParseError(parsed.path, line_no, col,
-                             f"group block {tokens[5]} must have exactly "
-                             f"one object")
-        self.group_groupoid = group_block
-        self.group = group_of_one_object_groupoid(group_block)
+def _with_fixed(group, names, listed):
+    """The image of every (g, name): the listed one, else name itself."""
+    return {(g, x): listed.get((g, x), x)
+            for g in group.elements for x in names}
+
+
+class _ActionBlock(_Block):
+    header = "action NAME on TARGET by GROUP"
+    grammar = ("obj G : X -> Y", "arr G : A -> B",
+               "act G : E -> F or act G : E -> -F")
+    # lines that do not fit the target's kind
+    wrong_target = {
+        ("arr", "graph"): "arr lines need a groupoid target; use act lines "
+                          "for graph edges",
+        ("act", "groupoid"): "act lines need a graph target; use arr lines "
+                             "for groupoid arrows",
+    }
+
+    def start(self, target, group):
+        self.target_kind = self.parsed.kinds.get(target)
+        if self.target_kind is None:
+            self.fail(f"unknown target {target}")
+        if self.target_kind not in ("groupoid", "graph"):
+            self.fail(f"{target} is not a groupoid or graph")
+        space = self.parsed.entities[target]
+        if self.target_kind == "graph":
+            if space.relators:
+                self.fail(f"graph {target} has relators; an action needs a "
+                          f"graph without relators")
+            space = space.graph
+            self.cells = (space.vertices, space.edges)
+        else:
+            self.cells = (space.objects, space.arrows)
+        self.space = space
+        self.group_groupoid = self.entity(group, "groupoid")
+        if len(self.group_groupoid.objects) != 1:
+            self.fail(f"group block {group} must have exactly one object")
+        self.group = group_of_one_object_groupoid(self.group_groupoid)
         self.obj_lines = {}
-        self.arr_lines = {}
-        self.act_lines = {}
-
-    def _element(self, g, line_no, col):
-        if g not in self.group.index:
-            raise ParseError(self.parsed.path, line_no, col,
-                             f"unknown group element {g}")
-        if g == self.group.identity:
-            raise ParseError(self.parsed.path, line_no, col,
-                             "the identity element acts trivially; remove "
-                             "this line")
-        return g
+        self.arr_lines = {}       # arr or act lines, by the target's kind
 
     def line(self, tokens, line_no, col):
-        path = self.parsed.path
-        word = tokens[0]
-        if word == "obj":
-            _expect(tokens, ("obj", "*", ":", "*", "->", "*"),
-                    path, line_no, col, "obj G : X -> Y")
-            g = self._element(tokens[1], line_no, col)
-            x, y = tokens[3], tokens[5]
-            names = self.space.objects if self.space_kind == "groupoid" \
-                else self.space.graph.vertices
-            for v in (x, y):
-                if v not in names:
-                    raise ParseError(path, line_no, col,
-                                     f"unknown object {v}")
-            if (g, x) in self.obj_lines:
-                raise ParseError(path, line_no, col,
-                                 f"duplicate image for {g} on {x}")
-            self.obj_lines[(g, x)] = y
-        elif word == "arr":
-            if self.space_kind != "groupoid":
-                raise ParseError(path, line_no, col,
-                                 "arr lines need a groupoid target; use act "
-                                 "lines for graph edges")
-            _expect(tokens, ("arr", "*", ":", "*", "->", "*"),
-                    path, line_no, col, "arr G : A -> B")
-            g = self._element(tokens[1], line_no, col)
-            a, b = tokens[3], tokens[5]
-            for u in (a, b):
-                if u not in self.space.arrow_index:
-                    raise ParseError(path, line_no, col,
-                                     f"unknown arrow {u}")
+        self.word = tokens[0]
+        wrong = self.wrong_target.get((self.word, self.target_kind))
+        if wrong:
+            raise ParseError(self.parsed.path, line_no, col, wrong)
+        super().line(tokens, line_no, col)
+
+    def do_obj(self, g, a, b):
+        """An obj, arr or act line: g carries a to b."""
+        self.known("group element", self.group.index, g)
+        if g == self.group.identity:
+            self.fail("the identity element acts trivially; remove this "
+                      "line")
+        images = self.arr_lines
+        if self.word == "obj":
+            images = self.obj_lines
+            self.known("object", self.cells[0], a, b)
+        elif self.word == "arr":
+            self.known("arrow", self.space.arrow_index, a, b)
             if self.space.is_identity_arrow(a):
-                raise ParseError(path, line_no, col,
-                                 "identity arrow images follow the object "
-                                 "map; remove this line")
-            if (g, a) in self.arr_lines:
-                raise ParseError(path, line_no, col,
-                                 f"duplicate image for {g} on {a}")
-            self.arr_lines[(g, a)] = b
-        elif word == "act":
-            if self.space_kind != "graph":
-                raise ParseError(path, line_no, col,
-                                 "act lines need a graph target; use arr "
-                                 "lines for groupoid arrows")
-            _expect(tokens, ("act", "*", ":", "*", "->", "*"),
-                    path, line_no, col, "act G : E -> F or act G : E -> -F")
-            g = self._element(tokens[1], line_no, col)
-            e, tok = tokens[3], tokens[5]
-            f = tok[1:] if tok.startswith("-") else tok
-            graph = self.space.graph
-            for edge in (e, f):
-                if edge not in graph.source:
-                    raise ParseError(path, line_no, col,
-                                     f"unknown edge {edge}")
-            if (g, e) in self.act_lines:
-                raise ParseError(path, line_no, col,
-                                 f"duplicate image for {g} on {e}")
-            self.act_lines[(g, e)] = tok
+                self.fail(_IDENTITY_IMAGE)
         else:
-            raise ParseError(path, line_no, col,
-                             f"unexpected {word} in an action block")
+            self.known("edge", self.space.source, a, b.removeprefix("-"))
+        if (g, a) in images:
+            self.fail(f"duplicate image for {g} on {a}")
+        images[(g, a)] = b
 
-    def finish(self):
-        path = self.parsed.path
-        G = self.group
-        if self.space_kind == "groupoid":
-            sp = self.space
-            act_obj = {}
-            for g in G.elements:
-                for x in sp.objects:
-                    act_obj[(g, x)] = self.obj_lines.get((g, x), x)
-            act_arrow = {}
-            for g in G.elements:
-                for a in sp.arrows:
-                    if sp.is_identity_arrow(a):
-                        moved = act_obj[(g, sp.source[a])]
-                        act_arrow[(g, a)] = sp.identity_of[moved]
-                    else:
-                        act_arrow[(g, a)] = self.arr_lines.get((g, a), a)
-            act = GroupoidAction(G, sp, act_obj, act_arrow, name=self.name,
-                                 group_groupoid=self.group_groupoid)
-            problems = validate_action(act)
+    do_arr = do_act = do_obj
+
+    def build(self):
+        G, sp = self.group, self.space
+        points, arrows = self.cells
+        act_obj = _with_fixed(G, points, self.obj_lines)
+        if self.target_kind == "graph":
+            kind, validate = GraphAction, validate_graph_action
         else:
-            graph = self.space.graph
-            act_vertex = {}
-            for g in G.elements:
-                for v in graph.vertices:
-                    act_vertex[(g, v)] = self.obj_lines.get((g, v), v)
-            act_edge = {}
-            for g in G.elements:
-                for e in graph.edges:
-                    act_edge[(g, e)] = self.act_lines.get((g, e), e)
-            act = GraphAction(G, graph, act_vertex, act_edge, name=self.name,
-                              group_groupoid=self.group_groupoid)
-            problems = validate_graph_action(act)
-        if problems:
-            raise ParseError(path, self.head, 1,
-                             f"{self.name}: {problems[0]}")
-        self.parsed.add(self.name, "action", act, self.head)
+            kind, validate = GroupoidAction, validate_action
+            # identity arrows follow the object map
+            for (g, x), y in act_obj.items():
+                self.arr_lines[(g, sp.identity_of[x])] = sp.identity_of[y]
+        act = kind(G, sp, act_obj, _with_fixed(G, arrows, self.arr_lines),
+                   name=self.name, group_groupoid=self.group_groupoid)
+        return act, validate(act)
 
 
-class _GraphBlock:
-    def __init__(self, parsed, tokens, line_no, col):
-        _expect(tokens, ("graph", "*"), parsed.path, line_no, col,
-                "graph NAME")
-        self.parsed = parsed
-        self.name = tokens[1]
-        self.head = line_no
+class _GraphBlock(_Block):
+    header = "graph NAME"
+    grammar = ("vertex ...", "edge NAME : SRC -> TGT", "relator ...")
+
+    def start(self):
         self.vertices = []
         self.edges = []
         self.source = {}
         self.target = {}
-        self.relator_lines = []
+        self.relator_lines = []   # (tokens, (line, col))
 
-    def line(self, tokens, line_no, col):
-        path = self.parsed.path
-        word = tokens[0]
-        if word == "vertex":
-            for v in tokens[1:]:
-                if v in self.vertices:
-                    raise ParseError(path, line_no, col,
-                                     f"duplicate vertex {v}")
-                self.vertices.append(v)
-        elif word == "edge":
-            _expect(tokens, ("edge", "*", ":", "*", "->", "*"),
-                    path, line_no, col, "edge NAME : SRC -> TGT")
-            name, src, tgt = tokens[1], tokens[3], tokens[5]
-            _check_letter(name, path, line_no, col, "edge")
-            if name in self.source:
-                raise ParseError(path, line_no, col,
-                                 f"duplicate edge {name}")
-            for v in (src, tgt):
-                if v not in self.vertices:
-                    raise ParseError(path, line_no, col,
-                                     f"unknown vertex {v}")
-            self.edges.append(name)
-            self.source[name] = src
-            self.target[name] = tgt
-        elif word == "relator":
-            if len(tokens) < 2:
-                raise ParseError(path, line_no, col,
-                                 "relator needs at least one edge token")
-            self.relator_lines.append((tokens[1:], line_no, col))
-        else:
-            raise ParseError(path, line_no, col,
-                             f"unexpected {word} in a graph block")
+    def do_vertex(self, *names):
+        for v in names:
+            self.fresh("vertex", self.vertices, v)
+            self.vertices.append(v)
 
-    def finish(self):
-        path = self.parsed.path
+    def do_edge(self, name, src, tgt):
+        self.fresh("edge", self.source, name)
+        self.known("vertex", self.vertices, src, tgt)
+        self.edges.append(name)
+        self.source[name] = src
+        self.target[name] = tgt
+
+    def do_relator(self, *tokens):
+        if not tokens:
+            self.fail("relator needs at least one edge token")
+        self.relator_lines.append((tokens, self.at))
+
+    def build(self):
         graph = DirectedGraph(self.vertices, self.edges, self.source,
                               self.target, name=self.name)
         relators = []
-        for (tokens, line_no, col) in self.relator_lines:
+        for (tokens, at) in self.relator_lines:
             try:
                 word = graph.word(tokens)
             except ValueError as exc:
-                raise ParseError(path, line_no, col, str(exc)) from None
+                self.fail(str(exc), at)
             if word.source != word.target:
-                raise ParseError(path, line_no, col,
-                                 f"relator is not a loop "
-                                 f"({word.source} -> {word.target})")
+                self.fail(f"relator is not a loop "
+                          f"({word.source} -> {word.target})", at)
             relators.append(word)
-        entity = PresentedGroupoid(graph, relators, name=self.name)
-        self.parsed.add(self.name, "graph", entity, self.head)
+        return PresentedGroupoid(graph, relators, name=self.name), ()
 
 
-class _PresentationBlock:
-    def __init__(self, parsed, tokens, line_no, col):
-        _expect(tokens, ("presentation", "*"), parsed.path, line_no, col,
-                "presentation NAME")
-        self.parsed = parsed
-        self.name = tokens[1]
-        self.head = line_no
-        self.generators = []
+class _PresentationBlock(_Block):
+    header = "presentation NAME"
+    grammar = ("generators ...", "relator ...")
+
+    def start(self):
+        self.gens = []
         self.relators = []
 
-    def line(self, tokens, line_no, col):
-        path = self.parsed.path
-        word = tokens[0]
-        if word == "generators":
-            for g in tokens[1:]:
-                _check_letter(g, path, line_no, col, "generator")
-                if g in self.generators:
-                    raise ParseError(path, line_no, col,
-                                     f"duplicate generator {g}")
-                self.generators.append(g)
-        elif word == "relator":
-            if len(tokens) < 2:
-                raise ParseError(path, line_no, col,
-                                 "relator needs at least one token")
-            letters = []
-            for tok in tokens[1:]:
-                sign = -1 if tok.startswith("-") else 1
-                g = tok[1:] if sign < 0 else tok
-                if g not in self.generators:
-                    raise ParseError(path, line_no, col,
-                                     f"unknown generator {g}")
-                letters.append((g, sign))
-            self.relators.append(tuple(letters))
-        else:
-            raise ParseError(path, line_no, col,
-                             f"unexpected {word} in a presentation block")
+    def do_generators(self, *names):
+        for g in names:
+            self.fresh("generator", self.gens, g)
+            self.gens.append(g)
 
-    def finish(self):
-        entity = GroupPresentation(self.generators, self.relators,
-                                   name=self.name)
-        self.parsed.add(self.name, "presentation", entity, self.head)
+    def do_relator(self, *tokens):
+        if not tokens:
+            self.fail("relator needs at least one token")
+        letters = tuple((t.removeprefix("-"), -1 if t.startswith("-") else 1)
+                        for t in tokens)
+        self.known("generator", self.gens, *(g for g, _sign in letters))
+        self.relators.append(letters)
+
+    def build(self):
+        return GroupPresentation(self.gens, self.relators,
+                                 name=self.name), ()
 
 
-class _MorphismBlock:
-    def __init__(self, parsed, tokens, line_no, col):
-        _expect(tokens, ("morphism", "*", ":", "*", "->", "*"),
-                parsed.path, line_no, col, "morphism NAME : SRC -> DST")
-        self.parsed = parsed
-        self.name = tokens[1]
-        self.head = line_no
-        try:
-            self.dom = parsed.get(tokens[3], "groupoid")
-            self.cod = parsed.get(tokens[5], "groupoid")
-        except ValueError as exc:
-            raise ParseError(parsed.path, line_no, col, str(exc)) from None
+class _MorphismBlock(_Block):
+    header = "morphism NAME : SRC -> DST"
+    grammar = ("obj X -> Y", "arr A -> B")
+
+    def start(self, src, dst):
+        self.dom = self.entity(src, "groupoid")
+        self.cod = self.entity(dst, "groupoid")
         self.object_map = {}
         self.arrow_map = {}
 
-    def line(self, tokens, line_no, col):
-        path = self.parsed.path
-        word = tokens[0]
-        if word == "obj":
-            _expect(tokens, ("obj", "*", "->", "*"), path, line_no, col,
-                    "obj X -> Y")
-            x, y = tokens[1], tokens[3]
-            if x not in self.dom.object_index:
-                raise ParseError(path, line_no, col, f"unknown object {x}")
-            if y not in self.cod.object_index:
-                raise ParseError(path, line_no, col, f"unknown object {y}")
-            if x in self.object_map:
-                raise ParseError(path, line_no, col,
-                                 f"duplicate image for object {x}")
-            self.object_map[x] = y
-        elif word == "arr":
-            _expect(tokens, ("arr", "*", "->", "*"), path, line_no, col,
-                    "arr A -> B")
-            a, b = tokens[1], tokens[3]
-            if a not in self.dom.arrow_index:
-                raise ParseError(path, line_no, col, f"unknown arrow {a}")
-            if b not in self.cod.arrow_index:
-                raise ParseError(path, line_no, col, f"unknown arrow {b}")
-            if self.dom.is_identity_arrow(a):
-                raise ParseError(path, line_no, col,
-                                 "identity arrow images follow the object "
-                                 "map; remove this line")
-            if a in self.arrow_map:
-                raise ParseError(path, line_no, col,
-                                 f"duplicate image for arrow {a}")
-            self.arrow_map[a] = b
-        else:
-            raise ParseError(path, line_no, col,
-                             f"unexpected {word} in a morphism block")
+    def do_obj(self, x, y):
+        self.known("object", self.dom.object_index, x)
+        self.known("object", self.cod.object_index, y)
+        if x in self.object_map:
+            self.fail(f"duplicate image for object {x}")
+        self.object_map[x] = y
 
-    def finish(self):
-        path = self.parsed.path
+    def do_arr(self, a, b):
+        self.known("arrow", self.dom.arrow_index, a)
+        self.known("arrow", self.cod.arrow_index, b)
+        if self.dom.is_identity_arrow(a):
+            self.fail(_IDENTITY_IMAGE)
+        if a in self.arrow_map:
+            self.fail(f"duplicate image for arrow {a}")
+        self.arrow_map[a] = b
+
+    def build(self):
         for x in self.dom.objects:
             if x not in self.object_map:
-                raise ParseError(path, self.head, 1,
-                                 f"object {x} has no image")
+                self.fail(f"object {x} has no image")
         for a in self.dom.arrows:
             if self.dom.is_identity_arrow(a):
                 x = self.dom.source[a]
                 self.arrow_map[a] = \
                     self.cod.identity_of[self.object_map[x]]
             elif a not in self.arrow_map:
-                raise ParseError(path, self.head, 1,
-                                 f"arrow {a} has no image")
+                self.fail(f"arrow {a} has no image")
         f = GroupoidMorphism(self.dom, self.cod, self.object_map,
                              self.arrow_map, name=self.name)
-        problems = validate_morphism(f)
-        if problems:
-            raise ParseError(path, self.head, 1,
-                             f"{self.name}: {problems[0]}")
-        self.parsed.add(self.name, "morphism", f, self.head)
+        return f, validate_morphism(f)
 
 
-_BLOCKS = {
-    "groupoid": _GroupoidBlock,
-    "action": _ActionBlock,
-    "graph": _GraphBlock,
-    "presentation": _PresentationBlock,
-    "morphism": _MorphismBlock,
-}
+_BLOCKS = {cls.kind: cls for cls in (_GroupoidBlock, _ActionBlock, _GraphBlock,
+                                     _PresentationBlock, _MorphismBlock)}
 
 
 def _token(name, what):
@@ -621,11 +550,17 @@ def _token(name, what):
     return name
 
 
+def _relator(letters):
+    return "relator " + " ".join(
+        (e if s > 0 else f"-{e}") for (e, s) in letters)
+
+
 class _Emitter:
     def __init__(self):
         self.chunks = []
         self.seen_ids = {}
         self.names = {}
+        self.group_blocks = {}    # id of a group -> its one-object groupoid
 
     def text(self):
         return "\n\n".join(self.chunks) + "\n"
@@ -636,14 +571,14 @@ class _Emitter:
         if isinstance(entity, FiniteGroupoid):
             name = self._register(entity, entity.name)
             self.chunks.append(self._groupoid(entity, name))
-        elif isinstance(entity, GroupoidAction):
+        elif isinstance(entity, (GroupoidAction, GraphAction)):
             name = self._action(entity)
-        elif isinstance(entity, GraphAction):
-            name = self._graph_action(entity)
         elif isinstance(entity, PresentedGroupoid):
             name = self._register(entity, entity.name)
-            # references to the bare underlying graph resolve to this block
-            self.seen_ids.setdefault(id(entity.graph), name)
+            if not entity.relators:
+                # references to the bare underlying graph resolve to this
+                # block; an action may not name a block with relators
+                self.seen_ids.setdefault(id(entity.graph), name)
             self.chunks.append(self._graph(entity.graph, entity.relators,
                                            name))
         elif isinstance(entity, DirectedGraph):
@@ -691,55 +626,37 @@ class _Emitter:
         return "\n".join(lines)
 
     def _group_block(self, act):
-        if act.group_groupoid is not None:
-            return self.emit(act.group_groupoid), act.group.identity
-        gpd = groupoid_from_group(act.group, name=f"{act.group.name}-gpd")
-        return self.emit(gpd), act.group.identity
+        gpd = act.group_groupoid
+        if gpd is None:
+            # one block per group, however many actions share it
+            gpd = self.group_blocks.get(id(act.group))
+            if gpd is None:
+                gpd = self.group_blocks[id(act.group)] = groupoid_from_group(
+                    act.group, name=f"{act.group.name}-gpd")
+        return self.emit(gpd)
 
     def _action(self, act):
-        sp = act.space
-        space_name = self.emit(sp)
-        group_name, identity = self._group_block(act)
+        if isinstance(act, GraphAction):
+            space, word = act.graph, "act"
+            maps = ((space.vertices, act.act_vertex),
+                    (space.edges, act.act_edge))
+        else:
+            space, word = act.space, "arr"
+            maps = ((space.objects, act.act_obj),
+                    ([a for a in space.arrows
+                      if not space.is_identity_arrow(a)], act.act_arrow))
+        space_name = self.emit(space)
+        group_name = self._group_block(act)
         name = self._register(act, act.name)
         lines = [f"action {name} on {space_name} by {group_name}"]
-        for g in act.group.elements:
-            if g == identity:
-                continue
-            for x in sp.objects:
-                y = act.act_obj[(g, x)]
-                if y != x:
-                    lines.append(f"obj {g} : {x} -> {y}")
-        for g in act.group.elements:
-            if g == identity:
-                continue
-            for a in sp.arrows:
-                if sp.is_identity_arrow(a):
+        for word, (names, image) in zip(("obj", word), maps):
+            for g in act.group.elements:
+                if g == act.group.identity:
                     continue
-                b = act.act_arrow[(g, a)]
-                if b != a:
-                    lines.append(f"arr {g} : {a} -> {b}")
-        self.chunks.append("\n".join(lines))
-        return name
-
-    def _graph_action(self, act):
-        graph_name = self.emit(act.graph)
-        group_name, identity = self._group_block(act)
-        name = self._register(act, act.name)
-        lines = [f"action {name} on {graph_name} by {group_name}"]
-        for g in act.group.elements:
-            if g == identity:
-                continue
-            for v in act.graph.vertices:
-                w = act.act_vertex[(g, v)]
-                if w != v:
-                    lines.append(f"obj {g} : {v} -> {w}")
-        for g in act.group.elements:
-            if g == identity:
-                continue
-            for e in act.graph.edges:
-                tok = act.act_edge[(g, e)]
-                if tok != e:
-                    lines.append(f"act {g} : {e} -> {tok}")
+                for x in names:
+                    y = image[(g, x)]
+                    if y != x:
+                        lines.append(f"{word} {g} : {x} -> {y}")
         self.chunks.append("\n".join(lines))
         return name
 
@@ -751,9 +668,7 @@ class _Emitter:
         for e in graph.edges:
             _token(e, "edge")
             lines.append(f"edge {e} : {graph.source[e]} -> {graph.target[e]}")
-        for w in relators:
-            lines.append("relator " + " ".join(
-                (e if s > 0 else f"-{e}") for (e, s) in w.letters))
+        lines.extend(_relator(w.letters) for w in relators)
         return "\n".join(lines)
 
     def _presentation(self, pres, name):
@@ -761,9 +676,7 @@ class _Emitter:
         if pres.generators:
             lines.append("generators " + " ".join(
                 _token(g, "generator") for g in pres.generators))
-        for r in pres.relators:
-            lines.append("relator " + " ".join(
-                (g if s > 0 else f"-{g}") for (g, s) in r))
+        lines.extend(_relator(r) for r in pres.relators)
         return "\n".join(lines)
 
     def _morphism(self, f):

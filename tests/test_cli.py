@@ -149,6 +149,21 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert f"{bad}:3:1: unknown object z" in err
 
 
+def test_action_on_a_graph_with_relators_exits_2(tmp_path, capsys):
+    # the orbit presentation would drop the relator e e and report a free
+    # vertex group, where the answer is Z2
+    path = tmp_path / "loop.act"
+    path.write_text("graph loop\nvertex v\nedge e : v -> v\nrelator e e\n\n"
+                    "groupoid z2\nobjects pt\narrow t : pt -> pt\n"
+                    "inverse t t\n\naction a on loop by z2\n",
+                    encoding="utf-8")
+    code, out, err = _run(capsys, "presentation", str(path))
+    assert code == 2
+    assert not out
+    assert err == (f"{path}:11:1: graph loop has relators; an action needs "
+                   f"a graph without relators\n")
+
+
 def test_missing_input_exits_2_with_one_line(tmp_path, capsys):
     missing = tmp_path / "missing.act"
     for argv in (["orbit", str(missing)],

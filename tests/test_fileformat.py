@@ -139,6 +139,26 @@ def test_graph_action_round_trip_is_stable():
     assert render_entities([back]) == text
 
 
+def test_actions_of_one_group_share_its_block():
+    acts = dict(named_actions())
+    text = render_entities([acts["tree-swap"], acts["path-reflection"]])
+    assert text.count("groupoid Z2-gpd\n") == 1
+    parsed = parse_text(text)
+    assert parsed.of_kind("action") == ["tree-swap", "path-reflection"]
+    graph_acts = [act for _name, act in named_graph_actions()]
+    parsed = parse_text(render_entities(graph_acts))
+    assert parsed.of_kind("action") == [act.name for act in graph_acts]
+
+
+def test_emitted_actions_never_name_a_graph_with_relators():
+    act = dict(named_graph_actions())["antipodal"]
+    loops = PresentedGroupoid(act.graph, [act.graph.word(["a", "b"])])
+    text = render_entities([loops, act])
+    assert "graph circle2-presented\n" in text
+    assert "action antipodal on circle2 by Z2-gpd" in text
+    assert parse_text(text).of_kind("action") == ["antipodal"]
+
+
 def test_data_files_parse(tmp_path):
     from importlib import resources
     root = resources.files("groupoids").joinpath("data")
@@ -172,3 +192,242 @@ def test_emitter_rejects_unwritable_names():
         render_entities([bad])
     with pytest.raises(ValueError, match="cannot emit"):
         render_entities([object()])
+
+
+# A two-vertex circle for graph actions.
+CIRC = """\
+graph circ
+vertex v w
+edge e : v -> w
+edge h : w -> v
+"""
+
+_ACT = SEG + "\n" + Z2 + "\naction a on seg by z2\n"   # body from line 13
+_GACT = CIRC + "\n" + Z2 + "\naction a on circ by z2\n"  # body from line 12
+_MOR = SEG + "\n" + Z2 + "\nmorphism m : seg -> z2\n"   # body from line 13
+
+# One row for every ParseError that input can reach: the text, and the
+# exact message read from path "in.txt".
+PARSE_ERRORS = {
+    # blocks and headers
+    "no-header": ("objects x\n", "1:1: expected a block header, got objects"),
+    "groupoid-header": ("groupoid\n", "1:1: expected: groupoid NAME"),
+    "header-column": ("  groupoid a b\n", "1:3: expected: groupoid NAME"),
+    "graph-header": ("graph g h\n", "1:1: expected: graph NAME"),
+    "presentation-header": ("presentation\n",
+                            "1:1: expected: presentation NAME"),
+    "action-header": ("action a on seg\n",
+                      "1:1: expected: action NAME on TARGET by GROUP"),
+    "morphism-header": ("morphism m seg z2\n",
+                        "1:1: expected: morphism NAME : SRC -> DST"),
+    "duplicate-entity": ("groupoid g\nobjects x\n\ngroupoid g\nobjects y\n",
+                         "4:1: duplicate entity name g"),
+    # groupoid lines
+    "duplicate-object": ("groupoid g\nobjects x x\n",
+                         "2:1: duplicate object x"),
+    "line-column": ("groupoid g\n   objects x x\n", "2:4: duplicate object x"),
+    "reserved-object": ("groupoid g\nobjects id_x\n",
+                        "2:1: object id_x uses the reserved id_ prefix"),
+    "arrow-usage": ("groupoid g\nobjects x\narrow a : x => x\n",
+                    "3:1: expected: arrow NAME : SRC -> TGT"),
+    "arrow-arity": ("groupoid g\nobjects x\narrow a : x\n",
+                    "3:1: expected: arrow NAME : SRC -> TGT"),
+    "reserved-arrow": ("groupoid g\nobjects x\narrow id_a : x -> x\n",
+                       "3:1: arrow id_a uses the reserved id_ prefix"),
+    "duplicate-arrow": ("groupoid g\nobjects x\narrow a : x -> x\n"
+                        "arrow a : x -> x\n", "4:1: duplicate arrow a"),
+    "arrow-unknown-object": ("groupoid g\nobjects x\narrow a : x -> y\n",
+                             "3:1: unknown object y"),
+    "inverse-usage": ("groupoid g\nobjects x\narrow a : x -> x\ninverse a\n",
+                      "4:1: expected: inverse A B"),
+    "inverse-unknown": ("groupoid g\nobjects x\narrow a : x -> x\n"
+                        "inverse a b\n", "4:1: unknown arrow b"),
+    "inverse-endpoints": ("groupoid g\nobjects x y\narrow f : x -> y\n"
+                          "arrow h : x -> y\ninverse f h\n",
+                          "5:1: inverse pair f h has mismatched endpoints"),
+    "inverse-conflict": ("groupoid g\nobjects x\narrow a : x -> x\n"
+                         "arrow b : x -> x\ninverse a a\ninverse a b\n",
+                         "6:1: conflicting inverse for a"),
+    "compose-usage": (SEG + "compose g f f\n",
+                      "6:1: expected: compose V U = W"),
+    "compose-unknown": (SEG + "compose g q = id_x\n", "6:1: unknown arrow q"),
+    "compose-identity-of-unknown": (SEG + "compose f id_z = f\n",
+                                    "6:1: unknown arrow id_z"),
+    "groupoid-unexpected": ("groupoid g\nobjects x\nnonsense here\n",
+                            "3:1: unexpected nonsense in a groupoid block"),
+    "no-inverse": ("groupoid g\nobjects x\narrow a : x -> x\n",
+                   "1:1: arrow a has no declared inverse"),
+    "not-composable": (SEG + "compose f f = f\n",
+                       "6:1: compose f f: not composable"),
+    "contradicts-implied": (SEG + "compose g f = g\n",
+                            "6:1: compose g f = g contradicts an implied "
+                            "composition"),
+    "missing-composition": ("groupoid z3\nobjects pt\narrow a : pt -> pt\n"
+                            "arrow b : pt -> pt\ninverse a b\n",
+                            "1:1: z3: missing composition: compose a a"),
+    "groupoid-axiom": ("groupoid z3\nobjects pt\narrow a : pt -> pt\n"
+                       "arrow b : pt -> pt\ninverse a b\ncompose a a = a\n"
+                       "compose b b = a\n",
+                       "1:1: z3: associativity fails on (a, a, b)"),
+    # action headers
+    "unknown-target": ("action a on seg by z2\n", "1:1: unknown target seg"),
+    "target-kind": ("presentation p\n\naction a on p by z2\n",
+                    "3:1: p is not a groupoid or graph"),
+    "unknown-group": (SEG + "\naction a on seg by Z2\n",
+                      "7:1: no entity named Z2"),
+    "group-kind": (SEG + "\n" + CIRC + "\naction a on seg by circ\n",
+                   "12:1: circ is a graph, not a groupoid"),
+    "group-objects": (SEG + "\naction a on seg by seg\n",
+                      "7:1: group block seg must have exactly one object"),
+    "graph-with-relators": (CIRC + "relator e h\n\n" + Z2
+                            + "\naction a on circ by z2\n",
+                            "12:1: graph circ has relators; an action "
+                            "needs a graph without relators"),
+    # action lines
+    "obj-usage": (_ACT + "obj t : x\n", "13:1: expected: obj G : X -> Y"),
+    "unknown-element": (_ACT + "obj s : x -> y\n",
+                        "13:1: unknown group element s"),
+    "identity-element": (_ACT + "obj id_pt : x -> y\n",
+                         "13:1: the identity element acts trivially; "
+                         "remove this line"),
+    "obj-unknown-object": (_ACT + "obj t : x -> q\n",
+                           "13:1: unknown object q"),
+    "obj-duplicate": (_ACT + "obj t : x -> y\nobj t : x -> x\n",
+                      "14:1: duplicate image for t on x"),
+    "graph-obj-unknown-vertex": (_GACT + "obj t : q -> v\n",
+                                 "12:1: unknown object q"),
+    "arr-on-graph": (_GACT + "arr t : e -> h\n",
+                     "12:1: arr lines need a groupoid target; use act "
+                     "lines for graph edges"),
+    "arr-on-graph-malformed": (_GACT + "arr t e\n",
+                               "12:1: arr lines need a groupoid target; use "
+                               "act lines for graph edges"),
+    "arr-usage": (_ACT + "arr t f g\n", "13:1: expected: arr G : A -> B"),
+    "arr-unknown-arrow": (_ACT + "arr t : f -> q\n", "13:1: unknown arrow q"),
+    "arr-identity": (_ACT + "arr t : id_x -> id_y\n",
+                     "13:1: identity arrow images follow the object map; "
+                     "remove this line"),
+    "arr-duplicate": (_ACT + "arr t : f -> g\narr t : f -> f\n",
+                      "14:1: duplicate image for t on f"),
+    "act-on-groupoid": (_ACT + "act t : f -> g\n",
+                        "13:1: act lines need a graph target; use arr lines "
+                        "for groupoid arrows"),
+    "act-usage": (_GACT + "act t : e\n",
+                  "12:1: expected: act G : E -> F or act G : E -> -F"),
+    "act-unknown-edge": (_GACT + "act t : e -> -q\n",
+                         "12:1: unknown edge q"),
+    "act-duplicate": (_GACT + "act t : e -> h\nact t : e -> -e\n",
+                      "13:1: duplicate image for t on e"),
+    "action-unexpected": (_ACT + "objects z\n",
+                          "13:1: unexpected objects in an action block"),
+    "action-axiom": (_ACT + "obj t : x -> y\nobj t : y -> x\n",
+                     "12:1: a: source not respected: g=t, a=f"),
+    "graph-action-axiom": (_GACT + "obj t : v -> w\nobj t : w -> v\n",
+                           "11:1: a: edge image breaks incidence: t on e"),
+    # graph blocks
+    "duplicate-vertex": ("graph g\nvertex v v\n", "2:1: duplicate vertex v"),
+    "edge-usage": ("graph g\nvertex v\nedge e v v\n",
+                   "3:1: expected: edge NAME : SRC -> TGT"),
+    "edge-letter": ("graph g\nvertex v\nedge -e : v -> v\n",
+                    "3:1: edge -e starts with '-', which marks an inverse "
+                    "letter"),
+    "duplicate-edge": ("graph g\nvertex v\nedge e : v -> v\n"
+                       "edge e : v -> v\n", "4:1: duplicate edge e"),
+    "edge-unknown-vertex": ("graph g\nvertex v\nedge e : v -> w\n",
+                            "3:1: unknown vertex w"),
+    "edge-relator-empty": (CIRC + "relator\n",
+                           "5:1: relator needs at least one edge token"),
+    "graph-unexpected": (CIRC + "objects v\n",
+                         "5:1: unexpected objects in a graph block"),
+    "relator-unknown-edge": (CIRC + "relator e q\n",
+                             "5:1: circ: unknown edge q"),
+    "relator-chain": (CIRC + "relator e e\n",
+                      "5:1: circ: letters do not chain at w"),
+    "relator-not-a-loop": (CIRC + "relator e\n",
+                           "5:1: relator is not a loop (v -> w)"),
+    # presentation blocks
+    "generator-letter": ("presentation p\ngenerators -a\n",
+                         "2:1: generator -a starts with '-', which marks an "
+                         "inverse letter"),
+    "duplicate-generator": ("presentation p\ngenerators a a\n",
+                            "2:1: duplicate generator a"),
+    "relator-empty": ("presentation p\ngenerators a\nrelator\n",
+                      "3:1: relator needs at least one token"),
+    "unknown-generator": ("presentation p\ngenerators a\nrelator a -c\n",
+                          "3:1: unknown generator c"),
+    "presentation-unexpected": ("presentation p\nvertex v\n",
+                                "2:1: unexpected vertex in a presentation "
+                                "block"),
+    # morphism blocks
+    "unknown-domain": (Z2 + "\nmorphism m : q -> z2\n",
+                       "6:1: no entity named q"),
+    "codomain-kind": (SEG + "\npresentation p\n\nmorphism m : seg -> p\n",
+                      "9:1: p is a presentation, not a groupoid"),
+    "morphism-obj-usage": (_MOR + "obj x pt\n",
+                           "13:1: expected: obj X -> Y"),
+    "morphism-obj-unknown-source": (_MOR + "obj q -> pt\n",
+                                    "13:1: unknown object q"),
+    "morphism-obj-unknown-image": (_MOR + "obj x -> q\n",
+                                   "13:1: unknown object q"),
+    "morphism-obj-duplicate": (_MOR + "obj x -> pt\nobj x -> pt\n",
+                               "14:1: duplicate image for object x"),
+    "morphism-arr-usage": (_MOR + "arr f : t\n", "13:1: expected: arr A -> B"),
+    "morphism-arr-unknown-source": (_MOR + "arr q -> t\n",
+                                    "13:1: unknown arrow q"),
+    "morphism-arr-unknown-image": (_MOR + "arr f -> q\n",
+                                   "13:1: unknown arrow q"),
+    "morphism-arr-identity": (_MOR + "arr id_x -> id_pt\n",
+                              "13:1: identity arrow images follow the object "
+                              "map; remove this line"),
+    "morphism-arr-duplicate": (_MOR + "arr f -> t\narr f -> t\n",
+                               "14:1: duplicate image for arrow f"),
+    "morphism-unexpected": (_MOR + "act f -> t\n",
+                            "13:1: unexpected act in a morphism block"),
+    "object-without-image": (_MOR + "obj x -> pt\n",
+                             "12:1: object y has no image"),
+    "arrow-without-image": (_MOR + "obj x -> pt\nobj y -> pt\n",
+                            "12:1: arrow f has no image"),
+    "morphism-law": (_MOR + "obj x -> pt\nobj y -> pt\narr f -> t\n"
+                     "arr g -> id_pt\n",
+                     "12:1: m: composition not preserved on (f, g)"),
+}
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS.values(),
+                         ids=PARSE_ERRORS.keys())
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_text(text, path="in.txt")
+    assert str(err.value) == f"in.txt:{message}"
+
+
+def _round_trip_cases():
+    from groupoids import (normal_closure, orbit_groupoid, quotient_groupoid,
+                           semidirect_product)
+    from groupoids.corpus import (random_actions, random_orbit_instances,
+                                  random_quotient_instances)
+    named = [act for _name, act in named_actions()]
+    orbits = named + random_orbit_instances()
+    cases = [(act.name, [act]) for act in orbits + random_actions()]
+    cases += [(act.name, [act]) for _name, act in named_graph_actions()]
+    for k, gens in random_quotient_instances():
+        q = quotient_groupoid(k, normal_closure(k, gens))
+        cases.append((k.name, [q.groupoid, q.morphism]))
+    for act in orbits:
+        orb = orbit_groupoid(act)
+        cases.append((f"orbit-{act.name}", [orb.groupoid, orb.morphism]))
+    for act in named:
+        sd = semidirect_product(act)
+        cases.append((f"semidirect-{act.name}", [sd.groupoid, sd.projection]))
+    return cases
+
+
+def test_emission_is_byte_stable_over_the_corpus():
+    cases = _round_trip_cases()
+    # 85 actions, 3 graph actions, 22 quotients, 29 orbits, 11 semidirect
+    assert len(cases) == 150
+    for name, entities in cases:
+        text = render_entities(entities)
+        parsed = parse_text(text, path=name)
+        again = render_entities([parsed.entities[n] for n in parsed.order])
+        assert again == text, name
