@@ -78,15 +78,15 @@ def semidirect_product(act, name=None):
         inverse[name_of[(a, g)]] = \
             name_of[(act.act_arrow[(ginv, sp.inverse_of[a])], ginv)]
 
+    into = {}       # object -> the pairs ending there, in order
+    for (a, g) in order:
+        into.setdefault(sp.target[a], []).append((a, g, name_of[(a, g)]))
     compose = {}
     for (b, h) in order:
         v = name_of[(b, h)]
-        for (a, g) in order:
-            u = name_of[(a, g)]
-            if target[u] != source[v]:
-                continue
+        for (a, g, u) in into[source[v]]:
             compose[(v, u)] = \
-                name_of[(sp.compose[(b, act.act_arrow[(h, a)])], G.prod(h, g))]
+                name_of[(sp.compose[(b, act.act_arrow[(h, a)])], G.mul[(h, g)])]
 
     gpd = FiniteGroupoid(
         sp.objects, [name_of[p] for p in order], source, target,
@@ -241,10 +241,8 @@ def quotient_groupoid(k, n, name=None):
                 continue
             k2 = rep_of[v]
             k1 = rep_of[u]
-            connectors = [l for l in n.arrows
-                          if k.source[l] == k.target[k1]
-                          and k.target[l] == k.source[k2]]
-            link = connectors[0]
+            link = next(l for l in k.hom(k.target[k1], k.source[k2])
+                        if n.contains(l))
             compose[(v, u)] = arrow_class[
                 k.compose[(k.compose[(k2, link)], k1)]]
 

@@ -11,6 +11,8 @@ iterates an unordered set to produce output.
 
 from __future__ import annotations
 
+from collections import deque
+
 
 class SizeCapError(ValueError):
     """An operation was asked to exceed one of its documented size caps."""
@@ -48,10 +50,12 @@ class FiniteGroupoid:
         self._identities = set(self.identity_of.values())
         self._hom = {}
         self._star = {}
+        self._costar = {}
         for u in self.arrows:
             key = (self.source.get(u), self.target.get(u))
             self._hom.setdefault(key, []).append(u)
             self._star.setdefault(key[0], []).append(u)
+            self._costar.setdefault(key[1], []).append(u)
 
     def add(self, v, u):
         """v + u: traverse u first, then v."""
@@ -70,6 +74,10 @@ class FiniteGroupoid:
 
     def loops(self, x):
         return self.hom(x, x)
+
+    def costar(self, x):
+        """Arrows with target x, in input order."""
+        return tuple(self._costar.get(x, ()))
 
     def __repr__(self):
         return (f"FiniteGroupoid({self.name!r}, {len(self.objects)} objects, "
@@ -98,11 +106,11 @@ def components(g):
     for x in g.objects:
         if x in seen:
             continue
-        queue = [x]
+        queue = deque([x])
         seen.add(x)
         block = []
         while queue:
-            y = queue.pop(0)
+            y = queue.popleft()
             block.append(y)
             for z in adjacent[y]:
                 if z not in seen:
@@ -129,7 +137,15 @@ def is_tree_groupoid(g):
 
 
 def validate_groupoid(g):
-    """Return a list of violated invariants; empty means valid."""
+    """Return a list of violated invariants; empty means valid.
+
+    Associativity is checked with Light's test (A. H. Clifford and G. B.
+    Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2): only
+    triples whose middle arrow lies in a generating set are tried.  The
+    scan of every composable triple runs only to report failures, when
+    Light's test finds one or an identity or inverse law already failed,
+    so the list is always the full scan's.
+    """
     problems = []
     for x in g.objects:
         e = g.identity_of.get(x)
@@ -168,8 +184,8 @@ def validate_groupoid(g):
         elif g.source[w] != g.source[u] or g.target[w] != g.target[v]:
             problems.append(f"compose({v}, {u}) = {w} has wrong endpoints")
     for v in g.arrows:
-        for u in g.arrows:
-            if g.target[u] == g.source[v] and (v, u) not in g.compose:
+        for u in g._costar.get(g.source[v], ()):
+            if (v, u) not in g.compose:
                 problems.append(f"missing composition: compose {v} {u}")
     if problems:
         return problems
@@ -185,15 +201,51 @@ def validate_groupoid(g):
             problems.append(f"{u} + inverse({u}) is not the identity at {y}")
         if g.compose[(v, u)] != g.identity_of[x]:
             problems.append(f"inverse({u}) + {u} is not the identity at {x}")
-    for (v, u) in g.compose:
-        vu = g.compose[(v, u)]
-        for w in g.arrows:
-            if g.target[v] == g.source[w]:
-                left = g.compose[(g.compose[(w, v)], u)]
-                right = g.compose[(w, vu)]
-                if left != right:
-                    problems.append(
-                        f"associativity fails on ({w}, {v}, {u})")
+    if problems or not _generators_associate(g):
+        problems.extend(_associativity_failures(g))
+    return problems
+
+
+def _generators_associate(g):
+    """Light's test: whether (w + s) + u == w + (s + u) for every s of a
+    generating set and every composable w and u.
+
+    The arrows s for which this holds are closed under composition, and
+    contain the identities when the identity laws hold, so checking a set
+    that generates every arrow from the identities under composition is
+    enough.  Generators are picked greedily in input order: an arrow joins
+    when it is not yet a product of the identities and the earlier
+    generators.  Expects a complete table with the right endpoints."""
+    compose, source, target = g.compose, g.source, g.target
+    products = set(g._identities)     # closed under w -> s + w, s in gens
+    gens_from = {}                    # object -> generators with that source
+    for s in g.arrows:
+        if s in products:
+            continue
+        gens_from.setdefault(source[s], []).append(s)
+        before = g._costar.get(source[s], ())
+        fresh = [compose[(s, w)] for w in before if w in products]
+        while fresh:
+            w = fresh.pop()
+            if w in products:
+                continue
+            products.add(w)
+            fresh.extend(compose[(t, w)] for t in gens_from.get(target[w], ()))
+        for w in g._star.get(target[s], ()):
+            ws = compose[(w, s)]
+            for u in before:
+                if compose[(ws, u)] != compose[(w, compose[(s, u)])]:
+                    return False
+    return True
+
+
+def _associativity_failures(g):
+    """Every composable triple (w, v, u) with (w + v) + u != w + (v + u)."""
+    problems = []
+    for (v, u), vu in g.compose.items():
+        for w in g._star.get(g.target[v], ()):
+            if g.compose[(g.compose[(w, v)], u)] != g.compose[(w, vu)]:
+                problems.append(f"associativity fails on ({w}, {v}, {u})")
     return problems
 
 
@@ -483,13 +535,15 @@ class WideSubgroupoid:
 
 
 def _normal_scan(g, arrow_set):
+    loops_at = {}
+    for h in g.arrows:
+        if h in arrow_set and g.source[h] == g.target[h]:
+            loops_at.setdefault(g.source[h], []).append(h)
     for a in g.arrows:
-        x = g.source[a]
-        for h in arrow_set:
-            if g.source[h] == x and g.target[h] == x:
-                conj = g.compose[(g.compose[(a, h)], g.inverse_of[a])]
-                if conj not in arrow_set:
-                    return False
+        for h in loops_at.get(g.source[a], ()):
+            conj = g.compose[(g.compose[(a, h)], g.inverse_of[a])]
+            if conj not in arrow_set:
+                return False
     return True
 
 
@@ -597,10 +651,7 @@ def object_group(g, x):
 
 
 def _object_profile(g, x):
-    loop_count = len(g.loops(x))
-    out_count = sum(1 for u in g.arrows if g.source[u] == x)
-    in_count = sum(1 for u in g.arrows if g.target[u] == x)
-    return (loop_count, out_count, in_count)
+    return (len(g.loops(x)), len(star(g, x)), len(g.costar(x)))
 
 
 def search_isomorphism(a, b):

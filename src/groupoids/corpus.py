@@ -340,7 +340,8 @@ def _draw_action(rng, groups, max_arrows, max_group_order, tag):
 def random_actions(seed=7, count=56, max_arrows=12):
     """Seeded general actions for the validator and semidirect checks."""
     rng = random.Random(seed)
-    return [_draw_action(rng, _group_pool(), max_arrows, 6, f"rand{i}")
+    groups = _group_pool()
+    return [_draw_action(rng, groups, max_arrows, 6, f"rand{i}")
             for i in range(count)]
 
 

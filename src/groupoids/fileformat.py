@@ -614,13 +614,9 @@ class _Emitter:
             v = g.inverse_of[u]
             if g.arrow_index[u] <= g.arrow_index[v]:
                 lines.append(f"inverse {u} {v}")
-        for v in g.arrows:
-            for u in g.arrows:
-                if g.target[u] != g.source[v]:
-                    continue
-                if g.is_identity_arrow(v) or g.is_identity_arrow(u):
-                    continue
-                if v == g.inverse_of[u]:
+        for v in non_identity:
+            for u in g.costar(g.source[v]):
+                if g.is_identity_arrow(u) or v == g.inverse_of[u]:
                     continue
                 lines.append(f"compose {v} {u} = {g.compose[(v, u)]}")
         return "\n".join(lines)

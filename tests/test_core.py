@@ -1,19 +1,25 @@
+import random
+
 import pytest
 
 from groupoids import (FiniteGroupoid, GroupoidMorphism, SizeCapError,
                        WideSubgroupoid, components, compose_morphisms,
-                       cyclic_group, direct_product_group, disjoint_union,
+                       connected_groupoid, cyclic_group,
+                       direct_product_group, disjoint_union,
                        discrete_groupoid, full_subgroupoid,
                        group_isomorphic, groupoid_from_group,
                        identity_morphism, is_connected, is_covering,
                        is_discrete, is_fibration, is_normal_subgroupoid,
                        is_quotient_morphism, is_tree_groupoid, kernel,
-                       object_group, quotient_group,
-                       search_isomorphism, star, symmetric_group,
-                       tree_groupoid, trivial_group, validate_group,
-                       validate_groupoid, validate_morphism)
-from groupoids.core import element_order, is_abelian_group, is_normal_subgroup, \
-    subgroup_closure, subgroup_table
+                       klein_group, object_group, quotient_group,
+                       search_isomorphism, semidirect_product, star,
+                       symmetric_group, tree_groupoid, trivial_group,
+                       validate_group, validate_groupoid, validate_morphism)
+from groupoids.core import _generators_associate, element_order, \
+    is_abelian_group, is_normal_subgroup, subgroup_closure, subgroup_table
+from groupoids.corpus import (named_actions, random_actions,
+                              random_orbit_instances,
+                              random_quotient_instances)
 
 
 def test_tree_groupoid_shape():
@@ -43,6 +49,69 @@ def test_validate_groupoid_catches_bad_composition():
     problems = validate_groupoid(broken)
     assert problems
     assert "a>b" in problems[0]
+
+
+def _assoc_scan(g):
+    """The unindexed scan of every composable triple: the reference for
+    the associativity part of validate_groupoid."""
+    return [f"associativity fails on ({w}, {v}, {u})"
+            for (v, u), vu in g.compose.items() for w in g.arrows
+            if g.target[v] == g.source[w]
+            and g.compose[(g.compose[(w, v)], u)] != g.compose[(w, vu)]]
+
+
+def _with_compose(g, compose):
+    return FiniteGroupoid(g.objects, g.arrows, g.source, g.target,
+                          g.identity_of, g.inverse_of, compose, name=g.name)
+
+
+def _planted_tables(g, rng, count):
+    """Tables of g with one entry replaced by another arrow of the same
+    hom-set, so every endpoint stays right."""
+    keys = [(v, u) for (v, u) in g.compose
+            if len(g.hom(g.source[u], g.target[v])) > 1]
+    for _ in range(count if keys else 0):
+        v, u = rng.choice(keys)
+        others = [w for w in g.hom(g.source[u], g.target[v])
+                  if w != g.compose[(v, u)]]
+        yield _with_compose(g, {**g.compose, (v, u): rng.choice(others)})
+
+
+def test_light_test_agrees_with_the_full_scan():
+    spaces = [act.space for _name, act in named_actions()]
+    spaces += [act.space for act in random_actions()]
+    spaces += [semidirect_product(act).groupoid
+               for act in random_orbit_instances(count=8)]
+    spaces += [k for k, _gens in random_quotient_instances()]
+    spaces += [connected_groupoid(("a", "b"), vg)
+               for vg in (cyclic_group(4), symmetric_group(3), klein_group())]
+    rng = random.Random(5)
+    light_runs = 0
+    for g in spaces:
+        assert _generators_associate(g) and validate_groupoid(g) == []
+        for h in _planted_tables(g, rng, 12):
+            problems = validate_groupoid(h)
+            laws = [p for p in problems if not p.startswith("associativity")]
+            scan = _assoc_scan(h)
+            assert problems == laws + scan
+            if not laws:
+                assert _generators_associate(h) == (not scan)
+                light_runs += 1
+    assert light_runs > 100    # tables that reach Light's test
+
+
+def test_identity_law_failure_keeps_every_associativity_failure():
+    g = groupoid_from_group(cyclic_group(3), name="z3")
+    h = _with_compose(g, {**g.compose, ("1", "id_pt"): "2"})
+    assert validate_groupoid(h) == [
+        "1 + id_pt != 1",
+        "associativity fails on (1, id_pt, 1)",
+        "associativity fails on (1, id_pt, 2)",
+        "associativity fails on (1, 1, id_pt)",
+        "associativity fails on (2, 1, id_pt)",
+        "associativity fails on (1, 1, 2)",
+        "associativity fails on (2, 2, id_pt)",
+        "associativity fails on (1, 2, 1)"]
 
 
 def test_star_orders_arrows_by_input():

@@ -4,7 +4,8 @@ from groupoids import (DirectedGraph, GroupPresentation, ParseError,
                        PresentedGroupoid, discrete_groupoid, parse_input,
                        parse_text, render_entities, search_isomorphism,
                        validate_groupoid)
-from groupoids.corpus import named_actions, named_graph_actions
+from groupoids.corpus import (named_actions, named_graph_actions,
+                              random_actions)
 
 SEG = """\
 groupoid seg
@@ -148,6 +149,14 @@ def test_actions_of_one_group_share_its_block():
     graph_acts = [act for _name, act in named_graph_actions()]
     parsed = parse_text(render_entities(graph_acts))
     assert parsed.of_kind("action") == [act.name for act in graph_acts]
+
+
+def test_random_actions_render_in_one_file():
+    acts = random_actions()
+    text = render_entities(acts)
+    parsed = parse_text(text)
+    assert parsed.of_kind("action") == [act.name for act in acts]
+    assert render_entities([parsed.get(act.name) for act in acts]) == text
 
 
 def test_emitted_actions_never_name_a_graph_with_relators():
@@ -404,7 +413,7 @@ def test_parse_error_messages(text, message):
 def _round_trip_cases():
     from groupoids import (normal_closure, orbit_groupoid, quotient_groupoid,
                            semidirect_product)
-    from groupoids.corpus import (random_actions, random_orbit_instances,
+    from groupoids.corpus import (random_orbit_instances,
                                   random_quotient_instances)
     named = [act for _name, act in named_actions()]
     orbits = named + random_orbit_instances()
