@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import full_subgroupoid, subgroup_table, subgroupoid
+from .core import full_subgroupoid, subgroupoid
 
 
 class GroupoidAction:
@@ -111,19 +111,6 @@ def object_orbits(act):
     """Orbit partition of the objects, blocks ordered by first member."""
     return _orbits(act, act.space.objects,
                    lambda g, x: act.act_obj[(g, x)])
-
-
-def arrow_orbits(act):
-    return _orbits(act, act.space.arrows,
-                   lambda g, a: act.act_arrow[(g, a)])
-
-
-def stabilizer(act, x):
-    """The stabilizer subgroup of an object, as a group table."""
-    if x not in act.space.object_index:
-        raise ValueError(f"{act.space.name}: unknown object {x}")
-    members = [g for g in act.group.elements if act.act_obj[(g, x)] == x]
-    return subgroup_table(act.group, members, name=f"Stab({x})")
 
 
 def is_free_action(act):

@@ -175,6 +175,13 @@ def tree_groupoid(objects, name="tree"):
         compose, name=name)
 
 
+def connected_arrow(x, v, y, vertex_group):
+    """Name of the arrow (x, v, y) of connected_groupoid: id_x or x:v:y."""
+    if x == y and v == vertex_group.identity:
+        return f"id_{x}"
+    return f"{x}:{v}:{y}"
+
+
 def connected_groupoid(objects, vertex_group, name=None):
     """Connected groupoid with the given object group at every object.
 
@@ -184,9 +191,7 @@ def connected_groupoid(objects, vertex_group, name=None):
     vg = vertex_group
 
     def arrow(x, v, y):
-        if x == y and v == vg.identity:
-            return f"id_{x}"
-        return f"{x}:{v}:{y}"
+        return connected_arrow(x, v, y, vg)
 
     arrows = [arrow(x, vg.identity, x) for x in objects]
     for x in objects:

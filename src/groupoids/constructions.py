@@ -103,18 +103,6 @@ def semidirect_product(act, name=None):
     return SemidirectProduct(gpd, projection, act, name_of)
 
 
-def semidirect_action_on_arrows(act, pair, delta):
-    """The pair (a, g) acts on an arrow d whose target is the pair's source
-    object: (a, g).d = a + g.d."""
-    a, g = pair
-    sp = act.space
-    src_obj = act.act_obj[(act.group.inv[g], sp.source[a])]
-    if sp.target[delta] != src_obj:
-        raise ValueError(
-            f"target of {delta} is not the source object of ({a}, {g})")
-    return sp.add(a, act.act_arrow[(g, delta)])
-
-
 def generated_wide_subgroupoid(g, arrows, name=None):
     """Saturate a set of arrows with identities, inverses, and compositions."""
     current = set(g.identity_of.values())
@@ -184,7 +172,7 @@ def quotient_groupoid(k, n, name=None):
         raise ValueError(f"{n.name}: not normal; quotient is undefined")
     name = name or f"{k.name}/{n.name}"
 
-    blocks = components(n.as_groupoid())
+    blocks = components(k, n.arrows)
     obj_class = {}
     class_objects = []
     for block in blocks:

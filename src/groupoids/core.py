@@ -91,14 +91,14 @@ def star(g, x):
     return tuple(g._star.get(x, ()))
 
 
-def components(g):
+def components(g, arrows=None):
     """Partition of the objects into connected components.
 
-    Blocks are ordered by their first object in input order; members keep
-    input order.
+    Only the given arrows of g (default: all) join objects.  Blocks are
+    ordered by their first object in input order; members keep input order.
     """
     adjacent = {x: [] for x in g.objects}
-    for u in g.arrows:
+    for u in g.arrows if arrows is None else arrows:
         adjacent[g.source[u]].append(g.target[u])
         adjacent[g.target[u]].append(g.source[u])
     seen = set()
@@ -295,33 +295,6 @@ class GroupTable:
         return f"GroupTable({self.name!r}, order {self.order})"
 
 
-def validate_group(gt):
-    """Return a list of violated group axioms; empty means valid."""
-    problems = []
-    for a in gt.elements:
-        for b in gt.elements:
-            c = gt.mul.get((a, b))
-            if c is None:
-                problems.append(f"missing product {a}*{b}")
-            elif c not in gt.index:
-                problems.append(f"product {a}*{b} = {c} is not an element")
-    if problems:
-        return problems
-    e = gt.identity
-    for a in gt.elements:
-        if gt.mul[(e, a)] != a or gt.mul[(a, e)] != a:
-            problems.append(f"identity law fails at {a}")
-        b = gt.inv.get(a)
-        if b is None or gt.mul[(a, b)] != e or gt.mul[(b, a)] != e:
-            problems.append(f"inverse law fails at {a}")
-    for a in gt.elements:
-        for b in gt.elements:
-            for c in gt.elements:
-                if gt.mul[(gt.mul[(a, b)], c)] != gt.mul[(a, gt.mul[(b, c)])]:
-                    problems.append(f"associativity fails on ({a}, {b}, {c})")
-    return problems
-
-
 def element_order(gt, x):
     k = 1
     y = x
@@ -351,19 +324,6 @@ def subgroup_closure(gt, gens):
                         fresh.append(c)
         work = fresh
     return tuple(x for x in gt.elements if x in members)
-
-
-def subgroup_table(gt, members, name=None):
-    members = tuple(x for x in gt.elements if x in set(members))
-    mset = set(members)
-    for a in members:
-        for b in members:
-            if gt.prod(a, b) not in mset:
-                raise ValueError(f"{gt.name}: subset not closed at {a}*{b}")
-    mul = {(a, b): gt.prod(a, b) for a in members for b in members}
-    return GroupTable(members, mul, name=name or f"{gt.name}-sub",
-                      identity=gt.identity,
-                      inv={a: gt.inv[a] for a in members})
 
 
 def is_normal_subgroup(gt, members):
@@ -469,11 +429,6 @@ def validate_morphism(f):
         if f.cod.compose[(f.arrow_map[v], f.arrow_map[u])] != f.arrow_map[w]:
             problems.append(f"composition not preserved on ({v}, {u})")
     return problems
-
-
-def identity_morphism(g):
-    return GroupoidMorphism(g, g, {x: x for x in g.objects},
-                            {u: u for u in g.arrows}, name=f"id_{g.name}")
 
 
 def compose_morphisms(outer, inner, name=None):

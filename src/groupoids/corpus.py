@@ -2,10 +2,11 @@
 
 Random instances are drawn from seeded generators, so every run sees the
 same corpus.  Actions are assembled from coset spaces of small groups: the
-objects of each piece form one orbit, a choice of intermediate subgroup
-groups the objects into invariant connected components, and each component
-carries a connected groupoid with a chosen vertex group, optionally twisted
-by a sign character acting by inversion.
+objects of each piece form one orbit, and a choice of intermediate subgroup
+groups the objects into invariant connected components.  Each component is
+a ``connected_groupoid`` block with a chosen vertex group, the blocks are
+joined with ``disjoint_union``, and a group element sends the arrow x:v:y
+to gx:v:gy, or to gx:v^-1:gy where a sign character is -1.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import random
 
 from .actions import GroupoidAction, action_from_object_map, trivial_action
-from .catalog import (connected_groupoid, cyclic_group, discrete_groupoid,
-                      groupoid_from_group, klein_group, symmetric_group,
-                      tree_groupoid, trivial_group)
+from .catalog import (connected_arrow, connected_groupoid, cyclic_group,
+                      discrete_groupoid, groupoid_from_group, klein_group,
+                      symmetric_group, tree_groupoid, trivial_group)
 from .core import FiniteGroupoid, disjoint_union, subgroup_closure
 from .presented import DirectedGraph, GraphAction
 
@@ -181,10 +182,10 @@ def _coset_blocks(gt, members):
     return blocks
 
 
-def _sign_characters(gt):
+def _sign_characters(gt, subgroups):
     """Nontrivial homomorphisms to {+1, -1}, one per index-two subgroup."""
     out = []
-    for members in _subgroups(gt):
+    for members in subgroups:
         if len(members) * 2 == gt.order:
             mset = set(members)
             out.append({g: (1 if g in mset else -1) for g in gt.elements})
@@ -211,146 +212,96 @@ class _ActionBuilder:
     def build(self, name):
         G = self.group
         objects = []
-        obj_of = {}          # (piece, coset index) -> object name
-        coset_info = []      # per piece: list of coset blocks
-        block_of = []        # per piece: coset index -> block id
+        move = {}            # (g, object) -> object
+        blocks = []          # (connected block, vertex group, chi or None)
         for pi, (h, k, vg, chi) in enumerate(self.pieces):
             cosets = _coset_blocks(G, h)
-            coset_info.append(cosets)
-            kblocks = _coset_blocks(G, k)
-            kindex = {}
-            for bi, kb in enumerate(kblocks):
-                for g in kb:
-                    kindex[g] = bi
-            block_of.append([kindex[c[0]] for c in cosets])
-            for ci in range(len(cosets)):
-                label = f"p{pi}o{ci}"
-                obj_of[(pi, ci)] = label
-                objects.append(label)
+            label = {c: f"p{pi}o{ci}" for ci, c in enumerate(cosets)}
+            coset_of = {g: c for c in cosets for g in c}
+            kblock_of = {g: kb for kb in _coset_blocks(G, k) for g in kb}
+            members = {}     # K-coset -> its H-cosets' objects
+            for c in cosets:
+                objects.append(label[c])
+                members.setdefault(kblock_of[c[0]], []).append(label[c])
+                for g in G.elements:
+                    move[(g, label[c])] = label[coset_of[G.prod(g, c[0])]]
+            blocks += [(connected_groupoid(objs, vg), vg, chi)
+                       for objs in members.values()]
 
-        def coset_index(pi, g):
-            for ci, block in enumerate(coset_info[pi]):
-                if g in block:
-                    return ci
-            raise AssertionError("element escaped its coset space")
+        union = blocks[0][0]
+        for block, _vg, _chi in blocks[1:]:
+            union = disjoint_union(union, block)
+        arrows = sorted(union.arrows,
+                        key=lambda u: not union.is_identity_arrow(u))
+        space = FiniteGroupoid(objects, arrows, union.source, union.target,
+                               union.identity_of, union.inverse_of,
+                               union.compose, name=f"{name}-space")
 
-        arrows = []
-        source = {}
-        target = {}
-        inverse = {}
-        compose = {}
-        identity_of = {}
-        arrow_name = {}      # (piece, ci, v, cj) -> name
-
-        for pi, (h, k, vg, chi) in enumerate(self.pieces):
-            per_block = {}
-            for ci in range(len(coset_info[pi])):
-                per_block.setdefault(block_of[pi][ci], []).append(ci)
-            for _bid, members in per_block.items():
-                for ci in members:
-                    x = obj_of[(pi, ci)]
-                    ident = f"id_{x}"
-                    identity_of[x] = ident
-                    arrow_name[(pi, ci, vg.identity, ci)] = ident
-                    arrows.append(ident)
-                    source[ident] = x
-                    target[ident] = x
-                for ci in members:
-                    for v in vg.elements:
-                        for cj in members:
-                            if ci == cj and v == vg.identity:
-                                continue
-                            x, y = obj_of[(pi, ci)], obj_of[(pi, cj)]
-                            u = f"{x}:{v}:{y}"
-                            arrow_name[(pi, ci, v, cj)] = u
-                            arrows.append(u)
-                            source[u] = x
-                            target[u] = y
-                for ci in members:
-                    for v in vg.elements:
-                        for cj in members:
-                            u = arrow_name[(pi, ci, v, cj)]
-                            inverse[u] = arrow_name[(pi, cj, vg.inv[v], ci)]
-                            for w in vg.elements:
-                                for ck in members:
-                                    compose[(arrow_name[(pi, cj, w, ck)], u)] = \
-                                        arrow_name[(pi, ci, vg.prod(w, v), ck)]
-
-        idents = set(identity_of.values())
-        arrows = [u for u in arrows if u in idents] + \
-                 [u for u in arrows if u not in idents]
-        space = FiniteGroupoid(objects, arrows, source, target, identity_of,
-                               inverse, compose, name=f"{name}-space")
-
-        act_obj = {}
         act_arrow = {}
         for g in G.elements:
-            for pi, (h, k, vg, chi) in enumerate(self.pieces):
-                for ci, block in enumerate(coset_info[pi]):
-                    moved = coset_index(pi, G.prod(g, block[0]))
-                    act_obj[(g, obj_of[(pi, ci)])] = obj_of[(pi, moved)]
-        for g in G.elements:
-            for (pi, ci, v, cj), u in arrow_name.items():
-                vg = self.pieces[pi][2]
-                chi = self.pieces[pi][3]
-                w = v if chi is None or chi[g] == 1 else vg.inv[v]
-                mi = coset_index(pi, G.prod(g, coset_info[pi][ci][0]))
-                mj = coset_index(pi, G.prod(g, coset_info[pi][cj][0]))
-                act_arrow[(g, u)] = arrow_name[(pi, mi, w, mj)]
-        return GroupoidAction(G, space, act_obj, act_arrow, name=name)
+            for block, vg, chi in blocks:
+                flip = chi is not None and chi[g] == -1
+                for x in block.objects:
+                    for v in vg.elements:
+                        for y in block.objects:
+                            act_arrow[(g, connected_arrow(x, v, y, vg))] = \
+                                connected_arrow(move[(g, x)],
+                                                vg.inv[v] if flip else v,
+                                                move[(g, y)], vg)
+        return GroupoidAction(G, space, move, act_arrow, name=name)
 
 
-def _group_pool():
-    return [trivial_group(), cyclic_group(2), cyclic_group(3),
-            cyclic_group(4), klein_group(), symmetric_group(3)]
+def _group_pool(max_order):
+    """Acting groups of at most max_order elements, each with its subgroups
+    and sign characters."""
+    pool = []
+    for G in (trivial_group(), cyclic_group(2), cyclic_group(3),
+              cyclic_group(4), klein_group(), symmetric_group(3)):
+        if G.order <= max_order:
+            subs = _subgroups(G)
+            pool.append((G, subs, _sign_characters(G, subs)))
+    return pool
 
 
-def _vertex_pool():
-    return [trivial_group(name="V1"), cyclic_group(2, name="V2"),
-            cyclic_group(3, name="V3")]
-
-
-def _draw_action(rng, groups, max_arrows, max_group_order, tag):
+def _draw_action(rng, pool, vertex_groups, max_arrows, tag):
     for _attempt in range(64):
-        G = rng.choice(groups)
-        if G.order > max_group_order:
-            continue
-        subs = _subgroups(G)
+        G, subs, chars = rng.choice(pool)
         pieces = []
         for _p in range(rng.choice((1, 1, 2))):
             h = rng.choice(subs)
             above = [k for k in subs if set(h) <= set(k)]
             k = rng.choice(above)
-            vg = rng.choice(_vertex_pool())
+            vg = rng.choice(vertex_groups)
             chi = None
-            if vg.order == 3:
-                chars = _sign_characters(G)
-                if chars and rng.random() < 0.5:
-                    chi = rng.choice(chars)
+            if vg.order == 3 and chars and rng.random() < 0.5:
+                chi = rng.choice(chars)
             pieces.append((h, k, vg, chi))
         builder = _ActionBuilder(G, pieces)
         if 0 < builder.arrow_count() <= max_arrows:
-            return builder.build(f"{tag}")
+            return builder.build(tag)
     # tiny fallback that always fits
     return trivial_action(trivial_group(),
                           discrete_groupoid(("z",), name=f"{tag}-space"),
                           name=tag)
 
 
+def _draw_actions(seed, count, max_arrows, max_group_order, prefix):
+    rng = random.Random(seed)
+    pool = _group_pool(max_group_order)
+    vertex_groups = [trivial_group(name="V1"), cyclic_group(2, name="V2"),
+                     cyclic_group(3, name="V3")]
+    return [_draw_action(rng, pool, vertex_groups, max_arrows,
+                         f"{prefix}{i}") for i in range(count)]
+
+
 def random_actions(seed=7, count=56, max_arrows=12):
     """Seeded general actions for the validator and semidirect checks."""
-    rng = random.Random(seed)
-    groups = _group_pool()
-    return [_draw_action(rng, groups, max_arrows, 6, f"rand{i}")
-            for i in range(count)]
+    return _draw_actions(seed, count, max_arrows, 6, "rand")
 
 
 def random_orbit_instances(seed=11, count=18, max_arrows=8):
     """Seeded small actions safe for full orbit and universal property runs."""
-    rng = random.Random(seed)
-    groups = [g for g in _group_pool() if g.order <= 4]
-    return [_draw_action(rng, groups, max_arrows, 4, f"orb{i}")
-            for i in range(count)]
+    return _draw_actions(seed, count, max_arrows, 4, "orb")
 
 
 def random_quotient_instances(seed=23, count=22, max_arrows=20):

@@ -560,7 +560,7 @@ class _Emitter:
         self.chunks = []
         self.seen_ids = {}
         self.names = {}
-        self.group_blocks = {}    # id of a group -> its one-object groupoid
+        self.group_blocks = {}    # a group's name and table -> its block
 
     def text(self):
         return "\n\n".join(self.chunks) + "\n"
@@ -624,11 +624,15 @@ class _Emitter:
     def _group_block(self, act):
         gpd = act.group_groupoid
         if gpd is None:
-            # one block per group, however many actions share it
-            gpd = self.group_blocks.get(id(act.group))
+            # one block per group, however many actions or equal copies
+            # share it; a different group of the same name still collides
+            G = act.group
+            key = (G.name, G.elements,
+                   tuple(G.prod(a, b) for a in G.elements for b in G.elements))
+            gpd = self.group_blocks.get(key)
             if gpd is None:
-                gpd = self.group_blocks[id(act.group)] = groupoid_from_group(
-                    act.group, name=f"{act.group.name}-gpd")
+                gpd = self.group_blocks[key] = groupoid_from_group(
+                    G, name=f"{G.name}-gpd")
         return self.emit(gpd)
 
     def _action(self, act):

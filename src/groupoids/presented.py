@@ -245,16 +245,8 @@ def orbit_presentation(act, name=None):
     for e in gr.edges:
         if e in elabel:
             continue
-        signed = {(e, 1)}
-        changed = True
-        while changed:
-            changed = False
-            for (f, s) in list(signed):
-                for g in act.group.elements:
-                    f2, s2 = act.edge_image(g, f)
-                    if (f2, s * s2) not in signed:
-                        signed.add((f2, s * s2))
-                        changed = True
+        # the action is valid, so the orbit of e is its image under each g
+        signed = {act.edge_image(g, e) for g in act.group.elements}
         label = f"[{e}]"
         for (f, _s) in signed:
             elabel.setdefault(f, label)
@@ -280,28 +272,10 @@ def orbit_presentation(act, name=None):
                              name=name or f"{gr.name}-orbits"), elabel, vlabel
 
 
-def spanning_tree(graph, root=None):
-    """Breadth-first spanning tree edges in input order.
-
-    Returns (tree edge set, word_to_root) where word_to_root[v] is the word
-    along tree edges from v to the root.  Raises if the graph is not
-    connected (lists the unreachable vertices).
-    """
-    if not graph.vertices:
-        raise ValueError(f"{graph.name}: no vertices")
-    root = root or graph.vertices[0]
-    tree, word_to_root = _tree_walk(graph, root)
-    missing = [v for v in graph.vertices if v not in word_to_root]
-    if missing:
-        raise ValueError(
-            f"{graph.name}: not connected; unreachable from {root}: "
-            + " ".join(missing))
-    return tree, word_to_root
-
-
 def _tree_walk(graph, root):
-    """spanning_tree of the component of root, whatever the rest of the
-    graph: word_to_root has exactly the vertices of that component."""
+    """Breadth-first spanning tree of root's component, edges in input order:
+    (tree edges, word_to_root), word_to_root[v] the word along tree edges
+    from v to root, for exactly the vertices of that component."""
     incident = {v: [] for v in graph.vertices}
     for e in graph.edges:
         incident[graph.source[e]].append((e, 1))

@@ -1,10 +1,10 @@
 import pytest
 
-from groupoids import (GroupoidAction, action_from_object_map, arrow_orbits,
-                       cyclic_group, connected_groupoid, fixed_subgroupoid,
+from groupoids import (GroupoidAction, action_from_object_map, cyclic_group,
+                       connected_groupoid, fixed_subgroupoid,
                        groupoid_from_group, is_free_action, object_orbits,
-                       restrict_action, stabilizer, tree_groupoid,
-                       trivial_action, validate_action)
+                       restrict_action, tree_groupoid, trivial_action,
+                       validate_action)
 from groupoids.corpus import named_actions
 
 
@@ -31,21 +31,6 @@ def test_object_orbits():
     assert object_orbits(act) == [["a", "c"], ["b"]]
     act = _named("klein-on-points")
     assert object_orbits(act) == [["p", "q", "r", "s"]]
-
-
-def test_arrow_orbits():
-    act = _named("zmod4-inversion")
-    orbs = arrow_orbits(act)
-    assert ["1", "3"] in orbs
-    assert ["2"] in orbs
-
-
-def test_stabilizer():
-    act = _named("path-reflection-fixed")
-    assert stabilizer(act, "b").order == 2
-    assert stabilizer(act, "a").order == 1
-    with pytest.raises(ValueError):
-        stabilizer(act, "nope")
 
 
 def test_is_free_action():

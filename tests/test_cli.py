@@ -270,3 +270,39 @@ def test_verify_verb(tmp_path, capsys):
     code, _out, err = _run(capsys, "verify", "--targets", str(empty))
     assert code == 3
     assert "no groupoids defined" in err
+
+
+VERIFY_LINES = """\
+PASS corpus-valid: 89 corpus instances validate
+PASS semidirect-laws: 67 semidirect products obey both pairing laws; \
+66 fully validated
+PASS projection-trichotomy: quotient 33, covering 18, object-iso 20 \
+instances agree
+PASS first-isomorphism: 22 quotients factor correctly
+PASS normal-closure-minimal: 27 closures equal the lattice minimum
+PASS orbit-kernel: 83 orbit morphisms kill exactly the stabilizer \
+differences; 38 coverings, 31 quotient morphisms
+PASS orbit-universal: 83 orbit morphisms factor invariant morphisms \
+uniquely; both negative controls fail as they should
+PASS tree-orbit-groups: 5 tree actions give the expected orbit object groups
+PASS zmod4-inversion: inverting the 4-element cyclic group halves it: \
+orbit object group Z2, kernel {0, 2}
+PASS circle-reflection: reflecting the circle leaves a segment: \
+vertex group at orbit(1): trivial
+PASS graph-orbit-presentations: antipodal map gives a free loop; \
+edge-inverting reflection gives two squared loops
+PASS abelianization: commutator, squared-group, and presentation routes \
+agree on Z4, S3, D4, Q8, A4
+PASS symmetric-square: 8 symmetric squares match the abelianization
+PASS regular-covers: folding and winding covers are the orbit morphisms of \
+their deck actions; a non-free deck is rejected
+PASS restrict-orbit: invariant subsets embed exactly when they meet every \
+fixed component
+PASS round-trip: 6 data files and one computed orbit groupoid survive the \
+round trip
+"""
+
+
+def test_verify_lines_are_pinned(capsys):
+    code, out, err = _run(capsys, "verify")
+    assert (code, out, err) == (0, VERIFY_LINES, "")

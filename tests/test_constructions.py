@@ -11,7 +11,6 @@ from groupoids import (GroupoidMorphism, action_from_object_map,
                        symmetric_group, tree_groupoid, tree_orbit_group,
                        trivial_action, trivial_group, validate_groupoid,
                        validate_morphism)
-from groupoids.constructions import semidirect_action_on_arrows
 from groupoids.corpus import named_actions
 
 
@@ -48,13 +47,6 @@ def test_semidirect_rejects_invalid_action():
                        name="broken")
     with pytest.raises(ValueError):
         semidirect_product(broken)
-
-
-def test_semidirect_action_on_arrows():
-    act = _named("tree-swap")
-    assert semidirect_action_on_arrows(act, ("x>y", "1"), "x>y") == "id_y"
-    with pytest.raises(ValueError):
-        semidirect_action_on_arrows(act, ("x>y", "1"), "y>x")
 
 
 def test_generated_wide_subgroupoid():

@@ -1,11 +1,14 @@
+import hashlib
+
 import pytest
 
 from groupoids import (DirectedGraph, GroupPresentation, ParseError,
-                       PresentedGroupoid, discrete_groupoid, parse_input,
-                       parse_text, render_entities, search_isomorphism,
-                       validate_groupoid)
+                       PresentedGroupoid, cyclic_group, discrete_groupoid,
+                       parse_input, parse_text, render_entities,
+                       search_isomorphism, trivial_action, validate_groupoid)
 from groupoids.corpus import (named_actions, named_graph_actions,
-                              random_actions)
+                              random_actions, random_orbit_instances,
+                              random_quotient_instances)
 
 SEG = """\
 groupoid seg
@@ -157,6 +160,35 @@ def test_random_actions_render_in_one_file():
     parsed = parse_text(text)
     assert parsed.of_kind("action") == [act.name for act in acts]
     assert render_entities([parsed.get(act.name) for act in acts]) == text
+
+
+def test_equal_groups_share_one_block():
+    acts = [trivial_action(cyclic_group(2),
+                           discrete_groupoid(("p",), name="P"), name="a"),
+            trivial_action(cyclic_group(2),
+                           discrete_groupoid(("q",), name="Q"), name="b")]
+    text = render_entities(acts)
+    assert text.count("groupoid Z2-gpd\n") == 1
+    assert parse_text(text).of_kind("action") == ["a", "b"]
+    corpus = [act for _name, act in named_actions()] + random_actions()
+    parsed = parse_text(render_entities(corpus))
+    assert parsed.of_kind("action") == [act.name for act in corpus]
+    impostor = trivial_action(cyclic_group(3, name="Z2"),
+                              discrete_groupoid(("r",), name="R"), name="c")
+    with pytest.raises(ValueError, match="emitted as Z2-gpd"):
+        render_entities(acts + [impostor])
+
+
+@pytest.mark.parametrize("family, digest", [
+    (lambda: [act for _name, act in named_actions()], "4db5bcd0b7327568"),
+    (random_actions, "1d1099a28c42690d"),
+    (random_orbit_instances, "099619548939e42e"),
+    (lambda: [k for k, _gens in random_quotient_instances()],
+     "1eaecda7735c2f54"),
+], ids=["named", "random", "random-orbit", "random-quotient"])
+def test_corpus_emission_is_pinned(family, digest):
+    text = render_entities(family())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_emitted_actions_never_name_a_graph_with_relators():

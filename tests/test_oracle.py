@@ -1,9 +1,9 @@
 import pytest
 
-from groupoids import (SizeCapError, cyclic_group, dihedral_group,
-                       direct_product_group, discrete_groupoid,
-                       group_isomorphic, groupoid_from_group,
-                       identity_morphism, normal_closure, orbit_groupoid,
+from groupoids import (GroupoidMorphism, SizeCapError, cyclic_group,
+                       dihedral_group, direct_product_group,
+                       discrete_groupoid, group_isomorphic,
+                       groupoid_from_group, normal_closure, orbit_groupoid,
                        quaternion_group, symmetric_group, tree_groupoid,
                        trivial_group)
 from groupoids import oracle
@@ -119,12 +119,17 @@ def test_universal_property_of_an_orbit_morphism():
     assert all("ok" in line for line in report.lines())
 
 
+def _identity(g):
+    return GroupoidMorphism(g, g, {x: x for x in g.objects},
+                            {u: u for u in g.arrows}, name=f"id_{g.name}")
+
+
 def test_universal_property_preconditions():
     act = _named("point-swap")
     targets = [groupoid_from_group(trivial_group(), name="one")]
-    not_invariant = identity_morphism(act.space)
+    not_invariant = _identity(act.space)
     with pytest.raises(ValueError, match="constant on orbits"):
         oracle.check_universal_property(act, not_invariant, targets)
-    stranger = identity_morphism(discrete_groupoid(("p", "q"), name="other"))
+    stranger = _identity(discrete_groupoid(("p", "q"), name="other"))
     with pytest.raises(ValueError, match="domain"):
         oracle.check_universal_property(act, stranger, targets)

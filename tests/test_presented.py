@@ -6,7 +6,7 @@ from groupoids import (AbelianInvariants, DirectedGraph, GraphAction,
                        describe_vertex_group, direct_product_presentation,
                        free_reduce, orbit_presentation,
                        presentation_relation_matrix, smith_normal_form,
-                       spanning_tree, symmetric_group,
+                       symmetric_group,
                        symmetric_square_presentation, validate_graph_action,
                        vertex_group_presentation)
 from groupoids.corpus import named_graph_actions
@@ -56,21 +56,6 @@ def test_relators_must_be_loops():
     path = DirectedGraph(("x", "y"), ("e",), {"e": "x"}, {"e": "y"})
     with pytest.raises(ValueError):
         PresentedGroupoid(path, [path.word(["e"])])
-
-
-def test_spanning_tree():
-    path = DirectedGraph(("a", "b", "c"), ("e1", "e2"),
-                         {"e1": "a", "e2": "b"}, {"e1": "b", "e2": "c"})
-    tree, to_root = spanning_tree(path)
-    assert set(tree) == {"e1", "e2"}
-    assert str(to_root["c"]) == "-e2.-e1"
-    assert to_root["a"].letters == ()
-
-
-def test_spanning_tree_demands_connectivity():
-    split = DirectedGraph(("a", "b"), (), {}, {})
-    with pytest.raises(ValueError, match="unreachable"):
-        spanning_tree(split)
 
 
 def test_vertex_group_of_wedge_is_free():
