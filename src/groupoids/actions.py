@@ -147,8 +147,7 @@ def trivial_action(group, space, name=None):
                           name=name or f"trivial-{group.name}")
 
 
-def action_from_object_map(group, space, act_obj, name="act",
-                           group_groupoid=None):
+def action_from_object_map(group, space, act_obj, name="act"):
     """Derive the arrow map when every hom-set has at most one arrow.
 
     Works for discrete groupoids, tree groupoids, and their disjoint unions,
@@ -165,8 +164,7 @@ def action_from_object_map(group, space, act_obj, name="act",
                     f"{space.name}: hom({x}, {y}) is not a singleton; "
                     f"the arrow map is not determined")
             act_arrow[(g, a)] = hom[0]
-    return GroupoidAction(group, space, act_obj, act_arrow, name=name,
-                          group_groupoid=group_groupoid)
+    return GroupoidAction(group, space, act_obj, act_arrow, name=name)
 
 
 def restrict_action(act, objects, name=None):

@@ -56,8 +56,7 @@ def _graph_action(parsed, name):
     return act
 
 
-def _cmd_semidirect(args):
-    parsed = parse_input(args.file)
+def _cmd_semidirect(parsed, args):
     act = _groupoid_action(parsed, args.action)
     sd = semidirect_product(act)
     lines = [f"semidirect product {sd.groupoid.name}: "
@@ -71,8 +70,7 @@ def _cmd_semidirect(args):
     return lines, 0, [sd.groupoid, sd.projection]
 
 
-def _cmd_orbit(args):
-    parsed = parse_input(args.file)
+def _cmd_orbit(parsed, args):
     act = parsed.pick("action", args.action)
     if isinstance(act, GraphAction):
         return _presentation_report(act, base=None)
@@ -98,8 +96,7 @@ def _pick_arrows(gpd, names):
     return names
 
 
-def _cmd_quotient(args):
-    parsed = parse_input(args.file)
+def _cmd_quotient(parsed, args):
     gpd = parsed.pick("groupoid", args.groupoid)
     gens = _pick_arrows(gpd, _split_list(args.arrows))
     n = normal_closure(gpd, gens)
@@ -111,8 +108,7 @@ def _cmd_quotient(args):
     return lines, 0, [quot.groupoid, quot.morphism]
 
 
-def _cmd_normal_closure(args):
-    parsed = parse_input(args.file)
+def _cmd_normal_closure(parsed, args):
     gpd = parsed.pick("groupoid", args.groupoid)
     gens = _pick_arrows(gpd, _split_list(args.arrows))
     n = normal_closure(gpd, gens)
@@ -140,21 +136,18 @@ def _presentation_report(act, base):
     return lines, 0, [pres]
 
 
-def _cmd_presentation(args):
-    parsed = parse_input(args.file)
+def _cmd_presentation(parsed, args):
     act = _graph_action(parsed, args.action)
     return _presentation_report(act, args.base)
 
 
-def _cmd_abelianize(args):
-    parsed = parse_input(args.file)
+def _cmd_abelianize(parsed, args):
     pres = parsed.pick("presentation", args.presentation)
     lines = [f"abelian invariants of {pres.name}: {abelian_invariants(pres)}"]
     return lines, 0, None
 
 
-def _cmd_symmetric_square(args):
-    parsed = parse_input(args.file)
+def _cmd_symmetric_square(parsed, args):
     pres = parsed.pick("presentation", args.presentation)
     square = symmetric_square_presentation(pres)
     got = abelian_invariants(square)
@@ -168,16 +161,14 @@ def _cmd_symmetric_square(args):
     return lines, 0 if got == want else 1, [square]
 
 
-def _cmd_check_regular_cover(args):
-    parsed = parse_input(args.file)
+def _cmd_check_regular_cover(parsed, args):
     p = parsed.pick("morphism", args.morphism)
     deck = _groupoid_action(parsed, args.action)
     report = regular_cover_orbit_check(p, deck)
     return list(report.details), 0 if report.ok else 1, None
 
 
-def _cmd_restrict_orbit(args):
-    parsed = parse_input(args.file)
+def _cmd_restrict_orbit(parsed, args):
     act = _groupoid_action(parsed, args.action)
     report = restrict_orbit_full_subgroupoid(act, _split_list(args.objects))
     lines = []
@@ -190,7 +181,7 @@ def _cmd_restrict_orbit(args):
     return lines, 0 if report.ok else 1, None
 
 
-def _cmd_verify(args):
+def _cmd_verify(_parsed, args):
     targets = None
     if args.targets is not None:
         parsed = parse_input(args.targets)
@@ -203,12 +194,61 @@ def _cmd_verify(args):
     return lines, 0 if all(r.ok for r in results) else 1, None
 
 
-def _add_common(sub, emit=True):
-    sub.add_argument("file", help="input definitions file")
-    if emit:
-        sub.add_argument("--emit", metavar="PATH",
-                         help="write the result in the text format "
-                              "(- for stdout, suppressing the report)")
+def _select(kind, what=None):
+    return f"--{kind}", {"help": f"{what or kind} name "
+                                 f"(default: the only one)"}
+
+
+def _listed(kind):
+    return f"--{kind}s", {"required": True,
+                          "help": f"comma separated {kind} names"}
+
+
+_FILE = ("file", {"help": "input definitions file"})
+_EMIT = ("--emit", {"metavar": "PATH",
+                    "help": "write the result in the text format "
+                            "(- for stdout, suppressing the report)"})
+_ACTION, _GROUPOID, _PRESENTATION = (
+    _select(kind) for kind in ("action", "groupoid", "presentation"))
+_ARROWS = _listed("arrow")
+
+# verb -> (help, handler, arguments), in the order --help lists them
+_VERBS = {
+    "semidirect": ("semidirect product of an action", _cmd_semidirect,
+                   (_FILE, _EMIT, _ACTION)),
+    "orbit": ("orbit groupoid of an action", _cmd_orbit,
+              (_FILE, _EMIT, _ACTION)),
+    "quotient": ("quotient by the normal closure of arrows", _cmd_quotient,
+                 (_FILE, _EMIT, _GROUPOID, _ARROWS)),
+    "normal-closure": ("normal closure of a set of arrows",
+                       _cmd_normal_closure,
+                       (_FILE, _EMIT, _GROUPOID, _ARROWS)),
+    "presentation": ("presented orbit groupoid of a graph action",
+                     _cmd_presentation,
+                     (_FILE, _EMIT, _ACTION,
+                      ("--base", {"metavar": "VERTEX",
+                                  "help": "report only the vertex group at "
+                                          "this vertex"}))),
+    "abelianize": ("abelian invariants of a presentation", _cmd_abelianize,
+                   (_FILE, _PRESENTATION)),
+    "symmetric-square": ("symmetric square of a presentation",
+                         _cmd_symmetric_square,
+                         (_FILE, _EMIT, _PRESENTATION)),
+    "check-regular-cover": ("check a covering against its deck action",
+                            _cmd_check_regular_cover,
+                            (_FILE, _select("morphism", "covering morphism"),
+                             _select("action", "deck action"))),
+    "restrict-orbit": ("restrict the orbit groupoid to an invariant object "
+                       "set", _cmd_restrict_orbit,
+                       (_FILE, _ACTION, _listed("object"))),
+    "verify": ("run the built-in check suite", _cmd_verify,
+               (("--targets", {"metavar": "FILE",
+                               "help": "groupoids file for the universal "
+                                       "property targets"}),
+                ("--max-arrows", {"type": int,
+                                  "help": "skip corpus instances with more "
+                                          "arrows (at least 1)"}))),
+}
 
 
 def _parser():
@@ -216,83 +256,11 @@ def _parser():
         prog="groupoids",
         description="groupoid constructions on finite presentations")
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    sub = subs.add_parser("semidirect",
-                          help="semidirect product of an action")
-    _add_common(sub)
-    sub.add_argument("--action", help="action name (default: the only one)")
-    sub.set_defaults(handler=_cmd_semidirect)
-
-    sub = subs.add_parser("orbit", help="orbit groupoid of an action")
-    _add_common(sub)
-    sub.add_argument("--action", help="action name (default: the only one)")
-    sub.set_defaults(handler=_cmd_orbit)
-
-    sub = subs.add_parser("quotient",
-                          help="quotient by the normal closure of arrows")
-    _add_common(sub)
-    sub.add_argument("--groupoid",
-                     help="groupoid name (default: the only one)")
-    sub.add_argument("--arrows", required=True,
-                     help="comma separated arrow names")
-    sub.set_defaults(handler=_cmd_quotient)
-
-    sub = subs.add_parser("normal-closure",
-                          help="normal closure of a set of arrows")
-    _add_common(sub)
-    sub.add_argument("--groupoid",
-                     help="groupoid name (default: the only one)")
-    sub.add_argument("--arrows", required=True,
-                     help="comma separated arrow names")
-    sub.set_defaults(handler=_cmd_normal_closure)
-
-    sub = subs.add_parser("presentation",
-                          help="presented orbit groupoid of a graph action")
-    _add_common(sub)
-    sub.add_argument("--action", help="action name (default: the only one)")
-    sub.add_argument("--base", metavar="VERTEX",
-                     help="report only the vertex group at this vertex")
-    sub.set_defaults(handler=_cmd_presentation)
-
-    sub = subs.add_parser("abelianize",
-                          help="abelian invariants of a presentation")
-    _add_common(sub, emit=False)
-    sub.add_argument("--presentation",
-                     help="presentation name (default: the only one)")
-    sub.set_defaults(handler=_cmd_abelianize)
-
-    sub = subs.add_parser("symmetric-square",
-                          help="symmetric square of a presentation")
-    _add_common(sub)
-    sub.add_argument("--presentation",
-                     help="presentation name (default: the only one)")
-    sub.set_defaults(handler=_cmd_symmetric_square)
-
-    sub = subs.add_parser("check-regular-cover",
-                          help="check a covering against its deck action")
-    _add_common(sub, emit=False)
-    sub.add_argument("--morphism",
-                     help="covering morphism name (default: the only one)")
-    sub.add_argument("--action",
-                     help="deck action name (default: the only one)")
-    sub.set_defaults(handler=_cmd_check_regular_cover)
-
-    sub = subs.add_parser("restrict-orbit",
-                          help="restrict the orbit groupoid to an invariant "
-                               "object set")
-    _add_common(sub, emit=False)
-    sub.add_argument("--action", help="action name (default: the only one)")
-    sub.add_argument("--objects", required=True,
-                     help="comma separated object names")
-    sub.set_defaults(handler=_cmd_restrict_orbit)
-
-    sub = subs.add_parser("verify", help="run the built-in check suite")
-    sub.add_argument("--targets", metavar="FILE",
-                     help="groupoids file for the universal property targets")
-    sub.add_argument("--max-arrows", type=int, default=None,
-                     help="skip corpus instances with more arrows (at least 1)")
-    sub.set_defaults(handler=_cmd_verify)
-
+    for verb, (text, handler, arguments) in _VERBS.items():
+        sub = subs.add_parser(verb, help=text)
+        for flag, settings in arguments:
+            sub.add_argument(flag, **settings)
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -303,7 +271,8 @@ def main(argv=None):
         parser.error("argument --max-arrows: must be at least 1")
     emit_to = getattr(args, "emit", None)
     try:
-        lines, code, entities = args.handler(args)
+        parsed = parse_input(args.file) if "file" in args else None
+        lines, code, entities = args.handler(parsed, args)
         text = None if entities is None or emit_to is None \
             else render_entities(entities)
     except (ParseError, UnreadableInput) as err:

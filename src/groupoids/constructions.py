@@ -188,8 +188,9 @@ def quotient_groupoid(k, n, name=None):
         by_source.setdefault(k.source[u], []).append(u)
         by_target.setdefault(k.target[u], []).append(u)
     arrow_class = {}
-    class_members = {}
-    class_order = []
+    # classes are disjoint, so the first arrow of a class in input order is
+    # the one that opens it; it represents the class
+    rep_of = {}
     for a in k.arrows:
         if a in arrow_class:
             continue
@@ -204,23 +205,18 @@ def quotient_groupoid(k, n, name=None):
         for u in members:
             assert u not in arrow_class, "equivalence classes overlap"
             arrow_class[u] = label
-        class_members[label] = sorted(members, key=k.arrow_index.__getitem__)
-        class_order.append(label)
+        rep_of[label] = a
 
-    rep_of = {label: members[0] for label, members in class_members.items()}
-    source = {label: obj_class[k.source[rep_of[label]]]
-              for label in class_order}
-    target = {label: obj_class[k.target[rep_of[label]]]
-              for label in class_order}
+    source = {label: obj_class[k.source[a]] for label, a in rep_of.items()}
+    target = {label: obj_class[k.target[a]] for label, a in rep_of.items()}
     identity_of = {obj_class[x]: arrow_class[k.identity_of[x]]
                    for x in k.objects}
-    inverse = {label: arrow_class[k.inverse_of[rep_of[label]]]
-               for label in class_order}
+    inverse = {label: arrow_class[k.inverse_of[a]]
+               for label, a in rep_of.items()}
 
-    # identities first, then the rest, by first-member index
-    arrows = sorted(class_order,
-                    key=lambda lbl: (0 if lbl.startswith("id_") else 1,
-                                     k.arrow_index[rep_of[lbl]]))
+    # identities first, then the rest, each in opening order
+    arrows = [lbl for lbl in rep_of if lbl.startswith("id_")] + \
+        [lbl for lbl in rep_of if not lbl.startswith("id_")]
 
     compose = {}
     for v in arrows:

@@ -1,8 +1,8 @@
 """Finite groupoids, group tables, morphisms, and structural predicates.
 
-Composition is written additively and runs right to left: ``add(v, u)`` is
-``v + u``, the arrow that traverses ``u`` first and then ``v``.  It is defined
-exactly when ``target(u) == source(v)``.
+Composition is written additively and runs right to left: ``compose[(v, u)]``
+is ``v + u``, the arrow that traverses ``u`` first and then ``v``.  It is
+defined exactly when ``target(u) == source(v)``.
 
 Objects and arrows are opaque strings.  Input order is the canonical order and
 is used for every deterministic tie-break in this package; no operation ever
@@ -56,14 +56,6 @@ class FiniteGroupoid:
             self._hom.setdefault(key, []).append(u)
             self._star.setdefault(key[0], []).append(u)
             self._costar.setdefault(key[1], []).append(u)
-
-    def add(self, v, u):
-        """v + u: traverse u first, then v."""
-        try:
-            return self.compose[(v, u)]
-        except KeyError:
-            raise ValueError(
-                f"{self.name}: compose({v}, {u}) is not defined") from None
 
     def is_identity_arrow(self, u):
         return u in self._identities

@@ -557,36 +557,32 @@ def _relator(letters):
 
 class _Emitter:
     def __init__(self):
-        self.chunks = []
-        self.seen_ids = {}
-        self.names = {}
-        self.group_blocks = {}    # a group's name and table -> its block
+        # id of each emitted entity -> (the entity, its name); holding the
+        # entity keeps a freed temporary's id from being reused
+        self.seen = {}
+        self.blocks = {}          # name -> its block, in emission order
 
     def text(self):
-        return "\n\n".join(self.chunks) + "\n"
+        return "\n\n".join(self.blocks.values()) + "\n"
 
     def emit(self, entity):
-        if id(entity) in self.seen_ids:
-            return self.seen_ids[id(entity)]
+        if id(entity) in self.seen:
+            return self.seen[id(entity)][1]
         if isinstance(entity, FiniteGroupoid):
-            name = self._register(entity, entity.name)
-            self.chunks.append(self._groupoid(entity, name))
+            name = self._register(entity, self._groupoid, entity)
         elif isinstance(entity, (GroupoidAction, GraphAction)):
             name = self._action(entity)
         elif isinstance(entity, PresentedGroupoid):
-            name = self._register(entity, entity.name)
+            name = self._register(entity, self._graph, entity.graph,
+                                  entity.relators)
             if not entity.relators:
                 # references to the bare underlying graph resolve to this
                 # block; an action may not name a block with relators
-                self.seen_ids.setdefault(id(entity.graph), name)
-            self.chunks.append(self._graph(entity.graph, entity.relators,
-                                           name))
+                self.seen.setdefault(id(entity.graph), (entity.graph, name))
         elif isinstance(entity, DirectedGraph):
-            name = self._register(entity, entity.name)
-            self.chunks.append(self._graph(entity, (), name))
+            name = self._register(entity, self._graph, entity, ())
         elif isinstance(entity, GroupPresentation):
-            name = self._register(entity, entity.name)
-            self.chunks.append(self._presentation(entity, name))
+            name = self._register(entity, self._presentation, entity)
         elif isinstance(entity, GroupoidMorphism):
             name = self._morphism(entity)
         else:
@@ -594,12 +590,14 @@ class _Emitter:
                 f"cannot emit {type(entity).__name__} to the text format")
         return name
 
-    def _register(self, entity, name):
-        name = _token(name, "entity name")
-        if name in self.names:
+    def _register(self, entity, render, *args):
+        """Emit render(*args, name) under the entity's name, which only an
+        identical block may already hold (so equal groups share one)."""
+        name = _token(entity.name, "entity name")
+        block = render(*args, name)
+        if self.blocks.setdefault(name, block) != block:
             raise ValueError(f"two entities would be emitted as {name}")
-        self.names[name] = entity
-        self.seen_ids[id(entity)] = name
+        self.seen[id(entity)] = (entity, name)
         return name
 
     def _groupoid(self, g, name):
@@ -621,44 +619,33 @@ class _Emitter:
                 lines.append(f"compose {v} {u} = {g.compose[(v, u)]}")
         return "\n".join(lines)
 
-    def _group_block(self, act):
-        gpd = act.group_groupoid
-        if gpd is None:
-            # one block per group, however many actions or equal copies
-            # share it; a different group of the same name still collides
-            G = act.group
-            key = (G.name, G.elements,
-                   tuple(G.prod(a, b) for a in G.elements for b in G.elements))
-            gpd = self.group_blocks.get(key)
-            if gpd is None:
-                gpd = self.group_blocks[key] = groupoid_from_group(
-                    G, name=f"{G.name}-gpd")
-        return self.emit(gpd)
-
     def _action(self, act):
         if isinstance(act, GraphAction):
-            space, word = act.graph, "act"
-            maps = ((space.vertices, act.act_vertex),
-                    (space.edges, act.act_edge))
+            space = act.graph
+            maps = (("obj", space.vertices, act.act_vertex),
+                    ("act", space.edges, act.act_edge))
         else:
-            space, word = act.space, "arr"
-            maps = ((space.objects, act.act_obj),
-                    ([a for a in space.arrows
-                      if not space.is_identity_arrow(a)], act.act_arrow))
+            space = act.space
+            maps = (("obj", space.objects, act.act_obj),
+                    ("arr", [a for a in space.arrows
+                             if not space.is_identity_arrow(a)],
+                     act.act_arrow))
         space_name = self.emit(space)
-        group_name = self._group_block(act)
-        name = self._register(act, act.name)
-        lines = [f"action {name} on {space_name} by {group_name}"]
-        for word, (names, image) in zip(("obj", word), maps):
-            for g in act.group.elements:
-                if g == act.group.identity:
-                    continue
-                for x in names:
-                    y = image[(g, x)]
-                    if y != x:
-                        lines.append(f"{word} {g} : {x} -> {y}")
-        self.chunks.append("\n".join(lines))
-        return name
+        group_name = self.emit(act.group_groupoid or groupoid_from_group(
+            act.group, name=f"{act.group.name}-gpd"))
+
+        def block(name):
+            lines = [f"action {name} on {space_name} by {group_name}"]
+            for word, names, image in maps:
+                for g in act.group.elements:
+                    if g == act.group.identity:
+                        continue
+                    for x in names:
+                        y = image[(g, x)]
+                        if y != x:
+                            lines.append(f"{word} {g} : {x} -> {y}")
+            return "\n".join(lines)
+        return self._register(act, block)
 
     def _graph(self, graph, relators, name):
         lines = [f"graph {name}"]
@@ -682,15 +669,16 @@ class _Emitter:
     def _morphism(self, f):
         dom_name = self.emit(f.dom)
         cod_name = self.emit(f.cod)
-        name = self._register(f, f.name)
-        lines = [f"morphism {name} : {dom_name} -> {cod_name}"]
-        for x in f.dom.objects:
-            lines.append(f"obj {x} -> {f.object_map[x]}")
-        for a in f.dom.arrows:
-            if not f.dom.is_identity_arrow(a):
-                lines.append(f"arr {a} -> {f.arrow_map[a]}")
-        self.chunks.append("\n".join(lines))
-        return name
+
+        def block(name):
+            lines = [f"morphism {name} : {dom_name} -> {cod_name}"]
+            for x in f.dom.objects:
+                lines.append(f"obj {x} -> {f.object_map[x]}")
+            for a in f.dom.arrows:
+                if not f.dom.is_identity_arrow(a):
+                    lines.append(f"arr {a} -> {f.arrow_map[a]}")
+            return "\n".join(lines)
+        return self._register(f, block)
 
 
 def render_entities(entities):

@@ -84,16 +84,19 @@ def enumerate_morphisms(dom, cod):
     return found
 
 
+def _constant_on_orbits(act, f):
+    """Whether f, a morphism out of act.space, is constant on orbits."""
+    G, sp = act.group, act.space
+    return all(f.object_map[act.act_obj[(g, x)]] == f.object_map[x]
+               for g in G.elements for x in sp.objects) and \
+        all(f.arrow_map[act.act_arrow[(g, a)]] == f.arrow_map[a]
+            for g in G.elements for a in sp.arrows)
+
+
 def invariant_morphisms(act, cod):
     """Morphisms from the acted-on groupoid that are constant on orbits."""
-    out = []
-    for f in enumerate_morphisms(act.space, cod):
-        if all(f.object_map[act.act_obj[(g, x)]] == f.object_map[x]
-               for g in act.group.elements for x in act.space.objects) and \
-           all(f.arrow_map[act.act_arrow[(g, a)]] == f.arrow_map[a]
-               for g in act.group.elements for a in act.space.arrows):
-            out.append(f)
-    return out
+    return [f for f in enumerate_morphisms(act.space, cod)
+            if _constant_on_orbits(act, f)]
 
 
 @dataclass
@@ -130,15 +133,8 @@ def check_universal_property(act, candidate, targets):
         raise ValueError(f"{candidate.name}: not a morphism: {problems[0]}")
     if candidate.dom is not act.space:
         raise ValueError(f"{candidate.name}: domain is not the acted-on groupoid")
-    for g in act.group.elements:
-        for x in act.space.objects:
-            if candidate.object_map[act.act_obj[(g, x)]] != \
-                    candidate.object_map[x]:
-                raise ValueError(f"{candidate.name}: not constant on orbits")
-        for a in act.space.arrows:
-            if candidate.arrow_map[act.act_arrow[(g, a)]] != \
-                    candidate.arrow_map[a]:
-                raise ValueError(f"{candidate.name}: not constant on orbits")
+    if not _constant_on_orbits(act, candidate):
+        raise ValueError(f"{candidate.name}: not constant on orbits")
 
     entries = []
     for cod in targets:

@@ -1,8 +1,12 @@
 """Named verification checks over the built-in corpora.
 
 Each check cross-checks a construction against an independent computation
-and returns a CheckResult.  The CLI verify verb runs them all, and the
-acceptance tests run them one criterion at a time.
+and returns a CheckResult.  A check is declared once, with its name, by
+the _check decorator: its body returns the PASS detail or raises _Failed
+with the FAIL detail, and any other exception propagates.  No verdict
+rests on a statement that ``python -O`` strips, so an optimized run makes
+the same checks.  The CLI verify verb runs them all, and the acceptance
+tests run them one criterion at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +46,23 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
+class _Failed(Exception):
+    """A check's FAIL detail (not a ValueError, which the CLI maps to 3)."""
+
+
+def _check(name):
+    """Turn a body returning its PASS detail into the check called name."""
+    def decorate(body):
+        def check(*args, **kwargs):
+            try:
+                return CheckResult(name, True, body(*args, **kwargs))
+            except _Failed as failed:
+                return CheckResult(name, False, str(failed))
+        check.__name__ = body.__name__
+        return check
+    return decorate
+
+
 def _actions(max_arrows):
     acts = [act for _name, act in corpus.named_actions()]
     acts += corpus.random_actions()
@@ -57,28 +78,26 @@ def _orbit_actions(max_arrows):
             if len(a.space.arrows) <= cap]
 
 
+@_check("corpus-valid")
 def check_corpus_valid(max_arrows=None):
     count = 0
     for act in _actions(max_arrows):
         problems = validate_groupoid(act.space)
         if problems:
-            return CheckResult("corpus-valid", False,
-                               f"{act.space.name}: {problems[0]}")
+            raise _Failed(f"{act.space.name}: {problems[0]}")
         problems = validate_action(act)
         if problems:
-            return CheckResult("corpus-valid", False,
-                               f"{act.name}: {problems[0]}")
+            raise _Failed(f"{act.name}: {problems[0]}")
         count += 1
     for (k, _gens) in corpus.random_quotient_instances():
         problems = validate_groupoid(k)
         if problems:
-            return CheckResult("corpus-valid", False,
-                               f"{k.name}: {problems[0]}")
+            raise _Failed(f"{k.name}: {problems[0]}")
         count += 1
-    return CheckResult("corpus-valid", True,
-                       f"{count} corpus instances validate")
+    return f"{count} corpus instances validate"
 
 
+@_check("semidirect-laws")
 def check_semidirect_laws(max_arrows=None):
     checked = 0
     validated = 0
@@ -93,30 +112,23 @@ def check_semidirect_laws(max_arrows=None):
                     sd.name_of[(sp.identity_of[act.act_obj[(g, y)]], g)],
                     sd.name_of[(a, e)])]
                 if left != sd.name_of[(act.act_arrow[(g, a)], g)]:
-                    return CheckResult(
-                        "semidirect-laws", False,
-                        f"{act.name}: pairing an identity pair with ({a}, 1) "
-                        f"is not the twisted arrow")
+                    raise _Failed(f"{act.name}: pairing an identity pair with "
+                                  f"({a}, 1) is not the twisted arrow")
                 x = sp.source[a]
                 right = sd.groupoid.compose[(
                     sd.name_of[(a, e)],
                     sd.name_of[(sp.identity_of[x], g)])]
                 if right != sd.name_of[(a, g)]:
-                    return CheckResult(
-                        "semidirect-laws", False,
-                        f"{act.name}: ({a}, 1) + (identity, {g}) "
-                        f"is not ({a}, {g})")
+                    raise _Failed(f"{act.name}: ({a}, 1) + (identity, {g}) "
+                                  f"is not ({a}, {g})")
         if len(sd.groupoid.arrows) <= 48:
             problems = validate_groupoid(sd.groupoid)
             if problems:
-                return CheckResult("semidirect-laws", False,
-                                   f"{act.name}: {problems[0]}")
+                raise _Failed(f"{act.name}: {problems[0]}")
             validated += 1
         checked += 1
-    return CheckResult(
-        "semidirect-laws", True,
-        f"{checked} semidirect products obey both pairing laws; "
-        f"{validated} fully validated")
+    return (f"{checked} semidirect products obey both pairing laws; "
+            f"{validated} fully validated")
 
 
 def _projection_iso_on_object_groups(sd):
@@ -130,6 +142,7 @@ def _projection_iso_on_object_groups(sd):
     return True
 
 
+@_check("projection-trichotomy")
 def check_trichotomy(max_arrows=None):
     branches = {"quotient": 0, "covering": 0, "object-iso": 0}
     for act in _actions(max_arrows):
@@ -137,14 +150,11 @@ def check_trichotomy(max_arrows=None):
         sd = semidirect_product(act)
         q = sd.projection
         if is_quotient_morphism(q) != is_connected(sp):
-            return CheckResult(
-                "projection-trichotomy", False,
-                f"{act.name}: quotient-morphism test disagrees with "
-                f"connectedness")
+            raise _Failed(f"{act.name}: quotient-morphism test disagrees "
+                          f"with connectedness")
         if is_covering(q) != is_discrete(sp):
-            return CheckResult(
-                "projection-trichotomy", False,
-                f"{act.name}: covering test disagrees with discreteness")
+            raise _Failed(f"{act.name}: covering test disagrees with "
+                          f"discreteness")
         trivial_groups = all(len(sp.loops(x)) == 1 for x in sp.objects)
         block_of = {}
         for i, block in enumerate(components(sp)):
@@ -155,10 +165,8 @@ def check_trichotomy(max_arrows=None):
             for g in act.group.elements for x in sp.objects)
         if _projection_iso_on_object_groups(sd) != \
                 (trivial_groups and fixes_components):
-            return CheckResult(
-                "projection-trichotomy", False,
-                f"{act.name}: object-group test disagrees with the "
-                f"trivial-groups and component criterion")
+            raise _Failed(f"{act.name}: object-group test disagrees with the "
+                          f"trivial-groups and component criterion")
         if is_connected(sp):
             branches["quotient"] += 1
         if is_discrete(sp):
@@ -166,14 +174,13 @@ def check_trichotomy(max_arrows=None):
         if trivial_groups and fixes_components:
             branches["object-iso"] += 1
     if min(branches.values()) == 0:
-        return CheckResult("projection-trichotomy", False,
-                           f"corpus misses a branch: {branches}")
-    return CheckResult(
-        "projection-trichotomy", True,
-        f"quotient {branches['quotient']}, covering {branches['covering']}, "
-        f"object-iso {branches['object-iso']} instances agree")
+        raise _Failed(f"corpus misses a branch: {branches}")
+    return (f"quotient {branches['quotient']}, covering "
+            f"{branches['covering']}, object-iso {branches['object-iso']} "
+            f"instances agree")
 
 
+@_check("first-isomorphism")
 def check_first_isomorphism(max_arrows=None):
     checked = 0
     for (k, gens) in corpus.random_quotient_instances():
@@ -183,9 +190,7 @@ def check_first_isomorphism(max_arrows=None):
         quot = quotient_groupoid(k, n, name=f"{k.name}-mod")
         f = quot.morphism
         if set(kernel(f).arrows) != set(n.arrows):
-            return CheckResult("first-isomorphism", False,
-                               f"{k.name}: kernel differs from the "
-                               f"normal closure")
+            raise _Failed(f"{k.name}: kernel differs from the normal closure")
         by_st = {}
         for u in n.arrows:
             by_st.setdefault((k.source[u], k.target[u]), []).append(u)
@@ -197,8 +202,7 @@ def check_first_isomorphism(max_arrows=None):
                     for nn in by_st.get((k.source[b], k.source[a]), ())
                     for m in by_st.get((k.target[a], k.target[b]), ()))
                 if same != related:
-                    return CheckResult(
-                        "first-isomorphism", False,
+                    raise _Failed(
                         f"{k.name}: images of {a} and {b} "
                         f"{'collide' if same else 'differ'} but the arrows "
                         f"are {'not ' if not related else ''}related by the "
@@ -207,19 +211,15 @@ def check_first_isomorphism(max_arrows=None):
             small = quotient_group(object_group(k, x), n.at(x))
             big = object_group(quot.groupoid, f.object_map[x])
             if not group_isomorphic(small, big):
-                return CheckResult(
-                    "first-isomorphism", False,
-                    f"{k.name}: object group at {x} does not match the "
-                    f"quotient of object groups")
+                raise _Failed(f"{k.name}: object group at {x} does not match "
+                              f"the quotient of object groups")
         checked += 1
-    return CheckResult("first-isomorphism", True,
-                       f"{checked} quotients factor correctly")
+    return f"{checked} quotients factor correctly"
 
 
+@_check("normal-closure-minimal")
 def check_normal_closure_minimal(max_arrows=None):
-    instances = []
-    for (k, gens) in corpus.random_quotient_instances():
-        instances.append((k, gens))
+    instances = list(corpus.random_quotient_instances())
     for name in ("tree-swap", "point-swap", "zmod4-inversion",
                  "trivial-on-z2", "path-reflection-fixed"):
         act = dict(corpus.named_actions())[name]
@@ -234,15 +234,13 @@ def check_normal_closure_minimal(max_arrows=None):
         built = set(normal_closure(k, gens).arrows)
         brute = set(oracle.minimal_normal_closure(k, gens))
         if built != brute:
-            return CheckResult(
-                "normal-closure-minimal", False,
-                f"{k.name}: closure has {len(built)} arrows but the lattice "
-                f"minimum has {len(brute)}")
+            raise _Failed(f"{k.name}: closure has {len(built)} arrows but "
+                          f"the lattice minimum has {len(brute)}")
         checked += 1
-    return CheckResult("normal-closure-minimal", True,
-                       f"{checked} closures equal the lattice minimum")
+    return f"{checked} closures equal the lattice minimum"
 
 
+@_check("orbit-kernel")
 def check_orbit_kernel(max_arrows=None):
     covering = 0
     quotient = 0
@@ -252,38 +250,32 @@ def check_orbit_kernel(max_arrows=None):
         gens = orbit_kernel_generators(act)
         if set(generated_wide_subgroupoid(act.space, gens).arrows) != \
                 set(kernel(orb.morphism).arrows):
-            return CheckResult(
-                "orbit-kernel", False,
-                f"{act.name}: the stabilizer differences do not generate "
-                f"the kernel of the orbit morphism")
+            raise _Failed(f"{act.name}: the stabilizer differences do not "
+                          f"generate the kernel of the orbit morphism")
         if is_free_action(act):
             if not is_covering(orb.morphism):
-                return CheckResult(
-                    "orbit-kernel", False,
-                    f"{act.name}: free action but the orbit morphism is "
-                    f"not a covering")
+                raise _Failed(f"{act.name}: free action but the orbit "
+                              f"morphism is not a covering")
             covering += 1
         fixed_object = any(
             all(act.act_obj[(g, x)] == x for g in act.group.elements)
             for x in act.space.objects)
         if fixed_object and is_connected(act.space):
             if not is_quotient_morphism(orb.morphism):
-                return CheckResult(
-                    "orbit-kernel", False,
-                    f"{act.name}: fixed object on a connected groupoid but "
-                    f"the orbit morphism is not a quotient morphism")
+                raise _Failed(f"{act.name}: fixed object on a connected "
+                              f"groupoid but the orbit morphism is not a "
+                              f"quotient morphism")
             quotient += 1
         checked += 1
     if covering == 0 or quotient == 0:
-        return CheckResult("orbit-kernel", False,
-                           f"corpus misses a branch: covering {covering}, "
-                           f"quotient {quotient}")
-    return CheckResult(
-        "orbit-kernel", True,
-        f"{checked} orbit morphisms kill exactly the stabilizer "
-        f"differences; {covering} coverings, {quotient} quotient morphisms")
+        raise _Failed(f"corpus misses a branch: covering {covering}, "
+                      f"quotient {quotient}")
+    return (f"{checked} orbit morphisms kill exactly the stabilizer "
+            f"differences; {covering} coverings, {quotient} quotient "
+            f"morphisms")
 
 
+@_check("orbit-universal")
 def check_universal_property(targets=None, max_arrows=None):
     targets = targets if targets is not None else \
         corpus.standard_target_family()
@@ -294,8 +286,7 @@ def check_universal_property(targets=None, max_arrows=None):
         if not report.ok:
             bad = [f"target {t}: {m} without factorization, {e} with several"
                    for (t, _c, m, e) in report.entries if m or e]
-            return CheckResult("orbit-universal", False,
-                               f"{act.name}: {bad[0]}")
+            raise _Failed(f"{act.name}: {bad[0]}")
         checked += 1
 
     # the negative controls need targets rich enough to expose the planted
@@ -312,9 +303,8 @@ def check_universal_property(targets=None, max_arrows=None):
         {u: point.arrows[0] for u in z2_space.arrows}, name="collapse")
     report = oracle.check_universal_property(act, collapse, control_targets)
     if report.ok:
-        return CheckResult("orbit-universal", False,
-                           "collapsing candidate passed; the check cannot "
-                           "detect missing factorizations")
+        raise _Failed("collapsing candidate passed; the check cannot detect "
+                      "missing factorizations")
 
     # negative control 2: a spare object admits several factorizations
     orb = orbit_groupoid(act)
@@ -327,18 +317,18 @@ def check_universal_property(targets=None, max_arrows=None):
         z2_space, spare,
         dict(orb.morphism.object_map), dict(orb.morphism.arrow_map),
         name="padded")
-    assert validate_morphism(padded) == []
+    problems = validate_morphism(padded)
+    if problems:
+        raise _Failed(f"padded candidate is not a morphism: {problems[0]}")
     report = oracle.check_universal_property(act, padded, control_targets)
     if report.ok:
-        return CheckResult("orbit-universal", False,
-                           "padded candidate passed; the check cannot "
-                           "detect non-unique factorizations")
-    return CheckResult(
-        "orbit-universal", True,
-        f"{checked} orbit morphisms factor invariant morphisms uniquely; "
-        f"both negative controls fail as they should")
+        raise _Failed("padded candidate passed; the check cannot detect "
+                      "non-unique factorizations")
+    return (f"{checked} orbit morphisms factor invariant morphisms uniquely; "
+            f"both negative controls fail as they should")
 
 
+@_check("tree-orbit-groups")
 def check_tree_orbit_groups(max_arrows=None):
     expected = {
         "tree-swap": cyclic_group(2),
@@ -351,91 +341,73 @@ def check_tree_orbit_groups(max_arrows=None):
     for name, want in expected.items():
         got = tree_orbit_group(named[name])
         if not group_isomorphic(got, want):
-            return CheckResult("tree-orbit-groups", False,
-                               f"{name}: orbit object group is not "
-                               f"{want.name}")
+            raise _Failed(f"{name}: orbit object group is not {want.name}")
         orbit = orbit_groupoid(named[name])
         for x in orbit.groupoid.objects:
             if not group_isomorphic(object_group(orbit.groupoid, x), got):
-                return CheckResult("tree-orbit-groups", False,
-                                   f"{name}: orbit object group at {x} is "
-                                   f"not G/K")
-    return CheckResult("tree-orbit-groups", True,
-                       f"{len(expected)} tree actions give the expected "
-                       f"orbit object groups")
+                raise _Failed(f"{name}: orbit object group at {x} is not G/K")
+    return (f"{len(expected)} tree actions give the expected orbit object "
+            f"groups")
 
 
+@_check("zmod4-inversion")
 def check_zmod4_inversion(max_arrows=None):
     act = dict(corpus.named_actions())["zmod4-inversion"]
     orb = orbit_groupoid(act)
     group = object_group(orb.groupoid, orb.groupoid.objects[0])
     if not group_isomorphic(group, cyclic_group(2)):
-        return CheckResult("zmod4-inversion", False,
-                           "orbit object group is not Z2")
+        raise _Failed("orbit object group is not Z2")
     ker = kernel(orb.morphism)
     space = act.space
     ident = space.identity_of[space.objects[0]]
     if set(ker.arrows) != {ident, "2"}:
-        return CheckResult("zmod4-inversion", False,
-                           f"kernel is {ker.arrows}, expected the identity "
-                           f"and 2")
+        raise _Failed(f"kernel is {ker.arrows}, expected the identity and 2")
     if not is_quotient_morphism(orb.morphism) or is_covering(orb.morphism):
-        return CheckResult("zmod4-inversion", False,
-                           "orbit morphism should be a quotient morphism "
-                           "and not a covering")
-    return CheckResult("zmod4-inversion", True,
-                       "inverting the 4-element cyclic group halves it: "
-                       "orbit object group Z2, kernel {0, 2}")
+        raise _Failed("orbit morphism should be a quotient morphism and not "
+                      "a covering")
+    return ("inverting the 4-element cyclic group halves it: orbit object "
+            "group Z2, kernel {0, 2}")
 
 
+@_check("circle-reflection")
 def check_circle_reflection(max_arrows=None):
     acts = dict(corpus.named_graph_actions())
     pres, _elabel, _vlabel = orbit_presentation(acts["circle-reflection"])
     if tuple(pres.graph.vertices) != ("[1]", "[i]", "[-1]") or \
             tuple(pres.graph.edges) != ("[e1]", "[e2]"):
-        return CheckResult("circle-reflection", False,
-                           f"quotient graph is {pres.graph.vertices} / "
-                           f"{pres.graph.edges}")
+        raise _Failed(f"quotient graph is {pres.graph.vertices} / "
+                      f"{pres.graph.edges}")
     if pres.relators:
-        return CheckResult("circle-reflection", False,
-                           "unexpected inverted edge orbits")
+        raise _Failed("unexpected inverted edge orbits")
     for v in pres.graph.vertices:
         if describe_vertex_group(pres, v) != "trivial":
-            return CheckResult("circle-reflection", False,
-                               f"vertex group at orbit({v[1:-1]}) is not "
-                               f"trivial")
-    return CheckResult("circle-reflection", True,
-                       "reflecting the circle leaves a segment: vertex "
-                       "group at orbit(1): trivial")
+            raise _Failed(f"vertex group at orbit({v[1:-1]}) is not trivial")
+    return ("reflecting the circle leaves a segment: vertex group at "
+            "orbit(1): trivial")
 
 
+@_check("graph-orbit-presentations")
 def check_graph_orbit_presentations(max_arrows=None):
     acts = dict(corpus.named_graph_actions())
 
     pres, _e, _v = orbit_presentation(acts["antipodal"])
     if len(pres.graph.vertices) != 1 or len(pres.graph.edges) != 1 or \
             pres.relators:
-        return CheckResult("graph-orbit-presentations", False,
-                           "antipodal quotient is not a single loop")
+        raise _Failed("antipodal quotient is not a single loop")
     if describe_vertex_group(pres, pres.graph.vertices[0]) != \
             "free of rank 1":
-        return CheckResult("graph-orbit-presentations", False,
-                           "antipodal vertex group is not free of rank 1")
+        raise _Failed("antipodal vertex group is not free of rank 1")
 
     pres, _e, _v = orbit_presentation(acts["edge-inverting-reflection"])
     if len(pres.graph.vertices) != 1 or len(pres.graph.edges) != 2 or \
             len(pres.relators) != 2:
-        return CheckResult("graph-orbit-presentations", False,
-                           "edge-inverting quotient should be two squared "
-                           "loops")
+        raise _Failed("edge-inverting quotient should be two squared loops")
     vp = vertex_group_presentation(pres, pres.graph.vertices[0])
     inv = abelian_invariants(vp)
     if inv.free_rank != 0 or inv.torsion != (2, 2):
-        return CheckResult("graph-orbit-presentations", False,
-                           f"edge-inverting invariants are {inv}")
-    return CheckResult("graph-orbit-presentations", True,
-                       "antipodal map gives a free loop; edge-inverting "
-                       "reflection gives two squared loops")
+        raise _Failed(f"edge-inverting invariants are {inv}")
+    return ("antipodal map gives a free loop; edge-inverting reflection "
+            "gives two squared loops")
 
 
 _FROZEN_ABELIANIZATIONS = (
@@ -465,30 +437,26 @@ _FROZEN_ABELIANIZATIONS = (
 )
 
 
+@_check("abelianization")
 def check_abelianization(max_arrows=None):
     for (label, gt, frozen, pres) in _FROZEN_ABELIANIZATIONS:
         brute = oracle.brute_abelianization(gt)
         if brute != frozen:
-            return CheckResult("abelianization", False,
-                               f"{label}: counting route gives {brute}, "
-                               f"expected {frozen}")
+            raise _Failed(f"{label}: counting route gives {brute}, expected "
+                          f"{frozen}")
         square = direct_product_group(gt, gt, name=f"{gt.name}^2")
         diagonal = [f"({h},{gt.inv[h]})" for h in gt.elements]
         folded = oracle.finite_quotient(square, diagonal)
         via_square = oracle.abelian_group_invariants(folded)
         if via_square != frozen:
-            return CheckResult("abelianization", False,
-                               f"{label}: squared-group route gives "
-                               f"{via_square}, expected {frozen}")
+            raise _Failed(f"{label}: squared-group route gives {via_square}, "
+                          f"expected {frozen}")
         inv = abelian_invariants(pres)
         if inv.free_rank != 0 or inv.torsion != frozen:
-            return CheckResult("abelianization", False,
-                               f"{label}: presentation route gives {inv}, "
-                               f"expected {frozen}")
-    return CheckResult(
-        "abelianization", True,
-        "commutator, squared-group, and presentation routes agree on "
-        + ", ".join(label for (label, _g, _f, _p) in _FROZEN_ABELIANIZATIONS))
+            raise _Failed(f"{label}: presentation route gives {inv}, "
+                          f"expected {frozen}")
+    return "commutator, squared-group, and presentation routes agree on " \
+        + ", ".join(label for (label, _g, _f, _p) in _FROZEN_ABELIANIZATIONS)
 
 
 _SQUARE_CASES = (
@@ -507,24 +475,21 @@ _SQUARE_CASES = (
 )
 
 
+@_check("symmetric-square")
 def check_symmetric_square(max_arrows=None):
     for (label, pres) in _SQUARE_CASES:
         want = abelian_invariants(pres)
         got = abelian_invariants(symmetric_square_presentation(pres))
         if want != got:
-            return CheckResult("symmetric-square", False,
-                               f"{label}: square abelianizes to {got}, "
-                               f"the original to {want}")
+            raise _Failed(f"{label}: square abelianizes to {got}, the "
+                          f"original to {want}")
     brute = oracle.brute_abelianization(symmetric_group(3))
     square = abelian_invariants(
         symmetric_square_presentation(dict(_SQUARE_CASES)["sym-3"]))
     if square.free_rank != 0 or square.torsion != brute:
-        return CheckResult("symmetric-square", False,
-                           "symmetric square of the S3 presentation "
-                           "disagrees with the brute abelianization")
-    return CheckResult(
-        "symmetric-square", True,
-        f"{len(_SQUARE_CASES)} symmetric squares match the abelianization")
+        raise _Failed("symmetric square of the S3 presentation disagrees "
+                      "with the brute abelianization")
+    return f"{len(_SQUARE_CASES)} symmetric squares match the abelianization"
 
 
 def _folding_cover():
@@ -564,12 +529,12 @@ def _rotation_cover():
     return p, deck
 
 
+@_check("regular-covers")
 def check_regular_covers(max_arrows=None):
     for (p, deck) in (_folding_cover(), _rotation_cover()):
         report = regular_cover_orbit_check(p, deck)
         if not report.ok:
-            return CheckResult("regular-covers", False,
-                               f"{p.name}: {report.details[0]}")
+            raise _Failed(f"{p.name}: {report.details[0]}")
     p, _deck = _folding_cover()
     lazy = trivial_action(cyclic_group(2), p.dom, name="lazy-deck")
     try:
@@ -577,43 +542,36 @@ def check_regular_covers(max_arrows=None):
     except ValueError:
         pass
     else:
-        return CheckResult("regular-covers", False,
-                           "a non-free deck action was accepted")
-    return CheckResult("regular-covers", True,
-                       "folding and winding covers are the orbit morphisms "
-                       "of their deck actions; a non-free deck is rejected")
+        raise _Failed("a non-free deck action was accepted")
+    return ("folding and winding covers are the orbit morphisms of their "
+            "deck actions; a non-free deck is rejected")
 
 
+@_check("restrict-orbit")
 def check_restrict_orbit(max_arrows=None):
     act = dict(corpus.named_actions())["path-reflection-fixed"]
     good = restrict_orbit_full_subgroupoid(act, ("b",))
     if not (good.hypothesis_ok and good.embedding_ok):
-        return CheckResult("restrict-orbit", False,
-                           f"restriction to the fixed object failed: "
-                           f"{(good.hypothesis_failures or good.details)[0]}")
+        raise _Failed(f"restriction to the fixed object failed: "
+                      f"{(good.hypothesis_failures or good.details)[0]}")
     bad = restrict_orbit_full_subgroupoid(act, ("a", "c"))
     if bad.hypothesis_ok:
-        return CheckResult("restrict-orbit", False,
-                           "object set missing a fixed component passed the "
-                           "hypothesis")
+        raise _Failed("object set missing a fixed component passed the "
+                      "hypothesis")
     if bad.embedding_ok:
-        return CheckResult("restrict-orbit", False,
-                           "embedding succeeded although the hypothesis "
-                           "fails; the control case is broken")
+        raise _Failed("embedding succeeded although the hypothesis fails; "
+                      "the control case is broken")
     try:
         restrict_orbit_full_subgroupoid(act, ("a",))
     except ValueError:
         pass
     else:
-        return CheckResult("restrict-orbit", False,
-                           "a non-invariant object set was accepted")
+        raise _Failed("a non-invariant object set was accepted")
     full = restrict_orbit_full_subgroupoid(act, ("a", "b", "c"))
     if not (full.hypothesis_ok and full.embedding_ok):
-        return CheckResult("restrict-orbit", False,
-                           "restricting to everything failed")
-    return CheckResult("restrict-orbit", True,
-                       "invariant subsets embed exactly when they meet "
-                       "every fixed component")
+        raise _Failed("restricting to everything failed")
+    return ("invariant subsets embed exactly when they meet every fixed "
+            "component")
 
 
 def _data_files():
@@ -622,6 +580,7 @@ def _data_files():
                   if entry.name.endswith((".gpd", ".act", ".pres")))
 
 
+@_check("round-trip")
 def check_round_trip(max_arrows=None):
     root = resources.files("groupoids").joinpath("data")
     names = _data_files()
@@ -634,23 +593,19 @@ def check_round_trip(max_arrows=None):
         again = render_entities(
             [reparsed.entities[n] for n in reparsed.order])
         if emitted != again:
-            return CheckResult("round-trip", False,
-                               f"{fname}: emission is not byte-stable")
+            raise _Failed(f"{fname}: emission is not byte-stable")
         if reparsed.order != parsed.order:
-            return CheckResult("round-trip", False,
-                               f"{fname}: entity list changed on re-parse")
+            raise _Failed(f"{fname}: entity list changed on re-parse")
     act = dict(corpus.named_actions())["zmod4-inversion"]
     orb = orbit_groupoid(act)
     emitted = render_entities([orb.groupoid])
     reparsed = parse_text(emitted, path="<orbit>")
     back = reparsed.entities[reparsed.order[0]]
     if search_isomorphism(orb.groupoid, back) is None:
-        return CheckResult("round-trip", False,
-                           "emitted orbit groupoid is not isomorphic to "
-                           "the original")
-    return CheckResult("round-trip", True,
-                       f"{len(names)} data files and one computed orbit "
-                       f"groupoid survive the round trip")
+        raise _Failed("emitted orbit groupoid is not isomorphic to the "
+                      "original")
+    return (f"{len(names)} data files and one computed orbit groupoid "
+            f"survive the round trip")
 
 
 ALL_CHECKS = (

@@ -8,6 +8,8 @@ import sys
 from contextlib import contextmanager
 from importlib import resources
 
+import pytest
+
 from groupoids import (AbelianInvariants, GroupPresentation,
                        abelian_invariants, cli, direct_product_group, suite,
                        symmetric_square_presentation)
@@ -108,6 +110,30 @@ def test_orbit_kernel_check_needs_the_generators(monkeypatch):
     # only the identities, which misses the kernel of zmod4-inversion
     monkeypatch.setattr(suite, "orbit_kernel_generators", lambda act, **_: ())
     assert not suite.check_orbit_kernel().ok
+
+
+def test_failing_checks_report_one_fail_line(monkeypatch):
+    monkeypatch.setattr(suite, "group_isomorphic", lambda *_groups: False)
+    monkeypatch.setattr(suite, "validate_morphism", lambda _f: ["planted"])
+    lines = [check().line() for check in (
+        suite.check_tree_orbit_groups, suite.check_zmod4_inversion,
+        suite.check_first_isomorphism, suite.check_universal_property)]
+    assert lines == [
+        "FAIL tree-orbit-groups: tree-swap: orbit object group is not Z2",
+        "FAIL zmod4-inversion: orbit object group is not Z2",
+        "FAIL first-isomorphism: q0p0: object group at q0p0x0 does not "
+        "match the quotient of object groups",
+        "FAIL orbit-universal: padded candidate is not a morphism: planted"]
+
+
+def test_unexpected_errors_escape_the_checks(monkeypatch):
+    def broken(_act):
+        raise RuntimeError("broken construction")
+    monkeypatch.setattr(suite, "orbit_groupoid", broken)
+    with pytest.raises(RuntimeError, match="broken construction"):
+        suite.check_zmod4_inversion()
+    with pytest.raises(RuntimeError, match="broken construction"):
+        suite.run_all(max_arrows=4)
 
 
 def test_orbit_universal_property():

@@ -179,6 +179,19 @@ def test_equal_groups_share_one_block():
         render_entities(acts + [impostor])
 
 
+def test_actions_read_from_separate_files_share_equal_blocks():
+    acts = dict(named_actions())
+    names = ["tree-swap", "point-swap"]
+    swaps = [parse_text(render_entities([acts[name]])).get(name)
+             for name in names]
+    text = render_entities(swaps)
+    assert text == render_entities([acts[name] for name in names])
+    assert text.count("groupoid Z2-gpd\n") == 1
+    assert parse_text(text).of_kind("action") == names
+    with pytest.raises(ValueError, match="emitted as seg"):
+        render_entities(swaps + [parse_text(SEG).get("seg")])
+
+
 @pytest.mark.parametrize("family, digest", [
     (lambda: [act for _name, act in named_actions()], "4db5bcd0b7327568"),
     (random_actions, "1d1099a28c42690d"),
