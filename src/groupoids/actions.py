@@ -92,25 +92,18 @@ def validate_action(act):
     return problems
 
 
-def _orbits(act, items, image):
-    index = {v: i for i, v in enumerate(items)}
-    seen = set()
-    blocks = []
-    for x in items:
-        if x in seen:
-            continue
-        block = {x}
-        for g in act.group.elements:
-            block.add(image(g, x))
-        seen |= block
-        blocks.append(sorted(block, key=index.__getitem__))
-    return blocks
-
-
 def object_orbits(act):
     """Orbit partition of the objects, blocks ordered by first member."""
-    return _orbits(act, act.space.objects,
-                   lambda g, x: act.act_obj[(g, x)])
+    sp = act.space
+    seen = set()
+    blocks = []
+    for x in sp.objects:
+        if x in seen:
+            continue
+        block = {x} | {act.act_obj[(g, x)] for g in act.group.elements}
+        seen |= block
+        blocks.append(sorted(block, key=sp.object_index.__getitem__))
+    return blocks
 
 
 def is_free_action(act):
@@ -121,7 +114,7 @@ def is_free_action(act):
                for x in act.space.objects)
 
 
-def fixed_subgroupoid(act, elements=None, name=None):
+def fixed_subgroupoid(act, elements=None):
     """The substructure fixed by every listed group element (default: all).
 
     Returned as a plain FiniteGroupoid on the fixed objects and fixed arrows;
@@ -137,7 +130,7 @@ def fixed_subgroupoid(act, elements=None, name=None):
     arrows = tuple(a for a in sp.arrows
                    if sp.source[a] in oset and sp.target[a] in oset
                    and all(act.act_arrow[(g, a)] == a for g in elements))
-    return subgroupoid(sp, objs, arrows, name or f"{sp.name}^fix")
+    return subgroupoid(sp, objs, arrows, f"{sp.name}^fix")
 
 
 def trivial_action(group, space, name=None):
@@ -167,7 +160,7 @@ def action_from_object_map(group, space, act_obj, name="act"):
     return GroupoidAction(group, space, act_obj, act_arrow, name=name)
 
 
-def restrict_action(act, objects, name=None):
+def restrict_action(act, objects):
     """Restrict to the full subgroupoid on an invariant object subset."""
     oset = set(objects)
     for g in act.group.elements:
@@ -183,5 +176,5 @@ def restrict_action(act, objects, name=None):
     act_arrow = {(g, a): act.act_arrow[(g, a)]
                  for g in act.group.elements for a in sub.arrows}
     return GroupoidAction(act.group, sub, act_obj, act_arrow,
-                          name=name or f"{act.name}|A",
+                          name=f"{act.name}|A",
                           group_groupoid=act.group_groupoid)

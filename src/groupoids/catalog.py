@@ -1,4 +1,10 @@
-"""Stock groups and groupoids used by tests, the CLI corpus, and the docs."""
+"""Stock groups and groupoids used by tests, the CLI corpus, and the docs.
+
+Every connected finite groupoid is a tree groupoid times its object group,
+so one builder, ``bundle``, makes all the stock groupoids: a group as a
+one-object groupoid, discrete, tree and connected groupoids, each a
+choice of blocks and of arrow names.
+"""
 
 from __future__ import annotations
 
@@ -116,63 +122,66 @@ def quaternion_group(name="Q8"):
     return GroupTable(units, mul, name=name)
 
 
+def bundle(objects, blocks, arrow, name):
+    """The groupoid whose components are the blocks, each a tree groupoid
+    on its objects times its vertex group.
+
+    blocks lists (block objects, vertex group vg) pairs.  The arrows x -> y
+    of a block are arrow(x, v, y, vg) for v in vg, composed by
+    arrow(y, w, z, vg) + arrow(x, v, y, vg) = arrow(x, w*v, z, vg).
+    Identities come first, in block order, then the other arrows in
+    (block, x, v, y) order.
+    """
+    identity_of = {}
+    others = []
+    source, target, inverse, compose = {}, {}, {}, {}
+    for objs, vg in blocks:
+        e = vg.identity
+        identity_of.update((x, arrow(x, e, x, vg)) for x in objs)
+        for x in objs:
+            for v in vg.elements:
+                for y in objs:
+                    u = arrow(x, v, y, vg)
+                    source[u], target[u] = x, y
+                    inverse[u] = arrow(y, vg.inv[v], x, vg)
+                    if x != y or v != e:
+                        others.append(u)
+        for y in objs:
+            for w in vg.elements:
+                for z in objs:
+                    left = arrow(y, w, z, vg)
+                    for x in objs:
+                        for v in vg.elements:
+                            compose[(left, arrow(x, v, y, vg))] = \
+                                arrow(x, vg.prod(w, v), z, vg)
+    return FiniteGroupoid(objects, [*identity_of.values(), *others], source,
+                          target, identity_of, inverse, compose, name=name)
+
+
 def groupoid_from_group(gt, object_name="pt", name=None):
     """A group as a one-object groupoid.
 
     The identity element becomes the identity arrow id_<object>; every other
     element is the arrow of the same name.
     """
-    ident = f"id_{object_name}"
-    elem_arrow = {g: (ident if g == gt.identity else g) for g in gt.elements}
-    arrows = [ident] + [g for g in gt.elements if g != gt.identity]
-    compose = {}
-    for a in gt.elements:
-        for b in gt.elements:
-            compose[(elem_arrow[a], elem_arrow[b])] = elem_arrow[gt.prod(a, b)]
-    return FiniteGroupoid(
-        (object_name,), arrows,
-        {u: object_name for u in arrows}, {u: object_name for u in arrows},
-        {object_name: ident},
-        {elem_arrow[g]: elem_arrow[gt.inv[g]] for g in gt.elements},
-        compose, name=name or f"{gt.name}-gpd")
+    return bundle((object_name,), [((object_name,), gt)],
+                  lambda x, v, _y, vg: f"id_{x}" if v == vg.identity else v,
+                  name or f"{gt.name}-gpd")
 
 
 def discrete_groupoid(objects, name="discrete"):
     objects = tuple(objects)
-    idents = {x: f"id_{x}" for x in objects}
-    arrows = [idents[x] for x in objects]
-    return FiniteGroupoid(
-        objects, arrows,
-        {idents[x]: x for x in objects}, {idents[x]: x for x in objects},
-        idents, {idents[x]: idents[x] for x in objects},
-        {(idents[x], idents[x]): idents[x] for x in objects}, name=name)
+    one = trivial_group()
+    return bundle(objects, [((x,), one) for x in objects],
+                  lambda x, _v, _y, _vg: f"id_{x}", name)
 
 
 def tree_groupoid(objects, name="tree"):
     """The connected groupoid with exactly one arrow between any two objects."""
     objects = tuple(objects)
-
-    def arrow(x, y):
-        return f"id_{x}" if x == y else f"{x}>{y}"
-
-    arrows = [arrow(x, x) for x in objects]
-    arrows += [arrow(x, y) for x in objects for y in objects if x != y]
-    source = {}
-    target = {}
-    for x in objects:
-        for y in objects:
-            source[arrow(x, y)] = x
-            target[arrow(x, y)] = y
-    compose = {}
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                compose[(arrow(y, z), arrow(x, y))] = arrow(x, z)
-    return FiniteGroupoid(
-        objects, arrows, source, target,
-        {x: arrow(x, x) for x in objects},
-        {arrow(x, y): arrow(y, x) for x in objects for y in objects},
-        compose, name=name)
+    return bundle(objects, [(objects, trivial_group())],
+                  lambda x, _v, y, _vg: f"id_{x}" if x == y else f"{x}>{y}",
+                  name)
 
 
 def connected_arrow(x, v, y, vertex_group):
@@ -188,40 +197,8 @@ def connected_groupoid(objects, vertex_group, name=None):
     Arrows are labelled triples x:v:y; (y,w,z) + (x,v,y) = (x, w*v, z).
     """
     objects = tuple(objects)
-    vg = vertex_group
-
-    def arrow(x, v, y):
-        return connected_arrow(x, v, y, vg)
-
-    arrows = [arrow(x, vg.identity, x) for x in objects]
-    for x in objects:
-        for v in vg.elements:
-            for y in objects:
-                if x == y and v == vg.identity:
-                    continue
-                arrows.append(arrow(x, v, y))
-    source = {}
-    target = {}
-    inverse = {}
-    for x in objects:
-        for v in vg.elements:
-            for y in objects:
-                u = arrow(x, v, y)
-                source[u] = x
-                target[u] = y
-                inverse[u] = arrow(y, vg.inv[v], x)
-    compose = {}
-    for x in objects:
-        for v in vg.elements:
-            for y in objects:
-                for w in vg.elements:
-                    for z in objects:
-                        compose[(arrow(y, w, z), arrow(x, v, y))] = \
-                            arrow(x, vg.prod(w, v), z)
-    return FiniteGroupoid(
-        objects, arrows, source, target,
-        {x: arrow(x, vg.identity, x) for x in objects},
-        inverse, compose, name=name or f"{vg.name}-bundle")
+    return bundle(objects, [(objects, vertex_group)], connected_arrow,
+                  name or f"{vertex_group.name}-bundle")
 
 
 def group_isomorphic(a, b):

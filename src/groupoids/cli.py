@@ -204,6 +204,16 @@ def _listed(kind):
                           "help": f"comma separated {kind} names"}
 
 
+def _at_least_one(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 _FILE = ("file", {"help": "input definitions file"})
 _EMIT = ("--emit", {"metavar": "PATH",
                     "help": "write the result in the text format "
@@ -245,7 +255,7 @@ _VERBS = {
                (("--targets", {"metavar": "FILE",
                                "help": "groupoids file for the universal "
                                        "property targets"}),
-                ("--max-arrows", {"type": int,
+                ("--max-arrows", {"type": _at_least_one,
                                   "help": "skip corpus instances with more "
                                           "arrows (at least 1)"}))),
 }
@@ -265,10 +275,7 @@ def _parser():
 
 
 def main(argv=None):
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "max_arrows", None) is not None and args.max_arrows < 1:
-        parser.error("argument --max-arrows: must be at least 1")
+    args = _parser().parse_args(argv)
     emit_to = getattr(args, "emit", None)
     try:
         parsed = parse_input(args.file) if "file" in args else None

@@ -39,7 +39,7 @@ class SemidirectProduct:
     name_of: dict               # (arrow, group element) -> arrow name
 
 
-def semidirect_product(act, name=None):
+def semidirect_product(act):
     """The semidirect product groupoid of an action, with its projection.
 
     The projection onto the one-object groupoid of the acting group sends
@@ -49,7 +49,7 @@ def semidirect_product(act, name=None):
     if problems:
         raise ValueError(f"{act.name}: invalid action: {problems[0]}")
     G, sp = act.group, act.space
-    name = name or f"{sp.name}x{G.name}"
+    name = f"{sp.name}x{G.name}"
 
     name_of = {}
     order = []
@@ -103,7 +103,7 @@ def semidirect_product(act, name=None):
     return SemidirectProduct(gpd, projection, act, name_of)
 
 
-def generated_wide_subgroupoid(g, arrows, name=None):
+def generated_wide_subgroupoid(g, arrows):
     """Saturate a set of arrows with identities, inverses, and compositions."""
     current = set(g.identity_of.values())
     for u in arrows:
@@ -126,8 +126,7 @@ def generated_wide_subgroupoid(g, arrows, name=None):
                         current.add(w)
                         changed = True
     ordered = [u for u in g.arrows if u in current]
-    return WideSubgroupoid(g, ordered, normal=False,
-                           name=name or f"W{len(ordered)}")
+    return WideSubgroupoid(g, ordered, normal=False, name=f"W{len(ordered)}")
 
 
 def normal_closure(g, arrows, name=None):
@@ -259,7 +258,7 @@ def _constant_on_orbits(act, f):
             for g in G.elements for a in sp.arrows)
 
 
-def orbit_groupoid(act, name=None):
+def orbit_groupoid(act):
     """The orbit groupoid of an action, with its canonical morphism.
 
     Quotient of the semidirect product by the normal closure of the pairs
@@ -279,8 +278,7 @@ def orbit_groupoid(act, name=None):
             seen.add(label)
             relations.append(label)
     n = normal_closure(sd.groupoid, relations, name="N-orbit")
-    q = quotient_groupoid(sd.groupoid, n,
-                          name=name or f"{sp.name}//{G.name}")
+    q = quotient_groupoid(sd.groupoid, n, name=f"{sp.name}//{G.name}")
     embed = GroupoidMorphism(
         sp, sd.groupoid, {x: x for x in sp.objects},
         {a: sd.name_of[(a, G.identity)] for a in sp.arrows},

@@ -472,9 +472,9 @@ class WideSubgroupoid:
         """Loops of the subgroupoid at x, in input order."""
         return tuple(u for u in self.ambient.loops(x) if u in self.arrow_set)
 
-    def as_groupoid(self, name=None):
+    def as_groupoid(self):
         return subgroupoid(self.ambient, self.ambient.objects, self.arrows,
-                           name or self.name)
+                           self.name)
 
     def __repr__(self):
         flag = "normal" if self.normal else "wide"
@@ -499,12 +499,11 @@ def is_normal_subgroupoid(n):
     return _normal_scan(n.ambient, n.arrow_set)
 
 
-def kernel(f, name=None):
+def kernel(f):
     """Arrows sent to identities; returned as a verified normal subgroupoid."""
     arrows = [u for u in f.dom.arrows
               if f.cod.is_identity_arrow(f.arrow_map[u])]
-    return WideSubgroupoid(f.dom, arrows, normal=True,
-                           name=name or f"Ker({f.name})")
+    return WideSubgroupoid(f.dom, arrows, normal=True, name=f"Ker({f.name})")
 
 
 def is_quotient_morphism(f):

@@ -4,9 +4,9 @@ Random instances are drawn from seeded generators, so every run sees the
 same corpus.  Actions are assembled from coset spaces of small groups: the
 objects of each piece form one orbit, and a choice of intermediate subgroup
 groups the objects into invariant connected components.  Each component is
-a ``connected_groupoid`` block with a chosen vertex group, the blocks are
-joined with ``disjoint_union``, and a group element sends the arrow x:v:y
-to gx:v:gy, or to gx:v^-1:gy where a sign character is -1.
+a tree on its objects times a chosen vertex group, one ``catalog.bundle``
+call builds the space from all of them, and a group element sends the
+arrow x:v:y to gx:v:gy, or to gx:v^-1:gy where a sign character is -1.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from __future__ import annotations
 import random
 
 from .actions import GroupoidAction, action_from_object_map, trivial_action
-from .catalog import (connected_arrow, connected_groupoid, cyclic_group,
-                      discrete_groupoid, groupoid_from_group, klein_group,
-                      symmetric_group, tree_groupoid, trivial_group)
-from .core import FiniteGroupoid, disjoint_union, subgroup_closure
+from .catalog import (bundle, connected_arrow, connected_groupoid,
+                      cyclic_group, discrete_groupoid, groupoid_from_group,
+                      klein_group, symmetric_group, tree_groupoid,
+                      trivial_group)
+from .core import disjoint_union, subgroup_closure
 from .presented import DirectedGraph, GraphAction
 
 
@@ -213,7 +214,7 @@ class _ActionBuilder:
         G = self.group
         objects = []
         move = {}            # (g, object) -> object
-        blocks = []          # (connected block, vertex group, chi or None)
+        blocks = []          # (block objects, vertex group, chi or None)
         for pi, (h, k, vg, chi) in enumerate(self.pieces):
             cosets = _coset_blocks(G, h)
             label = {c: f"p{pi}o{ci}" for ci, c in enumerate(cosets)}
@@ -225,25 +226,17 @@ class _ActionBuilder:
                 members.setdefault(kblock_of[c[0]], []).append(label[c])
                 for g in G.elements:
                     move[(g, label[c])] = label[coset_of[G.prod(g, c[0])]]
-            blocks += [(connected_groupoid(objs, vg), vg, chi)
-                       for objs in members.values()]
-
-        union = blocks[0][0]
-        for block, _vg, _chi in blocks[1:]:
-            union = disjoint_union(union, block)
-        arrows = sorted(union.arrows,
-                        key=lambda u: not union.is_identity_arrow(u))
-        space = FiniteGroupoid(objects, arrows, union.source, union.target,
-                               union.identity_of, union.inverse_of,
-                               union.compose, name=f"{name}-space")
+            blocks += [(objs, vg, chi) for objs in members.values()]
+        space = bundle(objects, [(objs, vg) for objs, vg, _chi in blocks],
+                       connected_arrow, f"{name}-space")
 
         act_arrow = {}
         for g in G.elements:
-            for block, vg, chi in blocks:
+            for objs, vg, chi in blocks:
                 flip = chi is not None and chi[g] == -1
-                for x in block.objects:
+                for x in objs:
                     for v in vg.elements:
-                        for y in block.objects:
+                        for y in objs:
                             act_arrow[(g, connected_arrow(x, v, y, vg))] = \
                                 connected_arrow(move[(g, x)],
                                                 vg.inv[v] if flip else v,

@@ -111,14 +111,6 @@ class UniversalPropertyReport:
     def ok(self):
         return all(e == 0 and u == 0 for (_n, _c, e, u) in self.entries)
 
-    def lines(self):
-        out = []
-        for (tname, count, missing, extra) in self.entries:
-            status = "ok" if missing == 0 and extra == 0 else (
-                f"{missing} without factorization, {extra} with several")
-            out.append(f"target {tname}: {count} invariant morphisms, {status}")
-        return out
-
 
 def check_universal_property(act, candidate, targets):
     """Verify the candidate factors invariant morphisms uniquely.
@@ -262,10 +254,10 @@ def group_normal_closure(gt, elements):
     return tuple(x for x in gt.elements if x in current)
 
 
-def finite_quotient(gt, elements, name=None):
+def finite_quotient(gt, elements):
     """Quotient of a group by the normal closure of the given elements."""
     members = group_normal_closure(gt, elements)
-    return quotient_group(gt, members, name=name or f"{gt.name}/<<S>>")
+    return quotient_group(gt, members, name=f"{gt.name}/<<S>>")
 
 
 def _factor(n):

@@ -38,13 +38,14 @@ class DirectedGraph:
         self.source = dict(source)
         self.target = dict(target)
         self.name = name
-        if len(set(self.vertices)) != len(self.vertices):
+        vertex_set = set(self.vertices)
+        if len(vertex_set) != len(self.vertices):
             raise ValueError(f"{name}: duplicate vertex names")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError(f"{name}: duplicate edge names")
         for e in self.edges:
-            if self.source[e] not in set(self.vertices) or \
-                    self.target[e] not in set(self.vertices):
+            if self.source[e] not in vertex_set or \
+                    self.target[e] not in vertex_set:
                 raise ValueError(f"{name}: edge {e} has an unknown endpoint")
 
     def word(self, tokens):
@@ -221,7 +222,7 @@ def vertex_orbit_map(act):
     return label
 
 
-def orbit_presentation(act, name=None):
+def orbit_presentation(act):
     """Presentation of the quotient graph with relators for inverted orbits.
 
     Vertices and edges are orbit classes named "[rep]".  An edge orbit is
@@ -260,16 +261,15 @@ def orbit_presentation(act, name=None):
         rep = label[1:-1]
         source[label] = vlabel[gr.source[rep]]
         target[label] = vlabel[gr.target[rep]]
-    qgraph = DirectedGraph(vclasses, eclasses, source, target,
-                           name=name or f"{gr.name}-orbits")
+    name = f"{gr.name}-orbits"
+    qgraph = DirectedGraph(vclasses, eclasses, source, target, name=name)
     relators = []
     for label in inverted:
         # an inverted class must be a loop class in the quotient
         assert source[label] == target[label]
         relators.append(Word(((label, 1), (label, 1)),
                              source[label], source[label]))
-    return PresentedGroupoid(qgraph, relators,
-                             name=name or f"{gr.name}-orbits"), elabel, vlabel
+    return PresentedGroupoid(qgraph, relators, name=name), elabel, vlabel
 
 
 def _tree_walk(graph, root):
@@ -299,7 +299,7 @@ def _tree_walk(graph, root):
     return tree, word_to_root
 
 
-def vertex_group_presentation(pres, vertex, name=None):
+def vertex_group_presentation(pres, vertex):
     """Presentation of the vertex group of a presented groupoid.
 
     Generators are the non-tree edges of the vertex's component; each
@@ -328,10 +328,10 @@ def vertex_group_presentation(pres, vertex, name=None):
         if reduced.letters:
             relators.append(tuple(reduced.letters))
     return GroupPresentation(generators, relators,
-                             name=name or f"{pres.name}@{vertex}")
+                             name=f"{pres.name}@{vertex}")
 
 
-def direct_product_presentation(p1, p2, name=None):
+def direct_product_presentation(p1, p2):
     """Presentation of a direct product: disjoint generators suffixed _1 and
     _2, both relator sets, plus commutators of cross pairs."""
     gens = [f"{g}_1" for g in p1.generators] + \
@@ -345,11 +345,10 @@ def direct_product_presentation(p1, p2, name=None):
         for b in p2.generators:
             relators.append(((f"{a}_1", 1), (f"{b}_2", 1),
                              (f"{a}_1", -1), (f"{b}_2", -1)))
-    return GroupPresentation(gens, relators,
-                             name=name or f"{p1.name}x{p2.name}")
+    return GroupPresentation(gens, relators, name=f"{p1.name}x{p2.name}")
 
 
-def symmetric_square_presentation(pres, name=None):
+def symmetric_square_presentation(pres):
     """Presentation of the symmetric square: the direct product of two copies
     with the swapped coordinates identified (g_1 = g_2 for every generator)."""
     square = direct_product_presentation(pres, pres)
@@ -357,7 +356,7 @@ def symmetric_square_presentation(pres, name=None):
     for g in pres.generators:
         relators.append(((f"{g}_1", 1), (f"{g}_2", -1)))
     return GroupPresentation(square.generators, relators,
-                             name=name or f"{pres.name}-sym2")
+                             name=f"{pres.name}-sym2")
 
 
 def presentation_relation_matrix(pres):

@@ -245,7 +245,7 @@ def test_emit_to_file_reparses(tmp_path, capsys):
     assert parsed.of_kind("morphism") == ["proj-segxZ2-gpd"]
 
 
-def test_verify_verb(tmp_path, capsys):
+def test_verify_verb(tmp_path, capsys, monkeypatch):
     targets = tmp_path / "targets.gpd"
     targets.write_text(render_entities(
         [groupoid_from_group(cyclic_group(2), name="t-z2")]),
@@ -257,13 +257,18 @@ def test_verify_verb(tmp_path, capsys):
     assert len(lines) >= 10
     assert all(line.startswith("PASS") for line in lines)
 
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to fit
     for bad in ("0", "-1"):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["verify", "--max-arrows", bad])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert "--max-arrows: must be at least 1" in captured.err
+        assert captured.err.startswith(
+            "usage: groupoids verify [-h] [--targets FILE] "
+            "[--max-arrows MAX_ARROWS]\n")
+        assert "\ngroupoids verify: error: argument --max-arrows: " \
+            "must be at least 1\n" in captured.err
 
     empty = tmp_path / "none.pres"
     empty.write_text("presentation p\ngenerators a\n", encoding="utf-8")

@@ -3,9 +3,11 @@ import hashlib
 import pytest
 
 from groupoids import (DirectedGraph, GroupPresentation, ParseError,
-                       PresentedGroupoid, cyclic_group, discrete_groupoid,
-                       parse_input, parse_text, render_entities,
-                       search_isomorphism, trivial_action, validate_groupoid)
+                       PresentedGroupoid, connected_groupoid, cyclic_group,
+                       discrete_groupoid, groupoid_from_group, parse_input,
+                       parse_text, quaternion_group, render_entities,
+                       search_isomorphism, symmetric_group, tree_groupoid,
+                       trivial_action, validate_groupoid)
 from groupoids.corpus import (named_actions, named_graph_actions,
                               random_actions, random_orbit_instances,
                               random_quotient_instances)
@@ -198,7 +200,16 @@ def test_actions_read_from_separate_files_share_equal_blocks():
     (random_orbit_instances, "099619548939e42e"),
     (lambda: [k for k, _gens in random_quotient_instances()],
      "1eaecda7735c2f54"),
-], ids=["named", "random", "random-orbit", "random-quotient"])
+    (lambda: [groupoid_from_group(cyclic_group(4)),
+              groupoid_from_group(symmetric_group(3)),
+              groupoid_from_group(quaternion_group(), object_name="q")],
+     "4d71a8cce986f55a"),
+    (lambda: [discrete_groupoid(("p", "q", "r"))], "c2d59525ca3bde62"),
+    (lambda: [tree_groupoid(("a", "b", "c"))], "7f6c62c8181ce316"),
+    (lambda: [connected_groupoid(("x", "y", "z"), cyclic_group(3))],
+     "43329e76f5cecc4f"),
+], ids=["named", "random", "random-orbit", "random-quotient", "one-object",
+        "discrete", "tree", "connected"])
 def test_corpus_emission_is_pinned(family, digest):
     text = render_entities(family())
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -116,7 +116,6 @@ def test_universal_property_of_an_orbit_morphism():
     report = oracle.check_universal_property(act, orb.morphism, targets)
     assert report.ok
     assert [n for (n, _c, _m, _e) in report.entries] == ["one", "two"]
-    assert all("ok" in line for line in report.lines())
 
 
 def _identity(g):
