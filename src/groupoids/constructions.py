@@ -103,50 +103,48 @@ def semidirect_product(act):
     return SemidirectProduct(gpd, projection, act, name_of)
 
 
-def generated_wide_subgroupoid(g, arrows):
-    """Saturate a set of arrows with identities, inverses, and compositions."""
-    current = set(g.identity_of.values())
+def _saturate(g, arrows, normal):
+    """Arrow set of the least wide (normal, if normal) subgroupoid of g
+    containing arrows.  An arrow that joins brings its inverse, its
+    composites with the members already found at each end, and, if normal
+    and it is a loop at x, its conjugates by star(g, x): every composable
+    pair is composed when its later arrow joins, so the set is closed."""
+    work = list(g.identity_of.values())
     for u in arrows:
         if u not in g.arrow_index:
             raise ValueError(f"{g.name}: unknown arrow {u}")
-        current.add(u)
-    changed = True
-    while changed:
-        changed = False
-        for u in list(current):
-            v = g.inverse_of[u]
-            if v not in current:
-                current.add(v)
-                changed = True
-        for v in list(current):
-            for u in list(current):
-                if g.target[u] == g.source[v]:
-                    w = g.compose[(v, u)]
-                    if w not in current:
-                        current.add(w)
-                        changed = True
-    ordered = [u for u in g.arrows if u in current]
-    return WideSubgroupoid(g, ordered, normal=False, name=f"W{len(ordered)}")
+        work.append(u)
+    members, into, out = set(), {}, {}     # object -> members ending/starting
+    while work:
+        u = work.pop()
+        if u in members:
+            continue
+        members.add(u)
+        x, y = g.source[u], g.target[u]
+        into.setdefault(y, []).append(u)
+        out.setdefault(x, []).append(u)
+        work.append(g.inverse_of[u])
+        work.extend(g.compose[(u, w)] for w in into.get(x, ()))
+        work.extend(g.compose[(v, u)] for v in out.get(y, ()))
+        if normal and x == y:
+            work.extend(g.compose[(g.compose[(k, u)], g.inverse_of[k])]
+                        for k in star(g, x))
+    return members
+
+
+def generated_wide_subgroupoid(g, arrows):
+    """Saturate a set of arrows with identities, inverses, and compositions."""
+    members = _saturate(g, arrows, normal=False)
+    return WideSubgroupoid(g, members, name=f"W{len(members)}")
 
 
 def normal_closure(g, arrows, name=None):
-    """Smallest normal wide subgroupoid containing the given arrows.
-
-    Built as the subgroupoid generated by the plain closure of the arrows
-    together with all conjugates of its loops; a single conjugation round
-    suffices, and the WideSubgroupoid constructor checks the result normal.
-    """
-    first = generated_wide_subgroupoid(g, arrows)
-    conjugates = []
-    for h in first.arrows:
-        x = g.source[h]
-        if g.target[h] != x:
-            continue
-        for k in star(g, x):
-            conjugates.append(g.compose[(g.compose[(k, h)], g.inverse_of[k])])
-    closed = generated_wide_subgroupoid(g, list(first.arrows) + conjugates)
-    return WideSubgroupoid(g, closed.arrows, normal=True,
-                           name=name or f"N{len(closed.arrows)}")
+    """Smallest normal wide subgroupoid containing the given arrows: one
+    saturation that also adds conjugates of loops, checked normal by the
+    WideSubgroupoid constructor."""
+    members = _saturate(g, arrows, normal=True)
+    return WideSubgroupoid(g, members, normal=True,
+                           name=name or f"N{len(members)}")
 
 
 @dataclass
@@ -181,11 +179,6 @@ def quotient_groupoid(k, n, name=None):
             obj_class[x] = label
 
     # arrow classes: [a] = { m + a + n' : m, n' in n }
-    by_source = {}
-    by_target = {}
-    for u in n.arrows:
-        by_source.setdefault(k.source[u], []).append(u)
-        by_target.setdefault(k.target[u], []).append(u)
     arrow_class = {}
     # classes are disjoint, so the first arrow of a class in input order is
     # the one that opens it; it represents the class
@@ -193,11 +186,9 @@ def quotient_groupoid(k, n, name=None):
     for a in k.arrows:
         if a in arrow_class:
             continue
-        members = set()
-        for nn in by_target.get(k.source[a], ()):
-            mid = k.compose[(a, nn)]
-            for m in by_source.get(k.target[a], ()):
-                members.add(k.compose[(m, mid)])
+        members = {k.compose[(m, k.compose[(a, nn)])]
+                   for nn in n.costar(k.source[a])
+                   for m in n.star(k.target[a])}
         is_identity_class = any(k.is_identity_arrow(u) for u in members)
         label = (f"id_{obj_class[k.source[a]]}"
                  if is_identity_class else f"[{a}]")
@@ -224,8 +215,7 @@ def quotient_groupoid(k, n, name=None):
                 continue
             k2 = rep_of[v]
             k1 = rep_of[u]
-            link = next(l for l in k.hom(k.target[k1], k.source[k2])
-                        if n.contains(l))
+            link = n.hom(k.target[k1], k.source[k2])[0]
             compose[(v, u)] = arrow_class[
                 k.compose[(k.compose[(k2, link)], k1)]]
 

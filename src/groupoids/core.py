@@ -48,14 +48,8 @@ class FiniteGroupoid:
         if len(self.arrow_index) != len(self.arrows):
             raise ValueError(f"{name}: duplicate arrow names")
         self._identities = set(self.identity_of.values())
-        self._hom = {}
-        self._star = {}
-        self._costar = {}
-        for u in self.arrows:
-            key = (self.source.get(u), self.target.get(u))
-            self._hom.setdefault(key, []).append(u)
-            self._star.setdefault(key[0], []).append(u)
-            self._costar.setdefault(key[1], []).append(u)
+        self._hom, self._star, self._costar = \
+            _index(self.arrows, self.source, self.target)
 
     def is_identity_arrow(self, u):
         return u in self._identities
@@ -74,6 +68,17 @@ class FiniteGroupoid:
     def __repr__(self):
         return (f"FiniteGroupoid({self.name!r}, {len(self.objects)} objects, "
                 f"{len(self.arrows)} arrows)")
+
+
+def _index(arrows, source, target):
+    """Arrows by (source, target), by source and by target, in given order."""
+    hom, out, into = {}, {}, {}
+    for u in arrows:
+        key = (source.get(u), target.get(u))
+        hom.setdefault(key, []).append(u)
+        out.setdefault(key[0], []).append(u)
+        into.setdefault(key[1], []).append(u)
+    return hom, out, into
 
 
 def star(g, x):
@@ -436,41 +441,57 @@ def compose_morphisms(outer, inner, name=None):
 class WideSubgroupoid:
     """A wide subgroupoid of an ambient groupoid, stored as an arrow subset.
 
-    Contains every identity and is closed under inverse and composition; the
-    constructor verifies this, and verifies normality when the flag is set.
+    Its arrows keep ambient order, and hom, star and costar read an index
+    of them built once.  The constructor verifies that they contain every
+    identity and are closed under inverse and composition, and verifies
+    normality when the flag is set; a failure names the first offending
+    arrow or pair in ambient order.
     """
 
     def __init__(self, ambient, arrows, normal=False, name=None):
         self.ambient = ambient
         self.name = name or f"{ambient.name}-sub"
-        aset = set(arrows)
-        missing = [u for u in aset if u not in ambient.arrow_index]
+        given = dict.fromkeys(arrows)
+        missing = [u for u in given if u not in ambient.arrow_index]
         if missing:
             raise ValueError(f"{self.name}: unknown arrows {missing}")
-        for x in ambient.objects:
-            aset.add(ambient.identity_of[x])
-        for u in list(aset):
-            if ambient.inverse_of[u] not in aset:
-                raise ValueError(f"{self.name}: not closed under inverse at {u}")
-        for v in aset:
-            for u in aset:
-                if ambient.target[u] == ambient.source[v]:
-                    if ambient.compose[(v, u)] not in aset:
-                        raise ValueError(
-                            f"{self.name}: not closed under composition "
-                            f"at ({v}, {u})")
+        aset = set(given)
+        aset.update(ambient.identity_of[x] for x in ambient.objects)
         self.arrows = tuple(u for u in ambient.arrows if u in aset)
         self.arrow_set = aset
+        self._hom, self._star, self._costar = \
+            _index(self.arrows, ambient.source, ambient.target)
+        for u in self.arrows:
+            if ambient.inverse_of[u] not in aset:
+                raise ValueError(f"{self.name}: not closed under inverse at {u}")
+        for v in self.arrows:
+            for u in self.costar(ambient.source[v]):
+                if ambient.compose[(v, u)] not in aset:
+                    raise ValueError(
+                        f"{self.name}: not closed under composition "
+                        f"at ({v}, {u})")
         self.normal = bool(normal)
-        if self.normal and not _normal_scan(ambient, aset):
+        if self.normal and not is_normal_subgroupoid(self):
             raise ValueError(f"{self.name}: claimed normal but is not")
 
     def contains(self, u):
         return u in self.arrow_set
 
+    def hom(self, x, y):
+        """Arrows x -> y of the subgroupoid, in ambient order."""
+        return tuple(self._hom.get((x, y), ()))
+
+    def star(self, x):
+        """Arrows of the subgroupoid with source x, in ambient order."""
+        return tuple(self._star.get(x, ()))
+
+    def costar(self, x):
+        """Arrows of the subgroupoid with target x, in ambient order."""
+        return tuple(self._costar.get(x, ()))
+
     def at(self, x):
-        """Loops of the subgroupoid at x, in input order."""
-        return tuple(u for u in self.ambient.loops(x) if u in self.arrow_set)
+        """Loops of the subgroupoid at x, in ambient order."""
+        return self.hom(x, x)
 
     def as_groupoid(self):
         return subgroupoid(self.ambient, self.ambient.objects, self.arrows,
@@ -481,22 +502,11 @@ class WideSubgroupoid:
         return f"WideSubgroupoid({self.name!r}, {len(self.arrows)} arrows, {flag})"
 
 
-def _normal_scan(g, arrow_set):
-    loops_at = {}
-    for h in g.arrows:
-        if h in arrow_set and g.source[h] == g.target[h]:
-            loops_at.setdefault(g.source[h], []).append(h)
-    for a in g.arrows:
-        for h in loops_at.get(g.source[a], ()):
-            conj = g.compose[(g.compose[(a, h)], g.inverse_of[a])]
-            if conj not in arrow_set:
-                return False
-    return True
-
-
 def is_normal_subgroupoid(n):
     """Conjugation-stability of a wide subgroupoid by every ambient arrow."""
-    return _normal_scan(n.ambient, n.arrow_set)
+    g = n.ambient
+    return all(g.compose[(g.compose[(a, h)], g.inverse_of[a])] in n.arrow_set
+               for a in g.arrows for h in n.at(g.source[a]))
 
 
 def kernel(f):

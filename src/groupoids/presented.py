@@ -208,20 +208,6 @@ def validate_graph_action(act):
     return problems
 
 
-def vertex_orbit_map(act):
-    """Map each vertex to its orbit name "[rep]", rep first in input order."""
-    gr = act.graph
-    label = {}
-    for v in gr.vertices:
-        if v in label:
-            continue
-        block = {act.act_vertex[(g, v)] for g in act.group.elements}
-        for w in gr.vertices:
-            if w in block:
-                label[w] = f"[{v}]"
-    return label
-
-
 def orbit_presentation(act):
     """Presentation of the quotient graph with relators for inverted orbits.
 
@@ -234,33 +220,33 @@ def orbit_presentation(act):
     if problems:
         raise ValueError(f"{act.name}: invalid graph action: {problems[0]}")
     gr = act.graph
-    vlabel = vertex_orbit_map(act)
+    # the action is valid, so the orbit of v or e is its image under each g;
+    # each class is named "[rep]", rep its first member in input order
+    vlabel = {}
     vclasses = []
     for v in gr.vertices:
-        if vlabel[v] == f"[{v}]" and vlabel[v] not in vclasses:
-            vclasses.append(vlabel[v])
+        if v not in vlabel:
+            vclasses.append(f"[{v}]")
+            for g in act.group.elements:
+                vlabel.setdefault(act.act_vertex[(g, v)], f"[{v}]")
 
     elabel = {}
     eclasses = []
     inverted = []
+    source = {}
+    target = {}
     for e in gr.edges:
         if e in elabel:
             continue
-        # the action is valid, so the orbit of e is its image under each g
-        signed = {act.edge_image(g, e) for g in act.group.elements}
+        signed = [act.edge_image(g, e) for g in act.group.elements]
         label = f"[{e}]"
         for (f, _s) in signed:
             elabel.setdefault(f, label)
         eclasses.append(label)
+        source[label] = vlabel[gr.source[e]]
+        target[label] = vlabel[gr.target[e]]
         if (e, -1) in signed:
             inverted.append(label)
-
-    source = {}
-    target = {}
-    for label in eclasses:
-        rep = label[1:-1]
-        source[label] = vlabel[gr.source[rep]]
-        target[label] = vlabel[gr.target[rep]]
     name = f"{gr.name}-orbits"
     qgraph = DirectedGraph(vclasses, eclasses, source, target, name=name)
     relators = []
@@ -417,23 +403,9 @@ def smith_normal_form(matrix):
                         for row in m:
                             row[top], row[j] = row[j], row[top]
                         dirty = True
-            if not dirty:
-                # pivot must divide the rest of the block
-                culprit = None
-                for i in range(top + 1, rows):
-                    for j in range(top + 1, cols):
-                        if m[i][j] % m[top][top] != 0:
-                            culprit = i
-                            break
-                    if culprit is not None:
-                        break
-                if culprit is not None:
-                    for j in range(top, cols):
-                        m[top][j] += m[culprit][j]
-                    dirty = True
         diag.append(abs(m[top][top]))
         top += 1
-    # normalize the divisibility chain
+    # gcd/lcm sweeps turn the diagonal into the divisibility chain
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             a, b = diag[i], diag[j]

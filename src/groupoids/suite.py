@@ -71,6 +71,11 @@ def _actions(max_arrows):
     return acts
 
 
+def _quotient_instances(max_arrows):
+    return [(k, gens) for (k, gens) in corpus.random_quotient_instances()
+            if max_arrows is None or len(k.arrows) <= max_arrows]
+
+
 def _orbit_actions(max_arrows):
     cap = MAX_SOURCE_ARROWS if max_arrows is None \
         else min(max_arrows, MAX_SOURCE_ARROWS)
@@ -89,7 +94,7 @@ def check_corpus_valid(max_arrows=None):
         if problems:
             raise _Failed(f"{act.name}: {problems[0]}")
         count += 1
-    for (k, _gens) in corpus.random_quotient_instances():
+    for (k, _gens) in _quotient_instances(max_arrows):
         problems = validate_groupoid(k)
         if problems:
             raise _Failed(f"{k.name}: {problems[0]}")
@@ -183,24 +188,19 @@ def check_trichotomy(max_arrows=None):
 @_check("first-isomorphism")
 def check_first_isomorphism(max_arrows=None):
     checked = 0
-    for (k, gens) in corpus.random_quotient_instances():
-        if max_arrows is not None and len(k.arrows) > max_arrows:
-            continue
+    for (k, gens) in _quotient_instances(max_arrows):
         n = normal_closure(k, gens)
         quot = quotient_groupoid(k, n, name=f"{k.name}-mod")
         f = quot.morphism
         if set(kernel(f).arrows) != set(n.arrows):
             raise _Failed(f"{k.name}: kernel differs from the normal closure")
-        by_st = {}
-        for u in n.arrows:
-            by_st.setdefault((k.source[u], k.target[u]), []).append(u)
         for a in k.arrows:
             for b in k.arrows:
                 same = f.arrow_map[a] == f.arrow_map[b]
                 related = any(
                     k.compose[(m, k.compose[(a, nn)])] == b
-                    for nn in by_st.get((k.source[b], k.source[a]), ())
-                    for m in by_st.get((k.target[a], k.target[b]), ()))
+                    for nn in n.hom(k.source[b], k.source[a])
+                    for m in n.hom(k.target[a], k.target[b]))
                 if same != related:
                     raise _Failed(
                         f"{k.name}: images of {a} and {b} "

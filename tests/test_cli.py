@@ -7,7 +7,8 @@ import pytest
 
 from groupoids import cli, cyclic_group, groupoid_from_group, parse_text
 from groupoids import render_entities
-from groupoids.corpus import named_actions
+from groupoids.corpus import (named_actions, random_actions,
+                              random_quotient_instances)
 
 
 def _data(name):
@@ -256,6 +257,12 @@ def test_verify_verb(tmp_path, capsys, monkeypatch):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) >= 10
     assert all(line.startswith("PASS") for line in lines)
+    # the cap applies to every corpus, the quotient instances included
+    spaces = [act.space for _name, act in named_actions()]
+    spaces += [act.space for act in random_actions()]
+    spaces += [k for (k, _gens) in random_quotient_instances()]
+    small = sum(len(g.arrows) <= 8 for g in spaces)
+    assert lines[0] == f"PASS corpus-valid: {small} corpus instances validate"
 
     monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to fit
     for bad in ("0", "-1"):

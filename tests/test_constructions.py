@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from groupoids import (GroupoidMorphism, action_from_object_map,
-                       cyclic_group, generated_wide_subgroupoid,
+                       connected_groupoid, cyclic_group,
+                       generated_wide_subgroupoid,
                        group_isomorphic, groupoid_from_group, is_covering,
-                       is_fibration, is_quotient_morphism, kernel,
+                       is_fibration, is_quotient_morphism, kernel, klein_group,
                        normal_closure, object_group, orbit_groupoid,
                        orbit_kernel_generators, quotient_groupoid,
                        regular_cover_orbit_check,
@@ -11,7 +14,9 @@ from groupoids import (GroupoidMorphism, action_from_object_map,
                        symmetric_group, tree_groupoid, tree_orbit_group,
                        trivial_action, trivial_group, validate_groupoid,
                        validate_morphism)
-from groupoids.corpus import named_actions
+from groupoids.corpus import (named_actions, random_actions,
+                              random_orbit_instances,
+                              random_quotient_instances)
 
 
 def _named(name):
@@ -68,6 +73,61 @@ def test_normal_closure_in_a_group():
     assert set(n.arrows) == {"id_pt", "(012)", "(021)"}
     n = normal_closure(s3, [])
     assert n.arrows == ("id_pt",)
+
+
+def _fixpoint_closure(g, arrows):
+    """Reference closure: add inverses and the composites of every pair of
+    members, rescanning until a round adds nothing."""
+    current = set(g.identity_of.values()) | set(arrows)
+    changed = True
+    while changed:
+        changed = False
+        for u in list(current):
+            if g.inverse_of[u] not in current:
+                current.add(g.inverse_of[u])
+                changed = True
+        for v in list(current):
+            for u in list(current):
+                if g.target[u] == g.source[v] and \
+                        g.compose[(v, u)] not in current:
+                    current.add(g.compose[(v, u)])
+                    changed = True
+    return current
+
+
+def _fixpoint_normal_closure(g, arrows):
+    """Reference normal closure: the closure of the closure and every
+    conjugate of its loops."""
+    first = _fixpoint_closure(g, arrows)
+    conjugates = {g.compose[(g.compose[(k, h)], g.inverse_of[k])]
+                  for h in first if g.source[h] == g.target[h]
+                  for k in g.arrows if g.source[k] == g.source[h]}
+    return _fixpoint_closure(g, first | conjugates)
+
+
+def _closure_instances():
+    named = [act for _name, act in named_actions()]
+    orbit = random_orbit_instances()
+    spaces = [act.space for act in named + random_actions() + orbit]
+    spaces += [k for (k, _gens) in random_quotient_instances()]
+    spaces += [semidirect_product(act).groupoid for act in named + orbit]
+    spaces += [connected_groupoid(("a", "b", "c"), group)
+               for group in (cyclic_group(4), symmetric_group(3),
+                             klein_group())]
+    return spaces
+
+
+def test_closures_match_the_fixpoint_reference():
+    rng = random.Random(10)
+    for g in _closure_instances():
+        for size in (0, 1, 1, 2, 3):
+            gens = rng.sample(g.arrows, min(size, len(g.arrows)))
+            for built, reference in (
+                    (generated_wide_subgroupoid, _fixpoint_closure),
+                    (normal_closure, _fixpoint_normal_closure)):
+                want = reference(g, gens)
+                assert built(g, gens).arrows == \
+                    tuple(u for u in g.arrows if u in want), (g.name, gens)
 
 
 def test_quotient_groupoid_requires_normal():

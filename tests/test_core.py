@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groupoids
 from groupoids import (FiniteGroupoid, GroupoidMorphism, SizeCapError,
                        WideSubgroupoid, components, compose_morphisms,
                        connected_groupoid, cyclic_group,
@@ -205,6 +210,20 @@ def test_wide_subgroupoid_basics():
     assert validate_groupoid(w.as_groupoid()) == []
 
 
+_WIDE_FAILURES = """
+from groupoids import (WideSubgroupoid, cyclic_group, groupoid_from_group,
+                       symmetric_group)
+s3 = groupoid_from_group(symmetric_group(3))
+z5 = groupoid_from_group(cyclic_group(5))
+for g, arrows in ((s3, ("(01)", "(02)", "(12)")), (z5, ("1", "2")),
+                  (z5, ("q", "1", "p", "q"))):
+    try:
+        WideSubgroupoid(g, arrows)
+    except ValueError as err:
+        print(err)
+"""
+
+
 def test_wide_subgroupoid_closure_checks():
     z4 = groupoid_from_group(cyclic_group(4))
     with pytest.raises(ValueError):
@@ -214,6 +233,19 @@ def test_wide_subgroupoid_closure_checks():
         WideSubgroupoid(s3, ("(01)", "(02)"))   # product escapes
     with pytest.raises(ValueError):
         WideSubgroupoid(s3, ("(01)",), normal=True)
+
+    # the message names the first failure in ambient order, and unknown
+    # arrows in the order given, whatever the hash seed
+    src = str(Path(groupoids.__file__).resolve().parents[1])
+    outputs = {subprocess.run(
+        [sys.executable, "-c", _WIDE_FAILURES], capture_output=True,
+        text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+    ).stdout for seed in range(1, 6)}
+    assert outputs == {
+        "S3-gpd-sub: not closed under composition at ((12), (01))\n"
+        "Z5-gpd-sub: not closed under inverse at 1\n"
+        "Z5-gpd-sub: unknown arrows ['q', 'p']\n"}
 
 
 def test_compose_and_identity_morphisms():

@@ -1,3 +1,7 @@
+import random
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from groupoids import (AbelianInvariants, DirectedGraph, GraphAction,
@@ -164,6 +168,41 @@ def test_smith_normal_form():
     assert smith_normal_form([[2, 2], [2, 2]]) == [2]
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([]) == []
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:]
+                                           for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _invariant_factors(m):
+    """d_k / d_(k-1) for the determinantal divisors d_k, the gcd of the k x k
+    minors, while d_k is nonzero."""
+    factors, previous = [], 1
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        d = 0
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                d = gcd(d, _det([[m[i][j] for j in cols] for i in rows]))
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return factors
+
+
+def test_smith_normal_form_matches_determinantal_divisors():
+    rng = random.Random(20261018)
+    for _ in range(600):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        bound = rng.choice((1, 3, 9))
+        m = [[rng.randint(-bound, bound) for _ in range(cols)]
+             for _ in range(rows)]
+        assert smith_normal_form(m) == _invariant_factors(m), m
 
 
 def test_abelian_invariants_from_relators():
