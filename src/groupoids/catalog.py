@@ -202,7 +202,12 @@ def connected_groupoid(objects, vertex_group, name=None):
 
 
 def group_isomorphic(a, b):
-    """Group-table isomorphism via search on the one-object groupoids."""
+    """Group-table isomorphism via search on the one-object groupoids.
+
+    Order, commutativity and element orders are compared first.  Groups
+    they do not tell apart go to search_isomorphism, so above 64 elements
+    (ISO_ARROW_CAP arrows) this raises SizeCapError.
+    """
     if a.order != b.order:
         return False
     if is_abelian_group(a) != is_abelian_group(b):

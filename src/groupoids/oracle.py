@@ -1,14 +1,17 @@
 """Brute-force verifiers used to cross-check the constructions.
 
 Everything here recomputes from first principles: morphism enumeration by
-backtracking, subgroupoid lattices by breadth-first generation, quotients by
-conjugation saturation, and abelian invariants by counting element orders.
-None of it calls the construction code it is meant to check.
+backtracking, abelian invariants by counting element orders, and every
+closure (wide subgroupoids, normal closures of subgroups, the derived
+subgroup) by one naive fixpoint, _fixpoint, that repeats whole passes of a
+rule until a pass adds nothing.  None of it calls the construction code it
+is meant to check.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (GroupoidMorphism, SizeCapError, is_abelian_group,
@@ -34,7 +37,10 @@ def enumerate_morphisms(dom, cod):
             f"morphism enumeration capped at {MAX_TARGET_ARROWS} target arrows")
 
     non_identity = [u for u in dom.arrows if not dom.is_identity_arrow(u)]
-    triples = list(dom.compose.items())
+    through = {u: [] for u in dom.arrows}
+    for (v, u), w in dom.compose.items():
+        for arrow in {v, u, w}:
+            through[arrow].append((v, u, w))
 
     found = []
     for images in itertools.product(cod.objects, repeat=len(dom.objects)):
@@ -42,8 +48,10 @@ def enumerate_morphisms(dom, cod):
         arrow_map = {dom.identity_of[x]: cod.identity_of[object_map[x]]
                      for x in dom.objects}
 
-        def consistent():
-            for (v, u), w in triples:
+        def consistent(a):
+            # a triple not through a or its inverse was checked when its
+            # last arrow was assigned
+            for v, u, w in through[a] + through[dom.inverse_of[a]]:
                 fv = arrow_map.get(v)
                 fu = arrow_map.get(u)
                 fw = arrow_map.get(w)
@@ -72,7 +80,7 @@ def enumerate_morphisms(dom, cod):
                 arrow_map[a] = b
                 if partner != a:
                     arrow_map[partner] = cod.inverse_of[b]
-                if consistent():
+                if consistent(a):
                     extend(k + 1)
                 del arrow_map[a]
                 if partner != a:
@@ -128,61 +136,49 @@ def check_universal_property(act, candidate, targets):
     if not _constant_on_orbits(act, candidate):
         raise ValueError(f"{candidate.name}: not constant on orbits")
 
+    objects, arrows = act.space.objects, act.space.arrows
     entries = []
     for cod in targets:
-        factored = enumerate_morphisms(candidate.cod, cod)
-        missing = 0
-        extra = 0
+        composites = Counter(
+            (tuple(psi.object_map[candidate.object_map[x]] for x in objects),
+             tuple(psi.arrow_map[candidate.arrow_map[a]] for a in arrows))
+            for psi in enumerate_morphisms(candidate.cod, cod))
         wanted = invariant_morphisms(act, cod)
-        for f in wanted:
-            hits = 0
-            for psi in factored:
-                composed_obj = {x: psi.object_map[candidate.object_map[x]]
-                                for x in act.space.objects}
-                composed_arr = {a: psi.arrow_map[candidate.arrow_map[a]]
-                                for a in act.space.arrows}
-                if composed_obj == f.object_map and \
-                        composed_arr == f.arrow_map:
-                    hits += 1
-            if hits == 0:
-                missing += 1
-            elif hits > 1:
-                extra += 1
-        entries.append((cod.name, len(wanted), missing, extra))
+        hits = [composites[(tuple(f.object_map[x] for x in objects),
+                            tuple(f.arrow_map[a] for a in arrows))]
+                for f in wanted]
+        entries.append((cod.name, len(wanted), hits.count(0),
+                        sum(1 for h in hits if h > 1)))
     return UniversalPropertyReport(tuple(entries))
 
 
-def _closure(g, seed):
-    """Arrow set closure under identities, inverses, and composition.
+def _fixpoint(members, forced):
+    """Least superset of members to which forced(members) adds nothing.
 
-    Local to the oracle on purpose; the construction code has its own.
+    Naive on purpose, and local to the oracle: whole passes of the rule
+    until a pass adds nothing, not the construction code's worklist.
     """
-    current = set(g.identity_of.values()) | set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for u in list(current):
-            if g.inverse_of[u] not in current:
-                current.add(g.inverse_of[u])
-                changed = True
-        for v in list(current):
-            for u in list(current):
-                if g.target[u] == g.source[v] and \
-                        g.compose[(v, u)] not in current:
-                    current.add(g.compose[(v, u)])
-                    changed = True
-    return frozenset(current)
+    members = set(members)
+    while True:
+        fresh = {x for x in forced(members) if x not in members}
+        if not fresh:
+            return frozenset(members)
+        members |= fresh
 
 
-def _is_normal_arrow_set(g, arrow_set):
-    for a in g.arrows:
-        x = g.source[a]
-        for h in arrow_set:
-            if g.source[h] == x and g.target[h] == x:
-                if g.compose[(g.compose[(a, h)], g.inverse_of[a])] \
-                        not in arrow_set:
-                    return False
-    return True
+def _wide_rule(g):
+    """The inverses and composites an arrow set of g forces."""
+    after = {v: [] for v in g.arrows}
+    for (v, u), w in g.compose.items():
+        after[v].append((u, w))
+    return lambda s: itertools.chain(
+        (g.inverse_of[u] for u in s),
+        (w for v in s for (u, w) in after[v] if u in s))
+
+
+def _product_rule(gt):
+    """The products a set of group elements forces, generated lazily."""
+    return lambda s: (gt.prod(a, b) for a in s for b in s)
 
 
 def wide_subgroupoid_lattice(g):
@@ -195,7 +191,8 @@ def wide_subgroupoid_lattice(g):
     if len(g.arrows) > MAX_LATTICE_ARROWS:
         raise SizeCapError(
             f"subgroupoid lattice capped at {MAX_LATTICE_ARROWS} arrows")
-    base = _closure(g, ())
+    rule = _wide_rule(g)
+    base = _fixpoint(g.identity_of.values(), rule)
     seen = {base}
     order = [base]
     queue = [base]
@@ -204,7 +201,7 @@ def wide_subgroupoid_lattice(g):
         for a in g.arrows:
             if a in current:
                 continue
-            grown = _closure(g, current | {a})
+            grown = _fixpoint(current | {a}, rule)
             if grown not in seen:
                 seen.add(grown)
                 order.append(grown)
@@ -219,39 +216,30 @@ def minimal_normal_closure(g, arrows):
     keep the normal members that contain the generating set, intersect.
     """
     wanted = set(arrows)
-    candidates = [s for s in wide_subgroupoid_lattice(g)
-                  if wanted <= s and _is_normal_arrow_set(g, s)]
+    # (loop h, its conjugate a + h - a): a member is normal when the
+    # conjugates it forces are already in it
+    conjugates = [(h, g.compose[(g.compose[(a, h)], g.inverse_of[a])])
+                  for a in g.arrows for h in g.loops(g.source[a])]
+    candidates = [s for s in wide_subgroupoid_lattice(g) if wanted <= s and
+                  all(c in s for (h, c) in conjugates if h in s)]
     if not candidates:
         raise ValueError(f"{g.name}: no normal subgroupoid contains the set")
-    meet = set(candidates[0])
-    for s in candidates[1:]:
-        meet &= s
-    return frozenset(meet)
+    return frozenset.intersection(*candidates)
 
 
 def group_normal_closure(gt, elements):
-    """Elements of the normal closure of a subset, by conjugation saturation."""
+    """Elements of the normal closure of a subset, in element order.
+
+    The product closure of the conjugates of the subset and the identity: a
+    set closed under conjugation generates a normal subgroup.
+    """
     if gt.order > MAX_GROUP_ORDER:
         raise SizeCapError(f"group operations capped at order {MAX_GROUP_ORDER}")
-    current = {gt.identity}
-    for x in elements:
-        current.add(x)
-        current.add(gt.inv[x])
-    changed = True
-    while changed:
-        changed = False
-        for a in list(current):
-            for b in list(current):
-                if gt.prod(a, b) not in current:
-                    current.add(gt.prod(a, b))
-                    changed = True
-        for g in gt.elements:
-            for n in list(current):
-                conj = gt.prod(gt.prod(g, n), gt.inv[g])
-                if conj not in current:
-                    current.add(conj)
-                    changed = True
-    return tuple(x for x in gt.elements if x in current)
+    members = _fixpoint(
+        (gt.prod(gt.prod(g, x), gt.inv[g])
+         for g in gt.elements for x in (gt.identity, *elements)),
+        _product_rule(gt))
+    return tuple(x for x in gt.elements if x in members)
 
 
 def finite_quotient(gt, elements):
@@ -337,14 +325,15 @@ def abelian_group_invariants(gt):
         raise SizeCapError(f"group operations capped at order {MAX_GROUP_ORDER}")
     if not is_abelian_group(gt):
         raise ValueError(f"{gt.name}: not abelian")
-    orders = [_element_order(gt, x) for x in gt.elements]
-    return _invariants_from_orders(orders)
+    one = {gt.identity}
+    return _invariants_from_orders([_order(gt, x, one) for x in gt.elements])
 
 
-def _element_order(gt, x):
+def _order(gt, x, inside):
+    """Least k >= 1 with x^k in inside."""
     k = 1
     y = x
-    while y != gt.identity:
+    while y not in inside:
         y = gt.prod(y, x)
         k += 1
     return k
@@ -360,20 +349,10 @@ def brute_abelianization(gt):
     """
     if gt.order > MAX_GROUP_ORDER:
         raise SizeCapError(f"group operations capped at order {MAX_GROUP_ORDER}")
-    commutators = set()
-    for a in gt.elements:
-        for b in gt.elements:
-            commutators.add(
-                gt.prod(gt.prod(a, b), gt.prod(gt.inv[a], gt.inv[b])))
-    derived = {gt.identity} | commutators
-    changed = True
-    while changed:
-        changed = False
-        for a in list(derived):
-            for b in list(derived):
-                if gt.prod(a, b) not in derived:
-                    derived.add(gt.prod(a, b))
-                    changed = True
+    derived = _fixpoint(
+        (gt.prod(gt.prod(a, b), gt.prod(gt.inv[a], gt.inv[b]))
+         for a in gt.elements for b in gt.elements),
+        _product_rule(gt))
 
     coset_of = {}
     reps = []
@@ -383,12 +362,4 @@ def brute_abelianization(gt):
         reps.append(x)
         for n in derived:
             coset_of[gt.prod(x, n)] = x
-    orders = []
-    for x in reps:
-        k = 1
-        y = x
-        while y not in derived:
-            y = gt.prod(y, x)
-            k += 1
-        orders.append(k)
-    return _invariants_from_orders(orders)
+    return _invariants_from_orders([_order(gt, x, derived) for x in reps])

@@ -360,8 +360,8 @@ def presentation_relation_matrix(pres):
 def smith_normal_form(matrix):
     """Diagonal of the Smith normal form of an integer matrix.
 
-    Returns the diagonal entries (nonnegative, each dividing the next,
-    zeros last).  Exact integer arithmetic throughout.
+    Returns the nonzero diagonal entries, each dividing the next; their
+    count is the rank.  Exact integer arithmetic throughout.
     """
     m = [list(row) for row in matrix]
     if not m or not m[0]:
@@ -422,8 +422,7 @@ def abelian_invariants(pres):
         return AbelianInvariants(n, ())
     diag = smith_normal_form(matrix)
     torsion = tuple(d for d in diag if d > 1)
-    killed = sum(1 for d in diag if d != 0)
-    return AbelianInvariants(n - killed, torsion)
+    return AbelianInvariants(n - len(diag), torsion)
 
 
 def describe_vertex_group(pres, vertex):

@@ -220,10 +220,10 @@ def check_first_isomorphism(max_arrows=None):
 @_check("normal-closure-minimal")
 def check_normal_closure_minimal(max_arrows=None):
     instances = list(corpus.random_quotient_instances())
+    named = dict(corpus.named_actions())
     for name in ("tree-swap", "point-swap", "zmod4-inversion",
                  "trivial-on-z2", "path-reflection-fixed"):
-        act = dict(corpus.named_actions())[name]
-        sd = semidirect_product(act)
+        sd = semidirect_product(named[name])
         instances.append((sd.groupoid, sd.groupoid.arrows[-2:]))
     checked = 0
     for (k, gens) in instances:

@@ -294,6 +294,15 @@ def test_search_isomorphism_cap():
         search_isomorphism(big, big)
 
 
+def test_group_isomorphic_inherits_the_search_cap():
+    # a group of order n is an n-arrow groupoid to isomorphism search
+    assert group_isomorphic(cyclic_group(64), cyclic_group(64))
+    with pytest.raises(SizeCapError, match="capped at 64 arrows"):
+        group_isomorphic(cyclic_group(65), cyclic_group(65))
+    # the invariants tried before the search need no cap
+    assert not group_isomorphic(cyclic_group(65), cyclic_group(66))
+
+
 def test_groupoid_from_group_round():
     s3 = symmetric_group(3)
     gpd = groupoid_from_group(s3)

@@ -1,13 +1,18 @@
+import ast
+import itertools
+from pathlib import Path
+
 import pytest
 
-from groupoids import (GroupoidMorphism, SizeCapError, cyclic_group,
-                       dihedral_group, direct_product_group,
+from groupoids import (GroupoidMorphism, SizeCapError, alternating_group,
+                       cyclic_group, dihedral_group, direct_product_group,
                        discrete_groupoid, group_isomorphic,
                        groupoid_from_group, normal_closure, orbit_groupoid,
-                       quaternion_group, symmetric_group, tree_groupoid,
-                       trivial_group)
-from groupoids import oracle
-from groupoids.corpus import named_actions
+                       quaternion_group, semidirect_product, symmetric_group,
+                       tree_groupoid, trivial_group)
+from groupoids import oracle, suite
+from groupoids.corpus import (named_actions, random_quotient_instances,
+                              standard_target_family)
 
 
 def _named(name):
@@ -132,3 +137,177 @@ def test_universal_property_preconditions():
     stranger = _identity(discrete_groupoid(("p", "q"), name="other"))
     with pytest.raises(ValueError, match="domain"):
         oracle.check_universal_property(act, stranger, targets)
+
+
+# Reference copies of the oracle's earlier pairwise closure, normality scan
+# and full-scan morphism enumeration; the differential tests below hold the
+# current oracle to their results and their order.
+
+def _reference_closure(g, seed):
+    current = set(g.identity_of.values()) | set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for u in list(current):
+            if g.inverse_of[u] not in current:
+                current.add(g.inverse_of[u])
+                changed = True
+        for v in list(current):
+            for u in list(current):
+                if g.target[u] == g.source[v] and \
+                        g.compose[(v, u)] not in current:
+                    current.add(g.compose[(v, u)])
+                    changed = True
+    return frozenset(current)
+
+
+def _reference_is_normal(g, arrow_set):
+    for a in g.arrows:
+        x = g.source[a]
+        for h in arrow_set:
+            if g.source[h] == x and g.target[h] == x:
+                if g.compose[(g.compose[(a, h)], g.inverse_of[a])] \
+                        not in arrow_set:
+                    return False
+    return True
+
+
+def _reference_lattice(g):
+    base = _reference_closure(g, ())
+    order, queue = [base], [base]
+    while queue:
+        current = queue.pop(0)
+        for a in g.arrows:
+            if a not in current:
+                grown = _reference_closure(g, current | {a})
+                if grown not in order:
+                    order.append(grown)
+                    queue.append(grown)
+    return order
+
+
+def _reference_minimum(g, lattice, arrows):
+    candidates = [s for s in lattice
+                  if set(arrows) <= s and _reference_is_normal(g, s)]
+    return frozenset.intersection(*candidates)
+
+
+def _reference_morphisms(dom, cod):
+    """(object map, arrow map) pairs, checking every triple at each step."""
+    non_identity = [u for u in dom.arrows if not dom.is_identity_arrow(u)]
+    triples = list(dom.compose.items())
+    found = []
+    for images in itertools.product(cod.objects, repeat=len(dom.objects)):
+        object_map = dict(zip(dom.objects, images))
+        arrow_map = {dom.identity_of[x]: cod.identity_of[object_map[x]]
+                     for x in dom.objects}
+
+        def consistent():
+            for (v, u), w in triples:
+                fv = arrow_map.get(v)
+                fu = arrow_map.get(u)
+                fw = arrow_map.get(w)
+                if fv is None or fu is None or fw is None:
+                    continue
+                if cod.compose.get((fv, fu)) != fw:
+                    return False
+            return True
+
+        def extend(k):
+            if k == len(non_identity):
+                found.append((dict(object_map), dict(arrow_map)))
+                return
+            a = non_identity[k]
+            if a in arrow_map:
+                extend(k + 1)
+                return
+            partner = dom.inverse_of[a]
+            x = object_map[dom.source[a]]
+            y = object_map[dom.target[a]]
+            for b in cod.hom(x, y):
+                if partner == a and cod.inverse_of[b] != b:
+                    continue
+                arrow_map[a] = b
+                if partner != a:
+                    arrow_map[partner] = cod.inverse_of[b]
+                if consistent():
+                    extend(k + 1)
+                del arrow_map[a]
+                if partner != a:
+                    del arrow_map[partner]
+
+        extend(0)
+    return found
+
+
+def _normal_closure_minimal_instances():
+    """The instances of the normal-closure-minimal check, in its order."""
+    instances = list(random_quotient_instances())
+    named = dict(named_actions())
+    for name in ("tree-swap", "point-swap", "zmod4-inversion",
+                 "trivial-on-z2", "path-reflection-fixed"):
+        sd = semidirect_product(named[name])
+        instances.append((sd.groupoid, sd.groupoid.arrows[-2:]))
+    return [(k, gens) for (k, gens) in instances
+            if len(k.arrows) <= oracle.MAX_LATTICE_ARROWS]
+
+
+def test_lattice_and_minimum_match_the_pairwise_reference():
+    instances = _normal_closure_minimal_instances()
+    assert len(instances) == 27
+    for (k, gens) in instances:
+        lattice = _reference_lattice(k)
+        assert oracle.wide_subgroupoid_lattice(k) == lattice, k.name
+        assert oracle.minimal_normal_closure(k, gens) == \
+            _reference_minimum(k, lattice, gens), k.name
+
+
+def test_enumeration_matches_the_full_scan_reference():
+    # every (space, target) and (orbit groupoid, target) pair that the
+    # orbit-universal check enumerates
+    pairs = 0
+    for act in suite._orbit_actions(None):
+        orb = orbit_groupoid(act)
+        for dom in (act.space, orb.groupoid):
+            for cod in standard_target_family():
+                got = [(f.object_map, f.arrow_map)
+                       for f in oracle.enumerate_morphisms(dom, cod)]
+                assert got == _reference_morphisms(dom, cod), \
+                    (dom.name, cod.name)
+                pairs += 1
+    assert pairs == 83 * 2 * 6
+
+
+def test_group_normal_closure_matches_the_lattice_reference():
+    # in a one-object groupoid the identity arrow is id_pt and every other
+    # arrow keeps its element's name
+    for gt in (symmetric_group(3), dihedral_group(4), quaternion_group(),
+               alternating_group(4)):
+        g = groupoid_from_group(gt)
+        lattice = _reference_lattice(g)
+        arrow = {x: "id_pt" if x == gt.identity else x for x in gt.elements}
+        for size in (0, 1, 2):
+            for subset in itertools.combinations(gt.elements, size):
+                want = _reference_minimum(g, lattice,
+                                          [arrow[x] for x in subset])
+                assert oracle.group_normal_closure(gt, subset) == \
+                    tuple(x for x in gt.elements if arrow[x] in want), \
+                    (gt.name, subset)
+
+
+def test_oracle_imports_no_construction_code():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    banned = {"constructions", "catalog", "actions", "presented", "corpus",
+              "suite"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            imported.update(module)
+            if not node.module or node.module == "groupoids":
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert "core" in imported
+    assert not imported & banned, sorted(imported & banned)

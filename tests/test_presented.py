@@ -170,6 +170,16 @@ def test_smith_normal_form():
     assert smith_normal_form([]) == []
 
 
+def test_smith_normal_form_returns_only_nonzero_entries():
+    assert smith_normal_form([[0, 0]]) == []
+    assert smith_normal_form([[0, 0], [0, 3]]) == [3]
+    # the commutator relator is a zero row, so it kills no free rank
+    torus = GroupPresentation(("a", "b"),
+                              ((("a", 1), ("b", 1), ("a", -1), ("b", -1)),))
+    assert presentation_relation_matrix(torus) == [[0, 0]]
+    assert abelian_invariants(torus) == AbelianInvariants(2, ())
+
+
 def _det(m):
     """Determinant by cofactor expansion along the first row."""
     if not m:
