@@ -15,9 +15,9 @@ from .constructions import (RegularCoverReport, RestrictOrbitReport,
                             restrict_orbit_full_subgroupoid,
                             semidirect_product, tree_orbit_group)
 from .core import (FiniteGroupoid, GroupTable, GroupoidMorphism, SizeCapError,
-                   WideSubgroupoid, components, compose_morphisms,
-                   direct_product_group, disjoint_union, full_subgroupoid,
-                   is_connected, is_covering, is_discrete, is_fibration,
+                   WideSubgroupoid, components, direct_product_group,
+                   disjoint_union, full_subgroupoid, is_connected,
+                   is_covering, is_discrete, is_fibration,
                    is_normal_subgroupoid, is_quotient_morphism,
                    is_tree_groupoid, kernel, object_group, quotient_group,
                    search_isomorphism, star, validate_groupoid,

@@ -22,7 +22,8 @@ from .constructions import (normal_closure, orbit_groupoid, quotient_groupoid,
                             regular_cover_orbit_check,
                             restrict_orbit_full_subgroupoid,
                             semidirect_product)
-from .core import is_covering, is_quotient_morphism, object_group
+from .core import (is_covering, is_fibration, is_quotient_morphism,
+                   object_group)
 from .fileformat import (ParseError, UnreadableInput, parse_input,
                          render_entities)
 from .presented import (GraphAction, abelian_invariants, describe_vertex_group,
@@ -56,17 +57,21 @@ def _graph_action(parsed, name):
     return act
 
 
+def _kind_lines(label, f):
+    """One "label is a ..." line for each of the three kinds f is."""
+    return [f"{label} is {kind}" for kind, holds in (
+        ("a fibration", is_fibration),
+        ("a quotient morphism", is_quotient_morphism),
+        ("a covering", is_covering)) if holds(f)]
+
+
 def _cmd_semidirect(parsed, args):
     act = _groupoid_action(parsed, args.action)
     sd = semidirect_product(act)
     lines = [f"semidirect product {sd.groupoid.name}: "
              f"{len(sd.groupoid.objects)} objects, "
              f"{len(sd.groupoid.arrows)} arrows",
-             "projection is a fibration"]
-    if is_quotient_morphism(sd.projection):
-        lines.append("projection is a quotient morphism")
-    if is_covering(sd.projection):
-        lines.append("projection is a covering")
+             *_kind_lines("projection", sd.projection)]
     return lines, 0, [sd.groupoid, sd.projection]
 
 
@@ -81,24 +86,13 @@ def _cmd_orbit(parsed, args):
     for x in orb.groupoid.objects:
         lines.append(f"object group at {_orbit_label(x)}: "
                      f"order {object_group(orb.groupoid, x).order}")
-    lines.append("orbit morphism is a fibration")
-    if is_quotient_morphism(orb.morphism):
-        lines.append("orbit morphism is a quotient morphism")
-    if is_covering(orb.morphism):
-        lines.append("orbit morphism is a covering")
+    lines += _kind_lines("orbit morphism", orb.morphism)
     return lines, 0, [orb.groupoid, orb.morphism]
-
-
-def _pick_arrows(gpd, names):
-    for a in names:
-        if a not in gpd.arrow_index:
-            raise ValueError(f"{gpd.name}: unknown arrow {a}")
-    return names
 
 
 def _cmd_quotient(parsed, args):
     gpd = parsed.pick("groupoid", args.groupoid)
-    gens = _pick_arrows(gpd, _split_list(args.arrows))
+    gens = _split_list(args.arrows)
     n = normal_closure(gpd, gens)
     quot = quotient_groupoid(gpd, n)
     lines = [f"normal closure of {len(gens)} arrows: {len(n.arrows)} arrows",
@@ -110,7 +104,7 @@ def _cmd_quotient(parsed, args):
 
 def _cmd_normal_closure(parsed, args):
     gpd = parsed.pick("groupoid", args.groupoid)
-    gens = _pick_arrows(gpd, _split_list(args.arrows))
+    gens = _split_list(args.arrows)
     n = normal_closure(gpd, gens)
     lines = [f"normal closure of {len(gens)} arrows in {gpd.name}: "
              f"{len(n.arrows)} arrows",

@@ -23,10 +23,10 @@ from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
 from .catalog import group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, WideSubgroupoid,
-                   components, compose_morphisms, full_subgroupoid,
-                   is_covering, is_fibration, is_quotient_morphism,
-                   is_tree_groupoid, object_group, quotient_group, star,
-                   subgroup_closure, validate_groupoid, validate_morphism)
+                   components, full_subgroupoid, is_covering, is_fibration,
+                   is_quotient_morphism, is_tree_groupoid, object_group,
+                   quotient_group, star, subgroup_closure, validate_groupoid,
+                   validate_morphism)
 
 
 @dataclass
@@ -51,52 +51,41 @@ def semidirect_product(act):
     G, sp = act.group, act.space
     name = f"{sp.name}x{G.name}"
 
-    name_of = {}
-    order = []
-    for x in sp.objects:
-        pair = (sp.identity_of[x], G.identity)
-        name_of[pair] = f"id_{x}"
-        order.append(pair)
+    # identities first, then the pairs (a, g) in input order
+    name_of = {(sp.identity_of[x], G.identity): f"id_{x}" for x in sp.objects}
     for a in sp.arrows:
         for g in G.elements:
-            pair = (a, g)
-            if pair in name_of:
-                continue
-            name_of[pair] = f"({a},{g})"
-            order.append(pair)
+            name_of.setdefault((a, g), f"({a},{g})")
 
     source = {}
     target = {}
-    for (a, g) in order:
-        u = name_of[(a, g)]
+    for (a, g), u in name_of.items():
         source[u] = act.act_obj[(G.inv[g], sp.source[a])]
         target[u] = sp.target[a]
 
     inverse = {}
-    for (a, g) in order:
+    for (a, g), u in name_of.items():
         ginv = G.inv[g]
-        inverse[name_of[(a, g)]] = \
-            name_of[(act.act_arrow[(ginv, sp.inverse_of[a])], ginv)]
+        inverse[u] = name_of[(act.act_arrow[(ginv, sp.inverse_of[a])], ginv)]
 
     into = {}       # object -> the pairs ending there, in order
-    for (a, g) in order:
-        into.setdefault(sp.target[a], []).append((a, g, name_of[(a, g)]))
+    for (a, g), u in name_of.items():
+        into.setdefault(sp.target[a], []).append((a, g, u))
     compose = {}
-    for (b, h) in order:
-        v = name_of[(b, h)]
+    for (b, h), v in name_of.items():
         for (a, g, u) in into[source[v]]:
             compose[(v, u)] = \
                 name_of[(sp.compose[(b, act.act_arrow[(h, a)])], G.mul[(h, g)])]
 
     gpd = FiniteGroupoid(
-        sp.objects, [name_of[p] for p in order], source, target,
+        sp.objects, list(name_of.values()), source, target,
         {x: f"id_{x}" for x in sp.objects}, inverse, compose, name=name)
 
     cod = groupoid_from_group(G, name=f"{G.name}-gpd")
     projection = GroupoidMorphism(
         gpd, cod, {x: "pt" for x in sp.objects},
-        {name_of[(a, g)]: "id_pt" if g == G.identity else g
-         for (a, g) in order},
+        {u: "id_pt" if g == G.identity else g
+         for (_a, g), u in name_of.items()},
         name=f"proj-{name}")
     assert validate_morphism(projection) == []
     assert is_fibration(projection)
@@ -258,23 +247,16 @@ def orbit_groupoid(act):
     """
     G, sp = act.group, act.space
     sd = semidirect_product(act)
-    relations = []
-    seen = set()
-    for a, g in ((sp.identity_of[x], g) for x in sp.objects
-                 for g in G.elements):
-        moved = act.act_arrow[(g, a)]
-        label = sd.name_of[(moved, g)]
-        if label not in seen:
-            seen.add(label)
-            relations.append(label)
+    relations = [sd.name_of[(act.act_arrow[(g, sp.identity_of[x])], g)]
+                 for x in sp.objects for g in G.elements]
     n = normal_closure(sd.groupoid, relations, name="N-orbit")
     q = quotient_groupoid(sd.groupoid, n, name=f"{sp.name}//{G.name}")
-    embed = GroupoidMorphism(
-        sp, sd.groupoid, {x: x for x in sp.objects},
-        {a: sd.name_of[(a, G.identity)] for a in sp.arrows},
-        name="unit-embed")
-    assert validate_morphism(embed) == []
-    morphism = compose_morphisms(q.morphism, embed, name=f"orbit-{act.name}")
+    cls = q.morphism
+    morphism = GroupoidMorphism(
+        sp, q.groupoid, {x: cls.object_map[x] for x in sp.objects},
+        {a: cls.arrow_map[sd.name_of[(a, G.identity)]] for a in sp.arrows},
+        name=f"orbit-{act.name}")
+    assert validate_morphism(morphism) == []
 
     assert _constant_on_orbits(act, morphism)
     orbit_blocks = {frozenset(block) for block in object_orbits(act)}

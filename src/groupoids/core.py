@@ -428,16 +428,6 @@ def validate_morphism(f):
     return problems
 
 
-def compose_morphisms(outer, inner, name=None):
-    if inner.cod is not outer.dom:
-        raise ValueError("morphisms are not composable")
-    return GroupoidMorphism(
-        inner.dom, outer.cod,
-        {x: outer.object_map[inner.object_map[x]] for x in inner.dom.objects},
-        {u: outer.arrow_map[inner.arrow_map[u]] for u in inner.dom.arrows},
-        name=name or f"{outer.name}.{inner.name}")
-
-
 class WideSubgroupoid:
     """A wide subgroupoid of an ambient groupoid, stored as an arrow subset.
 

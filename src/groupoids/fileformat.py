@@ -155,13 +155,14 @@ def parse_text(text, path="<input>"):
     return parsed
 
 
-# Prefixes that a new name of this kind may not start with, and why.
-_BANNED = {
-    "object": ("id_", "uses the reserved id_ prefix"),
-    "arrow": ("id_", "uses the reserved id_ prefix"),
-    "edge": ("-", "starts with '-', which marks an inverse letter"),
-    "generator": ("-", "starts with '-', which marks an inverse letter"),
-}
+# Prefixes that a new name of this kind may not start with, and why: as
+# the parser words it, and as the emitter does.
+_RESERVED = ("id_", "uses the reserved id_ prefix",
+             "the id_ prefix is reserved")
+_INVERSE_MARK = ("-", "starts with '-', which marks an inverse letter",
+                 "a leading '-' marks an inverse letter")
+_BANNED = {"object": _RESERVED, "arrow": _RESERVED,
+           "edge": _INVERSE_MARK, "generator": _INVERSE_MARK}
 
 _IDENTITY_IMAGE = "identity arrow images follow the object map; remove " \
     "this line"
@@ -540,13 +541,18 @@ _BLOCKS = {cls.kind: cls for cls in (_GroupoidBlock, _ActionBlock, _GraphBlock,
                                      _PresentationBlock, _MorphismBlock)}
 
 
+def _unwritable(what, name, why):
+    return ValueError(f"{what} {name!r} cannot be written to the text "
+                      f"format ({why})")
+
+
 def _token(name, what):
+    """name, if the parser reads it back unchanged as a new what."""
     if not name or any(ch.isspace() for ch in name) or "#" in name:
-        raise ValueError(f"{what} {name!r} cannot be written to the text "
-                         f"format (whitespace or '#')")
-    if what in ("edge", "generator") and name.startswith("-"):
-        raise ValueError(f"{what} {name!r} cannot be written to the text "
-                         f"format (a leading '-' marks an inverse letter)")
+        raise _unwritable(what, name, "whitespace or '#'")
+    banned = _BANNED.get(what)
+    if banned and name.startswith(banned[0]):
+        raise _unwritable(what, name, banned[2])
     return name
 
 
@@ -604,6 +610,10 @@ class _Emitter:
         lines = [f"groupoid {name}"]
         lines.append("objects " + " ".join(
             _token(x, "object") for x in g.objects))
+        for x, u in g.identity_of.items():
+            if u != f"id_{x}":
+                raise _unwritable("arrow", u, f"the identity at {x} must be "
+                                  f"named id_{x}")
         non_identity = [u for u in g.arrows if not g.is_identity_arrow(u)]
         for u in non_identity:
             _token(u, "arrow")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import corpus, oracle
-from .actions import is_free_action, trivial_action, validate_action
+from .actions import (action_from_object_map, is_free_action,
+                      trivial_action, validate_action)
 from .catalog import (alternating_group, cyclic_group, dihedral_group,
                       group_isomorphic, groupoid_from_group, quaternion_group,
                       symmetric_group, tree_groupoid, trivial_group)
@@ -27,7 +28,8 @@ from .constructions import (generated_wide_subgroupoid, normal_closure,
 from .core import (GroupoidMorphism, components, direct_product_group,
                    disjoint_union, is_connected, is_covering, is_discrete,
                    is_quotient_morphism, kernel, object_group, quotient_group,
-                   search_isomorphism, validate_groupoid, validate_morphism)
+                   search_isomorphism, star, validate_groupoid,
+                   validate_morphism)
 from .fileformat import parse_text, render_entities
 from .oracle import MAX_LATTICE_ARROWS, MAX_SOURCE_ARROWS
 from .presented import (GroupPresentation, abelian_invariants,
@@ -492,50 +494,33 @@ def check_symmetric_square(max_arrows=None):
     return f"{len(_SQUARE_CASES)} symmetric squares match the abelianization"
 
 
-def _folding_cover():
-    seg = tree_groupoid(("x", "y"), name="seg")
-    z2 = groupoid_from_group(cyclic_group(2), name="z2-gpd")
+def _universal_cover(g, x):
+    """The universal cover of the component of g at x and its deck action:
+    the tree groupoid on star(g, x), mapped to g by sending a -> b to
+    b + (-a), with the object group at x acting by a |-> a + (-k)."""
+    cover = tree_groupoid(star(g, x), name=f"{g.name}~{x}")
     p = GroupoidMorphism(
-        seg, z2, {"x": "pt", "y": "pt"},
-        {"id_x": "id_pt", "id_y": "id_pt", "x>y": "1", "y>x": "1"},
-        name="fold")
-    deck = corpus._object_action(cyclic_group(2), seg,
-                                 {"1": {"x": "y", "y": "x"}},
-                                 name="fold-deck")
-    return p, deck
-
-
-def _rotation_cover():
-    square = tree_groupoid(("w0", "w1", "w2", "w3"), name="square")
-    z4 = cyclic_group(4)
-    z4_gpd = groupoid_from_group(z4, name="z4-gpd")
-
-    def image(a):
-        if square.is_identity_arrow(a):
-            return "id_pt"
-        x, y = a.split(">")
-        k = (int(y[1]) - int(x[1])) % 4
-        return "id_pt" if k == 0 else str(k)
-
-    p = GroupoidMorphism(
-        square, z4_gpd, {x: "pt" for x in square.objects},
-        {a: image(a) for a in square.arrows}, name="wind")
-    moves = {}
-    for g in z4.elements:
-        if g == z4.identity:
-            continue
-        moves[g] = {f"w{i}": f"w{(i + int(g)) % 4}" for i in range(4)}
-    deck = corpus._object_action(z4, square, moves, name="wind-deck")
+        cover, g, {a: g.target[a] for a in cover.objects},
+        {u: g.compose[(cover.target[u], g.inverse_of[cover.source[u]])]
+         for u in cover.arrows}, name=f"cover-{g.name}")
+    loops = object_group(g, x)
+    deck = action_from_object_map(
+        loops, cover, {(k, a): g.compose[(a, g.inverse_of[k])]
+                       for k in loops.elements for a in cover.objects},
+        name=f"deck-{g.name}")
     return p, deck
 
 
 @_check("regular-covers")
 def check_regular_covers(max_arrows=None):
-    for (p, deck) in (_folding_cover(), _rotation_cover()):
+    # the universal covers of Z2 and Z4: the folding and winding covers
+    covers = [_universal_cover(groupoid_from_group(cyclic_group(n)), "pt")
+              for n in (2, 4)]
+    for (p, deck) in covers:
         report = regular_cover_orbit_check(p, deck)
         if not report.ok:
             raise _Failed(f"{p.name}: {report.details[0]}")
-    p, _deck = _folding_cover()
+    p, _deck = covers[0]
     lazy = trivial_action(cyclic_group(2), p.dom, name="lazy-deck")
     try:
         regular_cover_orbit_check(p, lazy)

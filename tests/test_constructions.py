@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from groupoids import (GroupoidMorphism, action_from_object_map,
-                       connected_groupoid, cyclic_group,
+from groupoids import (GroupoidMorphism, action_from_object_map, components,
+                       connected_groupoid, cyclic_group, full_subgroupoid,
                        generated_wide_subgroupoid,
                        group_isomorphic, groupoid_from_group, is_covering,
                        is_fibration, is_quotient_morphism, kernel, klein_group,
@@ -14,6 +14,7 @@ from groupoids import (GroupoidMorphism, action_from_object_map,
                        symmetric_group, tree_groupoid, tree_orbit_group,
                        trivial_action, trivial_group, validate_groupoid,
                        validate_morphism)
+from groupoids import suite
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
@@ -271,3 +272,21 @@ def test_regular_cover_check_rejects_non_covering():
     deck = trivial_action(trivial_group(), z4, name="one")
     with pytest.raises(ValueError):
         regular_cover_orbit_check(halve, deck)
+
+
+def test_universal_covers_of_the_corpus_components():
+    # the universal cover of a connected groupoid is the orbit morphism of
+    # its deck action, the object group at the base acting freely
+    spaces = [act.space for _name, act in named_actions()]
+    spaces += [act.space for act in random_actions()]
+    checked = 0
+    for sp in spaces:
+        for block in components(sp):
+            c = full_subgroupoid(sp, block)
+            if len(c.arrows) > 40:
+                continue
+            report = regular_cover_orbit_check(
+                *suite._universal_cover(c, c.objects[0]))
+            assert report.ok, (sp.name, block, report.details)
+            checked += 1
+    assert checked == 130

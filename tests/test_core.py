@@ -8,7 +8,7 @@ import pytest
 
 import groupoids
 from groupoids import (FiniteGroupoid, GroupoidMorphism, SizeCapError,
-                       WideSubgroupoid, components, compose_morphisms,
+                       WideSubgroupoid, components,
                        connected_groupoid, cyclic_group,
                        direct_product_group, disjoint_union,
                        discrete_groupoid, full_subgroupoid,
@@ -248,21 +248,11 @@ def test_wide_subgroupoid_closure_checks():
         "Z5-gpd-sub: unknown arrows ['q', 'p']\n"}
 
 
-def test_compose_and_identity_morphisms():
+def test_identity_morphism():
     t = tree_groupoid(("x", "y"))
     ident = GroupoidMorphism(t, t, {x: x for x in t.objects},
                              {u: u for u in t.arrows}, name="id_tree")
     assert validate_morphism(ident) == []
-    z2 = groupoid_from_group(cyclic_group(2))
-    fold = GroupoidMorphism(
-        t, z2, {"x": "pt", "y": "pt"},
-        {"id_x": "id_pt", "id_y": "id_pt", "x>y": "1", "y>x": "1"},
-        name="fold")
-    both = compose_morphisms(fold, ident)
-    assert validate_morphism(both) == []
-    assert both.arrow_map == fold.arrow_map
-    with pytest.raises(ValueError):
-        compose_morphisms(ident, fold)
 
 
 def test_full_subgroupoid_and_disjoint_union():

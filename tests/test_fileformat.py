@@ -2,12 +2,14 @@ import hashlib
 
 import pytest
 
-from groupoids import (DirectedGraph, GroupPresentation, ParseError,
-                       PresentedGroupoid, connected_groupoid, cyclic_group,
-                       discrete_groupoid, groupoid_from_group, parse_input,
+from groupoids import (DirectedGraph, FiniteGroupoid, GroupoidMorphism,
+                       GroupPresentation, ParseError, PresentedGroupoid,
+                       connected_groupoid, cyclic_group, discrete_groupoid,
+                       groupoid_from_group, orbit_groupoid, parse_input,
                        parse_text, quaternion_group, render_entities,
-                       search_isomorphism, symmetric_group, tree_groupoid,
-                       trivial_action, validate_groupoid)
+                       search_isomorphism, semidirect_product,
+                       symmetric_group, tree_groupoid, trivial_action,
+                       validate_groupoid, validate_morphism)
 from groupoids.corpus import (named_actions, named_graph_actions,
                               random_actions, random_orbit_instances,
                               random_quotient_instances)
@@ -208,8 +210,18 @@ def test_actions_read_from_separate_files_share_equal_blocks():
     (lambda: [tree_groupoid(("a", "b", "c"))], "7f6c62c8181ce316"),
     (lambda: [connected_groupoid(("x", "y", "z"), cyclic_group(3))],
      "43329e76f5cecc4f"),
+    (lambda: [entity
+              for act in [act for _name, act in named_actions()]
+              + random_orbit_instances()
+              for orbit in [orbit_groupoid(act)]
+              for entity in (orbit.groupoid, orbit.morphism)],
+     "4cacf597810b59f6"),
+    (lambda: [entity for _name, act in named_actions()
+              for sd in [semidirect_product(act)]
+              for entity in (sd.groupoid, sd.projection)],
+     "603871dd4029abd5"),
 ], ids=["named", "random", "random-orbit", "random-quotient", "one-object",
-        "discrete", "tree", "connected"])
+        "discrete", "tree", "connected", "orbit", "semidirect"])
 def test_corpus_emission_is_pinned(family, digest):
     text = render_entities(family())
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
@@ -257,6 +269,24 @@ def test_emitter_rejects_unwritable_names():
         render_entities([bad])
     with pytest.raises(ValueError, match="cannot emit"):
         render_entities([object()])
+    # the parser rejects a new object named id_a
+    with pytest.raises(ValueError, match=r"object 'id_a' cannot be written"):
+        render_entities([discrete_groupoid(("id_a", "b"))])
+    # the parser would rename the identity e to id_pt, and a morphism onto
+    # the groupoid would name an arrow it does not know
+    z2 = FiniteGroupoid(("pt",), ("e", "s"), {"e": "pt", "s": "pt"},
+                        {"e": "pt", "s": "pt"}, {"pt": "e"},
+                        {"e": "e", "s": "s"},
+                        {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s",
+                         ("s", "s"): "e"}, name="z2e")
+    assert validate_groupoid(z2) == []
+    loop = parse_text(Z2).get("z2")
+    collapse = GroupoidMorphism(loop, z2, {"pt": "pt"},
+                                {"id_pt": "e", "t": "e"}, name="collapse")
+    assert validate_morphism(collapse) == []
+    for entity in (z2, collapse):
+        with pytest.raises(ValueError, match=r"arrow 'e' cannot be written"):
+            render_entities([entity])
 
 
 # A two-vertex circle for graph actions.
