@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import full_subgroupoid, subgroupoid
+from .core import blocks_by, classes, full_subgroupoid, subgroupoid
 
 
 class GroupoidAction:
@@ -93,17 +93,13 @@ def validate_action(act):
 
 
 def object_orbits(act):
-    """Orbit partition of the objects, blocks ordered by first member."""
+    """Orbit partition of the objects, blocks ordered by first member.
+
+    Overlapping orbits, which only an invalid action has, raise ValueError.
+    """
     sp = act.space
-    seen = set()
-    blocks = []
-    for x in sp.objects:
-        if x in seen:
-            continue
-        block = {x} | {act.act_obj[(g, x)] for g in act.group.elements}
-        seen |= block
-        blocks.append(sorted(block, key=sp.object_index.__getitem__))
-    return blocks
+    return blocks_by(sp.objects, classes(sp.objects, lambda x: (
+        act.act_obj[(g, x)] for g in act.group.elements)))
 
 
 def is_free_action(act):

@@ -195,7 +195,8 @@ def _select(kind, what=None):
 
 def _listed(kind):
     return f"--{kind}s", {"required": True,
-                          "help": f"comma separated {kind} names"}
+                          "help": f"comma separated {kind} names (write "
+                                  f"--{kind}s=LIST when LIST starts with -)"}
 
 
 def _at_least_one(text):

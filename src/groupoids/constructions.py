@@ -23,10 +23,10 @@ from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
 from .catalog import group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, WideSubgroupoid,
-                   components, full_subgroupoid, is_covering, is_fibration,
-                   is_quotient_morphism, is_tree_groupoid, object_group,
-                   quotient_group, star, subgroup_closure, validate_groupoid,
-                   validate_morphism)
+                   blocks_by, classes, components, full_subgroupoid,
+                   is_covering, is_fibration, is_quotient_morphism,
+                   is_tree_groupoid, object_group, quotient_group, star,
+                   subgroup_closure, validate_groupoid, validate_morphism)
 
 
 @dataclass
@@ -51,11 +51,18 @@ def semidirect_product(act):
     G, sp = act.group, act.space
     name = f"{sp.name}x{G.name}"
 
-    # identities first, then the pairs (a, g) in input order
+    # identities first, then the pairs (a, g) in input order; "(a,g)" is
+    # not injective when names hold commas, so a taken name gets primes
     name_of = {(sp.identity_of[x], G.identity): f"id_{x}" for x in sp.objects}
+    taken = set(name_of.values())
     for a in sp.arrows:
         for g in G.elements:
-            name_of.setdefault((a, g), f"({a},{g})")
+            if (a, g) not in name_of:
+                u = f"({a},{g})"
+                while u in taken:
+                    u += "'"
+                taken.add(u)
+                name_of[(a, g)] = u
 
     source = {}
     target = {}
@@ -159,56 +166,34 @@ def quotient_groupoid(k, n, name=None):
     name = name or f"{k.name}/{n.name}"
 
     blocks = components(k, n.arrows)
-    obj_class = {}
-    class_objects = []
-    for block in blocks:
-        label = f"[{block[0]}]"
-        class_objects.append(label)
-        for x in block:
-            obj_class[x] = label
+    obj_class = {x: f"[{block[0]}]" for block in blocks for x in block}
+    # arrow classes: [a] = { m + a + n' : m, n' in n }, each represented by
+    # its first member in input order; the class of a is an identity class
+    # exactly when a is in n
+    first = classes(k.arrows, lambda a: (
+        k.compose[(m, k.compose[(a, nn)])]
+        for nn in n.costar(k.source[a]) for m in n.star(k.target[a])))
+    label = {a: f"id_{obj_class[k.source[a]]}" if n.contains(a) else f"[{a}]"
+             for a in k.arrows if first[a] == a}
+    arrow_class = {u: label[first[u]] for u in k.arrows}
+    # identities first, then the rest, each in opening order
+    reps = sorted(label, key=lambda a: not n.contains(a))
 
-    # arrow classes: [a] = { m + a + n' : m, n' in n }
-    arrow_class = {}
-    # classes are disjoint, so the first arrow of a class in input order is
-    # the one that opens it; it represents the class
-    rep_of = {}
-    for a in k.arrows:
-        if a in arrow_class:
-            continue
-        members = {k.compose[(m, k.compose[(a, nn)])]
-                   for nn in n.costar(k.source[a])
-                   for m in n.star(k.target[a])}
-        is_identity_class = any(k.is_identity_arrow(u) for u in members)
-        label = (f"id_{obj_class[k.source[a]]}"
-                 if is_identity_class else f"[{a}]")
-        for u in members:
-            assert u not in arrow_class, "equivalence classes overlap"
-            arrow_class[u] = label
-        rep_of[label] = a
-
-    source = {label: obj_class[k.source[a]] for label, a in rep_of.items()}
-    target = {label: obj_class[k.target[a]] for label, a in rep_of.items()}
+    source = {label[a]: obj_class[k.source[a]] for a in reps}
+    target = {label[a]: obj_class[k.target[a]] for a in reps}
     identity_of = {obj_class[x]: arrow_class[k.identity_of[x]]
                    for x in k.objects}
-    inverse = {label: arrow_class[k.inverse_of[a]]
-               for label, a in rep_of.items()}
-
-    # identities first, then the rest, each in opening order
-    arrows = [lbl for lbl in rep_of if lbl.startswith("id_")] + \
-        [lbl for lbl in rep_of if not lbl.startswith("id_")]
-
+    inverse = {label[a]: arrow_class[k.inverse_of[a]] for a in reps}
     compose = {}
-    for v in arrows:
-        for u in arrows:
-            if target[u] != source[v]:
-                continue
-            k2 = rep_of[v]
-            k1 = rep_of[u]
-            link = n.hom(k.target[k1], k.source[k2])[0]
-            compose[(v, u)] = arrow_class[
-                k.compose[(k.compose[(k2, link)], k1)]]
+    for k2 in reps:
+        for k1 in reps:
+            if target[label[k1]] == source[label[k2]]:
+                link = n.hom(k.target[k1], k.source[k2])[0]
+                compose[(label[k2], label[k1])] = arrow_class[
+                    k.compose[(k.compose[(k2, link)], k1)]]
 
-    gpd = FiniteGroupoid(class_objects, arrows, source, target,
+    gpd = FiniteGroupoid([f"[{block[0]}]" for block in blocks],
+                         [label[a] for a in reps], source, target,
                          identity_of, inverse, compose, name=name)
     problems = validate_groupoid(gpd)
     assert problems == [], f"quotient is not a groupoid: {problems[0]}"
@@ -259,11 +244,7 @@ def orbit_groupoid(act):
     assert validate_morphism(morphism) == []
 
     assert _constant_on_orbits(act, morphism)
-    orbit_blocks = {frozenset(block) for block in object_orbits(act)}
-    fiber = {}
-    for x in sp.objects:
-        fiber.setdefault(morphism.object_map[x], []).append(x)
-    assert {frozenset(v) for v in fiber.values()} == orbit_blocks
+    assert blocks_by(sp.objects, morphism.object_map) == object_orbits(act)
     assert set(morphism.object_map.values()) == set(q.groupoid.objects)
     assert set(morphism.arrow_map.values()) == set(q.groupoid.arrows)
     assert is_fibration(morphism)

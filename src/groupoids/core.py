@@ -88,6 +88,33 @@ def star(g, x):
     return tuple(g._star.get(x, ()))
 
 
+def classes(items, members_of):
+    """Map each item to the first item of its class, in items order.
+
+    Classes open in items order: an item not yet placed opens one, whose
+    members are the item and members_of(item).  A class that meets an
+    earlier class raises ValueError naming the first members of both.
+    """
+    first = {}
+    for x in items:
+        if x in first:
+            continue
+        first[x] = x
+        for y in members_of(x):
+            if first.setdefault(y, x) != x:
+                raise ValueError(f"the classes of {first[y]} and {x} overlap")
+    return {x: first[x] for x in items}
+
+
+def blocks_by(items, key):
+    """Group items by key[item]: lists in order of their first member, each
+    in items order."""
+    blocks = {}
+    for x in items:
+        blocks.setdefault(key[x], []).append(x)
+    return list(blocks.values())
+
+
 def components(g, arrows=None):
     """Partition of the objects into connected components.
 
@@ -98,23 +125,17 @@ def components(g, arrows=None):
     for u in g.arrows if arrows is None else arrows:
         adjacent[g.source[u]].append(g.target[u])
         adjacent[g.target[u]].append(g.source[u])
-    seen = set()
-    blocks = []
-    for x in g.objects:
-        if x in seen:
-            continue
+
+    def reach(x):
+        seen = {x}
         queue = deque([x])
-        seen.add(x)
-        block = []
         while queue:
-            y = queue.popleft()
-            block.append(y)
-            for z in adjacent[y]:
+            for z in adjacent[queue.popleft()]:
                 if z not in seen:
                     seen.add(z)
                     queue.append(z)
-        blocks.append(sorted(block, key=g.object_index.__getitem__))
-    return blocks
+        return seen
+    return blocks_by(g.objects, classes(g.objects, reach))
 
 
 def is_connected(g):
@@ -344,24 +365,14 @@ def quotient_group(gt, members, name=None):
                 raise ValueError(f"{gt.name}: subset not closed under product")
     if not is_normal_subgroup(gt, members):
         raise ValueError(f"{gt.name}: subgroup is not normal")
-    coset_of = {}
-    reps = []
-    for x in gt.elements:
-        if x in coset_of:
-            continue
-        label = f"[{x}]"
-        reps.append((x, label))
-        for n in members:
-            coset_of[gt.prod(x, n)] = label
-    elements = [label for _, label in reps]
-    rep_of = {label: x for x, label in reps}
-    mul = {}
-    for la in elements:
-        for lb in elements:
-            mul[(la, lb)] = coset_of[gt.prod(rep_of[la], rep_of[lb])]
-    return GroupTable(elements, mul, name=name or f"{gt.name}/N",
-                      identity=coset_of[gt.identity],
-                      inv={la: coset_of[gt.inv[rep_of[la]]] for la in elements})
+    first = classes(gt.elements, lambda x: [gt.prod(x, n) for n in members])
+    coset = {x: f"[{first[x]}]" for x in gt.elements}
+    reps = [x for x in gt.elements if first[x] == x]
+    mul = {(coset[a], coset[b]): coset[gt.prod(a, b)]
+           for a in reps for b in reps}
+    return GroupTable([coset[x] for x in reps], mul,
+                      name=name or f"{gt.name}/N", identity=coset[gt.identity],
+                      inv={coset[a]: coset[gt.inv[a]] for a in reps})
 
 
 def direct_product_group(a, b, name=None):

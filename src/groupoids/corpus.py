@@ -18,7 +18,7 @@ from .catalog import (bundle, connected_arrow, connected_groupoid,
                       cyclic_group, discrete_groupoid, groupoid_from_group,
                       klein_group, symmetric_group, tree_groupoid,
                       trivial_group)
-from .core import disjoint_union, subgroup_closure
+from .core import blocks_by, classes, disjoint_union, subgroup_closure
 from .presented import DirectedGraph, GraphAction
 
 
@@ -168,21 +168,6 @@ def _subgroups(gt):
     return found
 
 
-def _coset_blocks(gt, members):
-    """Left cosets of a subgroup, each a tuple in element order."""
-    mset = set(members)
-    seen = set()
-    blocks = []
-    for g in gt.elements:
-        if g in seen:
-            continue
-        block = tuple(x for x in gt.elements
-                      if x in {gt.prod(g, m) for m in mset})
-        seen.update(block)
-        blocks.append(block)
-    return blocks
-
-
 def _sign_characters(gt, subgroups):
     """Nontrivial homomorphisms to {+1, -1}, one per index-two subgroup."""
     out = []
@@ -216,17 +201,17 @@ class _ActionBuilder:
         move = {}            # (g, object) -> object
         blocks = []          # (block objects, vertex group, chi or None)
         for pi, (h, k, vg, chi) in enumerate(self.pieces):
-            cosets = _coset_blocks(G, h)
-            label = {c: f"p{pi}o{ci}" for ci, c in enumerate(cosets)}
-            coset_of = {g: c for c in cosets for g in c}
-            kblock_of = {g: kb for kb in _coset_blocks(G, k) for g in kb}
-            members = {}     # K-coset -> its H-cosets' objects
-            for c in cosets:
-                objects.append(label[c])
-                members.setdefault(kblock_of[c[0]], []).append(label[c])
-                for g in G.elements:
-                    move[(g, label[c])] = label[coset_of[G.prod(g, c[0])]]
-            blocks += [(objs, vg, chi) for objs in members.values()]
+            # the objects are the left cosets of h, keyed by their first
+            # element; one block holds those in one left coset of k
+            hfirst = classes(G.elements, lambda g: [G.prod(g, m) for m in h])
+            kfirst = classes(G.elements, lambda g: [G.prod(g, m) for m in k])
+            label = {g: f"p{pi}o{ci}" for ci, g in
+                     enumerate(g for g in G.elements if hfirst[g] == g)}
+            objects += label.values()
+            move.update({(g, label[c]): label[hfirst[G.prod(g, c)]]
+                         for c in label for g in G.elements})
+            blocks += [([label[c] for c in cs], vg, chi)
+                       for cs in blocks_by(label, kfirst)]
         space = bundle(objects, [(objs, vg) for objs, vg, _chi in blocks],
                        connected_arrow, f"{name}-space")
 

@@ -608,8 +608,9 @@ class _Emitter:
 
     def _groupoid(self, g, name):
         lines = [f"groupoid {name}"]
-        lines.append("objects " + " ".join(
-            _token(x, "object") for x in g.objects))
+        if g.objects:
+            lines.append("objects " + " ".join(
+                _token(x, "object") for x in g.objects))
         for x, u in g.identity_of.items():
             if u != f"id_{x}":
                 raise _unwritable("arrow", u, f"the identity at {x} must be "

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .core import classes
+
 
 @dataclass(frozen=True)
 class Word:
@@ -219,36 +221,24 @@ def orbit_presentation(act):
     problems = validate_graph_action(act)
     if problems:
         raise ValueError(f"{act.name}: invalid graph action: {problems[0]}")
-    gr = act.graph
+    G, gr = act.group, act.graph
     # the action is valid, so the orbit of v or e is its image under each g;
     # each class is named "[rep]", rep its first member in input order
-    vlabel = {}
-    vclasses = []
-    for v in gr.vertices:
-        if v not in vlabel:
-            vclasses.append(f"[{v}]")
-            for g in act.group.elements:
-                vlabel.setdefault(act.act_vertex[(g, v)], f"[{v}]")
-
-    elabel = {}
-    eclasses = []
-    inverted = []
-    source = {}
-    target = {}
-    for e in gr.edges:
-        if e in elabel:
-            continue
-        signed = [act.edge_image(g, e) for g in act.group.elements]
-        label = f"[{e}]"
-        for (f, _s) in signed:
-            elabel.setdefault(f, label)
-        eclasses.append(label)
-        source[label] = vlabel[gr.source[e]]
-        target[label] = vlabel[gr.target[e]]
-        if (e, -1) in signed:
-            inverted.append(label)
+    vfirst = classes(gr.vertices, lambda v: (
+        act.act_vertex[(g, v)] for g in G.elements))
+    vlabel = {v: f"[{vfirst[v]}]" for v in gr.vertices}
+    efirst = classes(gr.edges, lambda e: (
+        act.edge_image(g, e)[0] for g in G.elements))
+    elabel = {e: f"[{efirst[e]}]" for e in gr.edges}
+    reps = [e for e in gr.edges if efirst[e] == e]
+    source = {elabel[e]: vlabel[gr.source[e]] for e in reps}
+    target = {elabel[e]: vlabel[gr.target[e]] for e in reps}
+    inverted = [elabel[e] for e in reps if any(
+        act.edge_image(g, e) == (e, -1) for g in G.elements)]
     name = f"{gr.name}-orbits"
-    qgraph = DirectedGraph(vclasses, eclasses, source, target, name=name)
+    qgraph = DirectedGraph(
+        [vlabel[v] for v in gr.vertices if vfirst[v] == v],
+        [elabel[e] for e in reps], source, target, name=name)
     relators = []
     for label in inverted:
         # an inverted class must be a loop class in the quotient

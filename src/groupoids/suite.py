@@ -163,10 +163,8 @@ def check_trichotomy(max_arrows=None):
             raise _Failed(f"{act.name}: covering test disagrees with "
                           f"discreteness")
         trivial_groups = all(len(sp.loops(x)) == 1 for x in sp.objects)
-        block_of = {}
-        for i, block in enumerate(components(sp)):
-            for x in block:
-                block_of[x] = i
+        block_of = {x: i for i, block in enumerate(components(sp))
+                    for x in block}
         fixes_components = all(
             block_of[act.act_obj[(g, x)]] == block_of[x]
             for g in act.group.elements for x in sp.objects)

@@ -212,6 +212,74 @@ def test_unemittable_result_exits_3_without_output(tmp_path, capsys):
     assert not target.exists()
 
 
+_MINUS_NAMES = """groupoid seg
+objects -x y
+arrow -a : -x -> y
+arrow -b : y -> -x
+inverse -a -b
+
+groupoid Z2
+objects pt
+arrow 1 : pt -> pt
+inverse 1 1
+
+action swap on seg by Z2
+obj 1 : -x -> y
+obj 1 : y -> -x
+arr 1 : -a -> -b
+arr 1 : -b -> -a
+"""
+
+
+def test_list_options_starting_with_minus_need_the_equals_form(tmp_path,
+                                                               capsys):
+    path = tmp_path / "minus.act"
+    path.write_text(_MINUS_NAMES, encoding="utf-8")
+    seg = ["--groupoid", "seg"]
+    for verb, pick, flag, names, report in (
+            ("normal-closure", seg, "--arrows", "-a",
+             "normal closure of 1 arrows in seg: 4 arrows"),
+            ("quotient", seg, "--arrows", "-a", "quotient seg/N4: 1 objects"),
+            ("restrict-orbit", [], "--objects", "-x,y", "hypothesis holds")):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([verb, str(path), *pick, flag, names])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: expected one argument" in \
+            capsys.readouterr().err
+        code, out, _err = _run(capsys, verb, str(path), *pick,
+                               f"{flag}={names}")
+        assert code == 0
+        assert report in out, verb
+    with pytest.raises(SystemExit):
+        cli.main(["quotient", "--help"])
+    assert "write --arrows=LIST when LIST starts with -" in \
+        " ".join(capsys.readouterr().out.split())
+
+
+def test_semidirect_names_with_commas_stay_distinct(tmp_path, capsys):
+    # (u, "v,w") and ("u,v", w) would both be named "(u,v,w)"
+    path = tmp_path / "commas.act"
+    path.write_text("groupoid Z3c\nobjects x\narrow u : x -> x\n"
+                    "arrow u,v : x -> x\ninverse u u,v\ncompose u u = u,v\n"
+                    "compose u,v u,v = u\n\n"
+                    "groupoid G3\nobjects pt\narrow w : pt -> pt\n"
+                    "arrow v,w : pt -> pt\ninverse w v,w\ncompose w w = v,w\n"
+                    "compose v,w v,w = w\n\naction triv on Z3c by G3\n",
+                    encoding="utf-8")
+    code, out, _err = _run(capsys, "semidirect", str(path))
+    assert code == 0
+    assert "semidirect product Z3cxG3: 1 objects, 9 arrows" in out
+    code, out, _err = _run(capsys, "orbit", str(path))
+    assert code == 0
+    assert "object group at orbit(x): order 3" in out
+    code, out, _err = _run(capsys, "semidirect", str(path), "--emit", "-")
+    assert code == 0
+    product = parse_text(out).get("Z3cxG3")
+    assert "(u,v,w)" in product.arrow_index
+    assert "(u,v,w)'" in product.arrow_index
+    assert len(product.arrows) == 9
+
+
 def test_readme_tour_is_byte_exact(monkeypatch, capsys):
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -308,3 +309,17 @@ def test_trivial_group():
     one = trivial_group()
     assert one.order == 1
     assert validate_groupoid(groupoid_from_group(one)) == []
+
+
+def test_postcondition_asserts_do_not_grow():
+    # python -O strips asserts; ROADMAP item 2 plans to replace the rest
+    # with raises, so no new one may come in meanwhile
+    root = Path(groupoids.__file__).parent
+    asserts = {path.name: sum(isinstance(node, ast.Assert)
+                              for node in ast.walk(ast.parse(
+                                  path.read_text(encoding="utf-8"))))
+               for path in sorted(root.glob("*.py"))}
+    assert sum(asserts.values()) <= 14, (
+        f"{sum(asserts.values())} asserts in src/groupoids, at most 14 "
+        f"allowed: turn postconditions into raises (ROADMAP item 2) "
+        f"instead of adding asserts; per file: {asserts}")

@@ -166,6 +166,12 @@ def test_random_actions_render_in_one_file():
     assert render_entities([parsed.get(act.name) for act in acts]) == text
 
 
+def test_a_groupoid_without_objects_round_trips():
+    assert render_entities([discrete_groupoid(())]) == "groupoid discrete\n"
+    text = "groupoid e\n"
+    assert render_entities([parse_text(text).get("e")]) == text
+
+
 def test_equal_groups_share_one_block():
     acts = [trivial_action(cyclic_group(2),
                            discrete_groupoid(("p",), name="P"), name="a"),
