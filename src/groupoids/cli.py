@@ -196,7 +196,9 @@ def _select(kind, what=None):
 def _listed(kind):
     return f"--{kind}s", {"required": True,
                           "help": f"comma separated {kind} names (write "
-                                  f"--{kind}s=LIST when LIST starts with -)"}
+                                  f"--{kind}s=LIST when LIST starts with -; "
+                                  f"a name holding a comma cannot be "
+                                  f"listed)"}
 
 
 def _at_least_one(text):

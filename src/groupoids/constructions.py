@@ -23,10 +23,11 @@ from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
 from .catalog import group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, WideSubgroupoid,
-                   blocks_by, classes, components, full_subgroupoid,
-                   is_covering, is_fibration, is_quotient_morphism,
-                   is_tree_groupoid, object_group, quotient_group, star,
-                   subgroup_closure, validate_groupoid, validate_morphism)
+                   blocks_by, classes, components, fresh_name,
+                   full_subgroupoid, is_covering, is_fibration,
+                   is_quotient_morphism, is_tree_groupoid, object_group,
+                   quotient_group, star, subgroup_closure, validate_groupoid,
+                   validate_morphism)
 
 
 @dataclass
@@ -51,18 +52,13 @@ def semidirect_product(act):
     G, sp = act.group, act.space
     name = f"{sp.name}x{G.name}"
 
-    # identities first, then the pairs (a, g) in input order; "(a,g)" is
-    # not injective when names hold commas, so a taken name gets primes
+    # identities first, then the pairs (a, g) in input order
     name_of = {(sp.identity_of[x], G.identity): f"id_{x}" for x in sp.objects}
     taken = set(name_of.values())
     for a in sp.arrows:
         for g in G.elements:
             if (a, g) not in name_of:
-                u = f"({a},{g})"
-                while u in taken:
-                    u += "'"
-                taken.add(u)
-                name_of[(a, g)] = u
+                name_of[(a, g)] = fresh_name(f"({a},{g})", taken)
 
     source = {}
     target = {}

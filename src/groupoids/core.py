@@ -375,19 +375,30 @@ def quotient_group(gt, members, name=None):
                       inv={coset[a]: coset[gt.inv[a]] for a in reps})
 
 
+def fresh_name(name, taken):
+    """name with primes appended until taken lacks it, added to taken.
+
+    Pair names "(x,y)" are not injective when names hold commas; this keeps
+    them distinct.
+    """
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
 def direct_product_group(a, b, name=None):
-    elements = [f"({x},{y})" for x in a.elements for y in b.elements]
-    mul = {}
-    for x1 in a.elements:
-        for y1 in b.elements:
-            for x2 in a.elements:
-                for y2 in b.elements:
-                    mul[(f"({x1},{y1})", f"({x2},{y2})")] = \
-                        f"({a.prod(x1, x2)},{b.prod(y1, y2)})"
-    return GroupTable(elements, mul, name=name or f"{a.name}x{b.name}",
-                      identity=f"({a.identity},{b.identity})",
-                      inv={f"({x},{y})": f"({a.inv[x]},{b.inv[y]})"
-                           for x in a.elements for y in b.elements})
+    taken = set()
+    name_of = {(x, y): fresh_name(f"({x},{y})", taken)
+               for x in a.elements for y in b.elements}
+    return GroupTable(
+        name_of.values(),
+        {(u, v): name_of[(a.prod(x1, x2), b.prod(y1, y2))]
+         for (x1, y1), u in name_of.items()
+         for (x2, y2), v in name_of.items()},
+        name=name or f"{a.name}x{b.name}",
+        identity=name_of[(a.identity, b.identity)],
+        inv={u: name_of[(a.inv[x], b.inv[y])] for (x, y), u in name_of.items()})
 
 
 class GroupoidMorphism:

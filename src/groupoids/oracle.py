@@ -1,11 +1,11 @@
 """Brute-force verifiers used to cross-check the constructions.
 
 Everything here recomputes from first principles: morphism enumeration by
-backtracking, abelian invariants by counting element orders, and every
-closure (wide subgroupoids, normal closures of subgroups, the derived
-subgroup) by one naive fixpoint, _fixpoint, that repeats whole passes of a
-rule until a pass adds nothing.  None of it calls the construction code it
-is meant to check.
+backtracking, abelian invariants by splitting off cyclic summands of maximal
+order, and every closure (wide subgroupoids, normal closures of subgroups,
+the derived subgroup) by one naive fixpoint, _fixpoint, that repeats whole
+passes of a rule until a pass adds nothing.  None of it calls the
+construction code it is meant to check.
 """
 
 from __future__ import annotations
@@ -248,87 +248,6 @@ def finite_quotient(gt, elements):
     return quotient_group(gt, members, name=f"{gt.name}/<<S>>")
 
 
-def _factor(n):
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
-def _invariants_from_orders(orders):
-    """Invariant factors of an abelian group from its element orders.
-
-    For each prime p, count the elements of order dividing p^j; the jumps of
-    the base-p logarithm give the number of cyclic p-factors of each length.
-    Factors are combined largest-with-largest across primes and returned in
-    ascending divisibility order.
-    """
-    n = len(orders)
-    parts_by_prime = {}
-    for p in _factor(n):
-        p_part = sum(1 for o in orders if _is_power_of(o, p))
-        logs = [0]
-        j = 1
-        while True:
-            count = sum(1 for o in orders if p ** j % o == 0)
-            logs.append(_int_log(count, p))
-            if count == p_part:
-                break
-            j += 1
-        m = [logs[j] - logs[j - 1] for j in range(1, len(logs))]
-        parts = []
-        i = 1
-        while True:
-            width = sum(1 for mj in m if mj >= i)
-            if width == 0:
-                break
-            parts.append(width)
-            i += 1
-        parts_by_prime[p] = parts
-    depth = max((len(v) for v in parts_by_prime.values()), default=0)
-    factors = []
-    for i in range(depth):
-        f = 1
-        for p, parts in parts_by_prime.items():
-            if i < len(parts):
-                f *= p ** parts[i]
-        factors.append(f)
-    return tuple(reversed(factors))
-
-
-def _int_log(n, p):
-    k = 0
-    while n > 1:
-        if n % p != 0:
-            raise ValueError(f"{n} is not a power of {p}")
-        n //= p
-        k += 1
-    return k
-
-
-def _is_power_of(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def abelian_group_invariants(gt):
-    """Invariant factors of an abelian group table, by order counting."""
-    if gt.order > MAX_GROUP_ORDER:
-        raise SizeCapError(f"group operations capped at order {MAX_GROUP_ORDER}")
-    if not is_abelian_group(gt):
-        raise ValueError(f"{gt.name}: not abelian")
-    one = {gt.identity}
-    return _invariants_from_orders([_order(gt, x, one) for x in gt.elements])
-
-
 def _order(gt, x, inside):
     """Least k >= 1 with x^k in inside."""
     k = 1
@@ -339,13 +258,41 @@ def _order(gt, x, inside):
     return k
 
 
+def _invariants(gt, inside):
+    """Invariant factors of the abelian quotient of gt by the subgroup inside.
+
+    A cyclic subgroup of maximal order is a direct summand of a finite
+    abelian group, so its order is the largest invariant factor and the
+    rest are those of the quotient by it: record the largest order modulo
+    inside, add that element to inside, and repeat until every order is 1.
+    """
+    factors = []
+    while True:
+        orders = {x: _order(gt, x, inside) for x in gt.elements}
+        x = max(gt.elements, key=orders.get)
+        if orders[x] == 1:
+            return tuple(reversed(factors))
+        factors.append(orders[x])
+        inside = _fixpoint(inside | {x}, _product_rule(gt))
+
+
+def abelian_group_invariants(gt):
+    """Invariant factors of an abelian group table, by splitting off cyclic
+    summands of maximal order."""
+    if gt.order > MAX_GROUP_ORDER:
+        raise SizeCapError(f"group operations capped at order {MAX_GROUP_ORDER}")
+    if not is_abelian_group(gt):
+        raise ValueError(f"{gt.name}: not abelian")
+    return _invariants(gt, frozenset({gt.identity}))
+
+
 def brute_abelianization(gt):
     """Invariant factors of the abelianization, from scratch.
 
     The commutator subgroup is the plain product closure of all commutators
-    (the set of commutators is closed under conjugation and inversion), the
-    cosets are built directly, and coset orders are read off by taking powers
-    of a representative.
+    (the set of commutators is closed under conjugation and inversion), and
+    the quotient by it is split into cyclic summands as in
+    abelian_group_invariants.
     """
     if gt.order > MAX_GROUP_ORDER:
         raise SizeCapError(f"group operations capped at order {MAX_GROUP_ORDER}")
@@ -353,13 +300,4 @@ def brute_abelianization(gt):
         (gt.prod(gt.prod(a, b), gt.prod(gt.inv[a], gt.inv[b]))
          for a in gt.elements for b in gt.elements),
         _product_rule(gt))
-
-    coset_of = {}
-    reps = []
-    for x in gt.elements:
-        if x in coset_of:
-            continue
-        reps.append(x)
-        for n in derived:
-            coset_of[gt.prod(x, n)] = x
-    return _invariants_from_orders([_order(gt, x, derived) for x in reps])
+    return _invariants(gt, derived)

@@ -10,7 +10,6 @@ traversing y -> x.  Free reduction cancels adjacent inverse letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .core import classes
 
@@ -351,68 +350,48 @@ def smith_normal_form(matrix):
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns the nonzero diagonal entries, each dividing the next; their
-    count is the rank.  Exact integer arithmetic throughout.
+    count is the rank.  Exact integer arithmetic throughout.  Each round
+    takes the nonzero entry of least absolute value, first in row-major
+    order, as pivot and reduces the other rows and columns by it; a nonzero
+    remainder starts the next round, an entry the pivot does not divide is
+    added into the pivot row, and otherwise the pivot is recorded and its
+    row and column deleted.
     """
     m = [list(row) for row in matrix]
-    if not m or not m[0]:
-        return []
-    rows, cols = len(m), len(m[0])
     diag = []
-    top = 0
-    while top < rows and top < cols:
-        # find the nonzero pivot of least absolute value
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] != 0 and (best is None or
-                                     abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(m)
+                   for j, v in enumerate(row) if v]
+        if not nonzero:
+            return diag
+        _, pi, pj = min(nonzero)
+        top, p = m[pi], m[pi][pj]
         for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, rows):
-                if m[i][top] != 0:
-                    q = m[i][top] // m[top][top]
-                    for j in range(top, cols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top] != 0:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-            for j in range(top + 1, cols):
-                if m[top][j] != 0:
-                    q = m[top][j] // m[top][top]
-                    for row in m:
-                        row[j] -= q * row[top]
-                    if m[top][j] != 0:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-        diag.append(abs(m[top][top]))
-        top += 1
-    # gcd/lcm sweeps turn the diagonal into the divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            g = gcd(a, b)
-            diag[i], diag[j] = g, a * b // g
-    return diag
+            q = row[pj] // p
+            if q and row is not top:
+                row[:] = [v - q * t for v, t in zip(row, top)]
+        for j, q in enumerate([v // p for v in top]):
+            if q and j != pj:
+                for row in m:
+                    row[j] -= q * row[pj]
+        if any(top[:pj] + top[pj + 1:]) or \
+                any(row[pj] for row in m if row is not top):
+            continue
+        stray = next((row for row in m for v in row if v % p), None)
+        if stray is not None:
+            top[:] = [v + s for v, s in zip(top, stray)]
+            continue
+        diag.append(abs(p))
+        del m[pi]
+        for row in m:
+            del row[pj]
 
 
 def abelian_invariants(pres):
     """Abelian invariants of a presented group from its relation matrix."""
-    matrix = presentation_relation_matrix(pres)
-    n = len(pres.generators)
-    if not matrix:
-        return AbelianInvariants(n, ())
-    diag = smith_normal_form(matrix)
+    diag = smith_normal_form(presentation_relation_matrix(pres))
     torsion = tuple(d for d in diag if d > 1)
-    return AbelianInvariants(n - len(diag), torsion)
+    return AbelianInvariants(len(pres.generators) - len(diag), torsion)
 
 
 def describe_vertex_group(pres, vertex):

@@ -1,10 +1,14 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import groupoids
 from groupoids import cli, cyclic_group, groupoid_from_group, parse_text
 from groupoids import render_entities
 from groupoids.corpus import (named_actions, random_actions,
@@ -90,6 +94,35 @@ def test_symmetric_square_verb(capsys):
     assert "symmetric square f2-sym2: 4 generators, 6 relators" in out
     assert "abelian invariants: rank 2" in out
     assert "agreement: yes" in out
+
+
+_HOSTILE = """presentation hostile
+generators a b c d e f g h
+relator -a b b b b c c c c d -e -f -f -g -g -g -h -h -h -h
+relator a -b -b -b -b c c c c d d d d d e e e e -f -g h
+relator a a a -b -b -b -b -b -c d d d d -e -e -e -e -f -f -f -f -h -h
+relator a a a a b b b -c -c -d -d -d -d e -f -f -f -f g g g -h -h -h -h
+relator b b b b -c -c d d d d e e f f f g g g g -h -h
+relator a b -c -d -e -e -e -e -f -f -g -g -g -g h h h h
+"""
+
+
+def test_smith_normal_form_finishes_on_coefficient_explosion(tmp_path):
+    # a relation matrix prone to coefficient growth; the subprocess timeout
+    # turns a hang into a failure
+    path = tmp_path / "hostile.pres"
+    path.write_text(_HOSTILE, encoding="utf-8")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(groupoids.__file__).parents[1]))
+    for verb, wanted in (("abelianize", "abelian invariants of hostile: "
+                                        "rank 2\n"),
+                         ("symmetric-square", "agreement: yes\n")):
+        done = subprocess.run(
+            [sys.executable, "-m", "groupoids", verb, str(path)],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert wanted in done.stdout, verb
+    assert "abelian invariants: rank 2\n" in done.stdout
 
 
 def test_check_regular_cover_verb(capsys):
@@ -250,10 +283,13 @@ def test_list_options_starting_with_minus_need_the_equals_form(tmp_path,
                                f"{flag}={names}")
         assert code == 0
         assert report in out, verb
-    with pytest.raises(SystemExit):
-        cli.main(["quotient", "--help"])
-    assert "write --arrows=LIST when LIST starts with -" in \
-        " ".join(capsys.readouterr().out.split())
+    for verb, flag in (("quotient", "--arrows"),
+                       ("restrict-orbit", "--objects")):
+        with pytest.raises(SystemExit):
+            cli.main([verb, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"write {flag}=LIST when LIST starts with -" in help_text
+        assert "a name holding a comma cannot be listed" in help_text
 
 
 def test_semidirect_names_with_commas_stay_distinct(tmp_path, capsys):

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import groupoids
-from groupoids import (FiniteGroupoid, GroupoidMorphism, SizeCapError,
-                       WideSubgroupoid, components,
+from groupoids import (FiniteGroupoid, GroupTable, GroupoidMorphism,
+                       SizeCapError, WideSubgroupoid, components,
                        connected_groupoid, cyclic_group,
                        direct_product_group, disjoint_union,
                        discrete_groupoid, full_subgroupoid,
@@ -160,6 +160,25 @@ def test_direct_product_group():
     assert p.order == 6
     assert is_abelian_group(p)
     assert group_isomorphic(p, cyclic_group(6))
+
+
+def test_direct_product_names_with_commas_stay_distinct():
+    # (u, "v,w") and ("u,v", w) would both be named "(u,v,w)"
+    def z3(names, name):
+        return GroupTable(names, {(x, y): names[(i + j) % 3]
+                                  for i, x in enumerate(names)
+                                  for j, y in enumerate(names)}, name=name)
+    a, b = z3(["e", "u", "u,v"], "A"), z3(["e", "w", "v,w"], "B")
+    p = direct_product_group(a, b)
+    assert p.elements == ("(e,e)", "(e,w)", "(e,v,w)", "(u,e)", "(u,w)",
+                          "(u,v,w)", "(u,v,e)", "(u,v,w)'", "(u,v,v,w)")
+    assert p.identity == "(e,e)"
+    assert p.prod("(u,v,w)", "(u,v,w)") == "(u,v,w)'"
+    assert p.prod("(u,v,w)'", "(u,v,w)'") == "(u,v,w)"
+    assert group_isomorphic(p, direct_product_group(cyclic_group(3),
+                                                    cyclic_group(3)))
+    # names that do not collide keep their plain pair form
+    assert klein_group().elements == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
 
 
 def test_object_group_reads_loops():

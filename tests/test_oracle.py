@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from groupoids import (GroupoidMorphism, SizeCapError, alternating_group,
-                       cyclic_group, dihedral_group, direct_product_group,
+from groupoids import (GroupPresentation, GroupoidMorphism, SizeCapError,
+                       abelian_invariants, alternating_group, cyclic_group,
+                       dihedral_group, direct_product_group,
                        discrete_groupoid, group_isomorphic,
                        groupoid_from_group, normal_closure, orbit_groupoid,
                        quaternion_group, semidirect_product, symmetric_group,
@@ -103,6 +104,28 @@ def test_abelian_group_invariants():
     assert oracle.abelian_group_invariants(klein) == (2, 2)
     with pytest.raises(ValueError):
         oracle.abelian_group_invariants(symmetric_group(3))
+
+
+def _diagonal_presentation(orders):
+    """<x0, x1, ... | xi^orders[i], [xi, xj]>, presenting Z_a x Z_b x ..."""
+    gens = tuple(f"x{i}" for i in range(len(orders)))
+    powers = [((g, 1),) * n for g, n in zip(gens, orders)]
+    commutators = [((g, 1), (h, 1), (g, -1), (h, -1))
+                   for g, h in itertools.combinations(gens, 2)]
+    return GroupPresentation(gens, powers + commutators)
+
+
+def test_abelian_group_invariants_match_the_relation_matrix_route():
+    products = [(a, b) for a in range(1, 13) for b in range(1, 13)]
+    products += [(2, 2, 2), (2, 3, 5), (2, 4, 8), (5, 5, 5), (2, 6, 12),
+                 (6, 6, 4), (3, 6, 9), (4, 4, 12)]
+    for orders in products:
+        gt = cyclic_group(orders[0])
+        for n in orders[1:]:
+            gt = direct_product_group(gt, cyclic_group(n))
+        inv = abelian_invariants(_diagonal_presentation(orders))
+        assert inv.free_rank == 0, orders
+        assert oracle.abelian_group_invariants(gt) == inv.torsion, orders
 
 
 def test_brute_abelianization():

@@ -215,6 +215,17 @@ def test_smith_normal_form_matches_determinantal_divisors():
         assert smith_normal_form(m) == _invariant_factors(m), m
 
 
+def test_smith_normal_form_matches_determinantal_divisors_on_wide_entries():
+    # shapes and entry sizes where unchecked coefficient growth shows
+    rng = random.Random(20261019)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        bound = rng.choice((30, 1000))
+        m = [[rng.randint(-bound, bound) for _ in range(cols)]
+             for _ in range(rows)]
+        assert smith_normal_form(m) == _invariant_factors(m), m
+
+
 def test_abelian_invariants_from_relators():
     q8 = GroupPresentation(("i", "j"),
                            ((("i", 1),) * 4,
