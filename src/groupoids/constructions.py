@@ -390,11 +390,11 @@ def regular_cover_orbit_check(p, deck):
     """Verify that a covering morphism with a free deck action is the orbit
     morphism of that action.
 
-    Preconditions (errors): p is a covering morphism; deck acts freely on the
-    source of p; p is constant on deck orbits.  Checks: the orbit groupoid of
-    the deck action is isomorphic to the target over p, and the target object
-    group at p(x) is isomorphic to the object group of the semidirect product
-    at x, for every x.
+    Preconditions (errors): p is a covering morphism; deck is a valid, free
+    action on the source of p; p is constant on deck orbits.  Checks: the
+    orbit groupoid of the deck action is isomorphic to the target over p, and
+    the target object group at p(x) is isomorphic to the object group of the
+    semidirect product at x, for every x.
     """
     problems = validate_morphism(p)
     if problems:
@@ -403,15 +403,12 @@ def regular_cover_orbit_check(p, deck):
         raise ValueError(f"{p.name}: not a covering morphism")
     if deck.space is not p.dom:
         raise ValueError("deck action must act on the source of the morphism")
-    problems = validate_action(deck)
-    if problems:
-        raise ValueError(f"{deck.name}: invalid action: {problems[0]}")
+    orbit = orbit_groupoid(deck)
     if not is_free_action(deck):
         raise ValueError(f"{deck.name}: deck action is not free")
     if not _constant_on_orbits(deck, p):
         raise ValueError(f"{p.name}: not constant on deck orbits")
 
-    orbit = orbit_groupoid(deck)
     induced, details = _induced(orbit, p.cod, p.object_map, p.arrow_map,
                                 "induced")
     if induced is not None and not (

@@ -122,7 +122,7 @@ class ParsedFile:
 
 def parse_input(path):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise UnreadableInput(f"{path}: {exc.strerror or exc}") from None
@@ -135,7 +135,7 @@ def parse_input(path):
 def parse_text(text, path="<input>"):
     parsed = ParsedFile(path)
     block = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].rstrip()
         tokens = line.split()
         if not tokens:

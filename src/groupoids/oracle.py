@@ -87,8 +87,6 @@ def enumerate_morphisms(dom, cod):
                     del arrow_map[partner]
 
         extend(0)
-    for f in found:
-        assert validate_morphism(f) == []
     return found
 
 

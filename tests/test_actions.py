@@ -5,7 +5,7 @@ from groupoids import (GroupoidAction, action_from_object_map, cyclic_group,
                        groupoid_from_group, is_free_action, object_orbits,
                        restrict_action, tree_groupoid, trivial_action,
                        validate_action)
-from groupoids.corpus import named_actions
+from groupoids.corpus import named_actions, random_actions
 
 
 def _named(name):
@@ -87,3 +87,99 @@ def test_groupoid_from_group_space():
     space = groupoid_from_group(cyclic_group(2))
     act = trivial_action(cyclic_group(2), space)
     assert validate_action(act) == []
+
+
+def _reference_validate_action(act):
+    """Reference validator: every action law checked by hand on objects and
+    arrows, without validate_morphism."""
+    problems = []
+    G, sp = act.group, act.space
+    for g in G.elements:
+        for x in sp.objects:
+            if act.act_obj.get((g, x)) not in sp.object_index:
+                problems.append(f"object image ({g}, {x})")
+        for a in sp.arrows:
+            if act.act_arrow.get((g, a)) not in sp.arrow_index:
+                problems.append(f"arrow image ({g}, {a})")
+    if problems:
+        return problems
+    e = G.identity
+    for x in sp.objects:
+        if act.act_obj[(e, x)] != x:
+            problems.append(f"unit axiom fails: {e}*{x} != {x}")
+    for a in sp.arrows:
+        if act.act_arrow[(e, a)] != a:
+            problems.append(f"unit axiom fails on arrow {a}")
+    for g in G.elements:
+        for h in G.elements:
+            gh = G.prod(g, h)
+            for x in sp.objects:
+                if act.act_obj[(g, act.act_obj[(h, x)])] != \
+                        act.act_obj[(gh, x)]:
+                    problems.append(f"composition on objects: {g}, {h}, {x}")
+            for a in sp.arrows:
+                if act.act_arrow[(g, act.act_arrow[(h, a)])] != \
+                        act.act_arrow[(gh, a)]:
+                    problems.append(f"composition on arrows: {g}, {h}, {a}")
+    for g in G.elements:
+        for a in sp.arrows:
+            b = act.act_arrow[(g, a)]
+            if sp.source[b] != act.act_obj[(g, sp.source[a])]:
+                problems.append(f"source not respected: g={g}, a={a}")
+            if sp.target[b] != act.act_obj[(g, sp.target[a])]:
+                problems.append(f"target not respected: g={g}, a={a}")
+        for x in sp.objects:
+            if act.act_arrow[(g, sp.identity_of[x])] != \
+                    sp.identity_of[act.act_obj[(g, x)]]:
+                problems.append(f"identity not preserved: g={g}, x={x}")
+        for (v, u), w in sp.compose.items():
+            gv = act.act_arrow[(g, v)]
+            gu = act.act_arrow[(g, u)]
+            if sp.compose.get((gv, gu)) != act.act_arrow[(g, w)]:
+                problems.append(f"additivity fails: g={g}, pair=({v}, {u})")
+    return problems
+
+
+def _single_entry_replacements(act):
+    """Every action made from act by replacing one act_obj or act_arrow
+    entry with an image from the space, the entry itself included."""
+    sp = act.space
+    for key in act.act_obj:
+        for y in sp.objects:
+            yield GroupoidAction(act.group, sp, {**act.act_obj, key: y},
+                                 act.act_arrow, name=act.name)
+    for key in act.act_arrow:
+        for b in sp.arrows:
+            yield GroupoidAction(act.group, sp, act.act_obj,
+                                 {**act.act_arrow, key: b}, name=act.name)
+
+
+def _element_swaps(act):
+    """Every action in which one element g acts as another element h does."""
+    G, sp = act.group, act.space
+    for g in G.elements:
+        for h in G.elements:
+            if g != h:
+                yield GroupoidAction(
+                    G, sp,
+                    {**act.act_obj, **{(g, x): act.act_obj[(h, x)]
+                                       for x in sp.objects}},
+                    {**act.act_arrow, **{(g, a): act.act_arrow[(h, a)]
+                                         for a in sp.arrows}},
+                    name=act.name)
+
+
+def test_validate_action_agrees_with_the_reference_on_corruptions():
+    named = [act for _name, act in named_actions()]
+    cases = [b for act in named for b in _single_entry_replacements(act)]
+    assert len(cases) == 1964
+    swaps = [b for act in named + random_actions()
+             for b in _element_swaps(act)]
+    for b in cases + swaps:
+        assert (not validate_action(b)) == (not _reference_validate_action(b))
+    # a valid action is a bijection on each level, so only the 286
+    # replacements of an entry by itself leave it valid; a swap stays valid
+    # when the two elements act alike, or when Z2 is made to act trivially
+    assert sum(validate_action(b) == [] for b in cases) == 286
+    assert (len(swaps), sum(validate_action(b) == [] for b in swaps)) == \
+        (578, 163)

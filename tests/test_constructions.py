@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from groupoids import (GroupoidMorphism, action_from_object_map, components,
+from groupoids import (GroupoidAction, GroupoidMorphism,
+                       action_from_object_map, components,
                        connected_groupoid, cyclic_group, full_subgroupoid,
                        generated_wide_subgroupoid,
                        group_isomorphic, groupoid_from_group, is_covering,
@@ -259,7 +260,7 @@ def test_regular_cover_check_rejects_non_free_deck():
         {"id_x": "id_pt", "id_y": "id_pt", "x>y": "1", "y>x": "1"},
         name="fold")
     lazy = trivial_action(cyclic_group(2), seg, name="lazy")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lazy: deck action is not free$"):
         regular_cover_orbit_check(fold, lazy)
 
 
@@ -270,8 +271,38 @@ def test_regular_cover_check_rejects_non_covering():
         z4, z2, {"pt": "pt"},
         {"id_pt": "id_pt", "1": "1", "2": "id_pt", "3": "1"}, name="halve")
     deck = trivial_action(trivial_group(), z4, name="one")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^halve: not a covering morphism$"):
         regular_cover_orbit_check(halve, deck)
+
+
+def test_regular_cover_check_names_each_failed_precondition():
+    seg = tree_groupoid(("x", "y"), name="seg")
+    z2 = groupoid_from_group(cyclic_group(2), name="z2")
+    fold_arrows = {"id_x": "id_pt", "id_y": "id_pt", "x>y": "1", "y>x": "1"}
+    fold = GroupoidMorphism(seg, z2, {"x": "pt", "y": "pt"}, fold_arrows,
+                            name="fold")
+    swap = {("0", "x"): "x", ("0", "y"): "y",
+            ("1", "x"): "y", ("1", "y"): "x"}
+    deck = action_from_object_map(cyclic_group(2), seg, swap, name="deck")
+    broken = GroupoidMorphism(seg, z2, {"x": "pt", "y": "pt"},
+                              {**fold_arrows, "x>y": "id_pt"}, name="broken")
+    with pytest.raises(ValueError, match="^broken: not a morphism: "):
+        regular_cover_orbit_check(broken, deck)
+    twin = tree_groupoid(("x", "y"), name="seg")
+    foreign = action_from_object_map(cyclic_group(2), twin, swap, name="far")
+    with pytest.raises(ValueError, match="^deck action must act on the "
+                                         "source of the morphism$"):
+        regular_cover_orbit_check(fold, foreign)
+    invalid = GroupoidAction(deck.group, seg, deck.act_obj,
+                             {**deck.act_arrow, ("1", "x>y"): "x>y"},
+                             name="bad")
+    with pytest.raises(ValueError, match="^bad: invalid action: "):
+        regular_cover_orbit_check(fold, invalid)
+    ident = GroupoidMorphism(seg, seg, {"x": "x", "y": "y"},
+                             {a: a for a in seg.arrows}, name="ident")
+    with pytest.raises(ValueError,
+                       match="^ident: not constant on deck orbits$"):
+        regular_cover_orbit_check(ident, deck)
 
 
 def test_universal_covers_of_the_corpus_components():

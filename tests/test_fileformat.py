@@ -99,6 +99,32 @@ def test_parse_error_carries_location():
         parse_text("objects x\n")
 
 
+@pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"],
+                         ids=["ff", "vt", "fs", "gs", "rs", "nel", "ls", "ps"])
+def test_only_a_newline_ends_a_line(sep):
+    # str.splitlines would also break at these and push line numbers on
+    text = f"groupoid seg  # page{sep}one\nobjects x y\narrow f : x -> q\n"
+    with pytest.raises(ParseError) as err:
+        parse_text(text, path="in.txt")
+    assert str(err.value) == "in.txt:3:1: unknown object q"
+
+
+@pytest.mark.parametrize("raw", [
+    b"groupoid seg  # page one\x0c\nobjects x y\narrow f : x -> q\n",
+    b"groupoid seg\r\nobjects x y\r\narrow f : x -> q\r\n",
+    b"groupoid seg\robjects x y\rarrow f : x -> q\r",
+    b"\xef\xbb\xbfgroupoid seg\nobjects x y\narrow f : x -> q\n",
+], ids=["form-feed", "crlf", "cr", "bom"])
+def test_file_errors_name_the_right_line(tmp_path, raw):
+    # a leading byte-order mark is skipped, so the header on line 1 parses
+    path = tmp_path / "in.gpd"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as err:
+        parse_input(str(path))
+    assert str(err.value) == f"{path}:3:1: unknown object q"
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = SEG.replace("objects x y", "objects x y   # the two endpoints")
     parsed = parse_text("# header\n\n" + text)
@@ -422,7 +448,7 @@ PARSE_ERRORS = {
     "action-unexpected": (_ACT + "objects z\n",
                           "13:1: unexpected objects in an action block"),
     "action-axiom": (_ACT + "obj t : x -> y\nobj t : y -> x\n",
-                     "12:1: a: source not respected: g=t, a=f"),
+                     "12:1: a: g=t: image of f has wrong source"),
     "graph-action-axiom": (_GACT + "obj t : v -> w\nobj t : w -> v\n",
                            "11:1: a: edge image breaks incidence: t on e"),
     # graph blocks
