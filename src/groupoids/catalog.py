@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .core import (FiniteGroupoid, GroupTable, direct_product_group,
-                   element_order, is_abelian_group, object_group,
-                   search_isomorphism)
+                   element_order, group_isomorphism, is_abelian_group,
+                   object_group)
 
 
 def trivial_group(name="1"):
@@ -202,11 +202,11 @@ def connected_groupoid(objects, vertex_group, name=None):
 
 
 def group_isomorphic(a, b):
-    """Group-table isomorphism via search on the one-object groupoids.
+    """Group-table isomorphism.
 
     Order, commutativity and element orders are compared first.  Groups
-    they do not tell apart go to search_isomorphism, so above 64 elements
-    (ISO_ARROW_CAP arrows) this raises SizeCapError.
+    they do not tell apart go to group_isomorphism, so above 64 elements
+    (ISO_ARROW_CAP) this raises SizeCapError.
     """
     if a.order != b.order:
         return False
@@ -215,8 +215,7 @@ def group_isomorphic(a, b):
     if sorted(element_order(a, x) for x in a.elements) != \
             sorted(element_order(b, x) for x in b.elements):
         return False
-    return search_isomorphism(groupoid_from_group(a),
-                              groupoid_from_group(b)) is not None
+    return group_isomorphism(a, b) is not None
 
 
 def group_of_one_object_groupoid(gpd):

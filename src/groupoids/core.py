@@ -618,108 +618,93 @@ def object_group(g, x):
                       inv={u: g.inverse_of[u] for u in loops})
 
 
-def _object_profile(g, x):
-    return (len(g.loops(x)), len(star(g, x)), len(g.costar(x)))
+def _check_iso_cap(*sizes):
+    if max(sizes) > ISO_ARROW_CAP:
+        raise SizeCapError(
+            f"isomorphism search capped at {ISO_ARROW_CAP} arrows")
+
+
+def group_isomorphism(a, b):
+    """An isomorphism of group tables a -> b as an element dict, or None.
+
+    Only the images of a generating set are searched (G. L. Miller, "On the
+    n^log n isomorphism technique", STOC 1978).  Generators are picked
+    greedily in element order, each outside the subgroup of the earlier
+    ones, so there are at most log2 of the order.  Images of the same
+    element order are tried in element order.  A choice for the first k
+    generators is extended along left multiplication by them, phi(s x) =
+    phi(s) phi(x), and kept when that is well defined and injective: then
+    it is an injective homomorphism on the subgroup they generate.  Groups
+    above ISO_ARROW_CAP elements raise SizeCapError, as in search_isomorphism.
+    """
+    _check_iso_cap(a.order, b.order)
+    if a.order != b.order:
+        return None
+    gens, span = [], {a.identity}
+    for x in a.elements:
+        if x not in span:
+            gens.append(x)
+            span = set(subgroup_closure(a, gens))
+
+    def search(images):
+        phi = {a.identity: b.identity}
+        queue = deque(phi)
+        while queue:
+            x = queue.popleft()
+            for s, t in zip(gens, images):
+                z, w = a.prod(s, x), b.prod(t, phi[x])
+                if z not in phi:
+                    phi[z] = w
+                    queue.append(z)
+                elif phi[z] != w:
+                    return None
+        if len(set(phi.values())) < len(phi):
+            return None
+        if len(images) == len(gens):
+            return phi
+        k = element_order(a, gens[len(images)])
+        found = (search(images + [t]) for t in b.elements
+                 if element_order(b, t) == k)
+        return next((phi for phi in found if phi is not None), None)
+    return search([])
 
 
 def search_isomorphism(a, b):
-    """Plain backtracking search for an isomorphism a -> b.
+    """An isomorphism a -> b by the structure theorem, or None.
 
-    Returns a GroupoidMorphism or None.  Deterministic: candidates are tried
-    in input order.  Inputs above ISO_ARROW_CAP arrows are rejected.
+    Each component is a tree groupoid times its object group.  In input
+    order, each component of a takes the first unused component of b with
+    as many objects and an isomorphic object group (phi) at its first
+    object; with x and y those first objects, objects pair in input order.
+    Then u: z -> z' goes to s_z' + phi(-t_z' + u + t_z) - s_z, where t_z
+    and s_z are the first arrows from x to z and from y to its image.
+    Inputs above ISO_ARROW_CAP arrows are rejected.
     """
-    if len(a.arrows) > ISO_ARROW_CAP or len(b.arrows) > ISO_ARROW_CAP:
-        raise SizeCapError(
-            f"isomorphism search capped at {ISO_ARROW_CAP} arrows")
+    _check_iso_cap(len(a.arrows), len(b.arrows))
     if len(a.objects) != len(b.objects) or len(a.arrows) != len(b.arrows):
         return None
-
-    profiles_b = {y: _object_profile(b, y) for y in b.objects}
-    object_map = {}
-    used_objects = set()
-
-    non_identity = [u for u in a.arrows if not a.is_identity_arrow(u)]
-    arrow_map = {}
-    used_arrows = set()
-
-    # composition triples indexed by participating arrow, for incremental checks
-    triples_of = {u: [] for u in a.arrows}
-    for (v, u), w in a.compose.items():
-        for key in {v, u, w}:
-            triples_of[key].append((v, u, w))
-
-    def arrow_consistent(u, w):
-        partner = a.inverse_of[u]
-        if partner in arrow_map and arrow_map[partner] != b.inverse_of[w]:
-            return False
-        arrow_map[u] = w
-        try:
-            for (p, q, r) in triples_of[u]:
-                fp = arrow_map.get(p)
-                fq = arrow_map.get(q)
-                fr = arrow_map.get(r)
-                if fp is not None and fq is not None:
-                    got = b.compose.get((fp, fq))
-                    if got is None:
-                        return False
-                    if fr is not None and got != fr:
-                        return False
-        finally:
-            del arrow_map[u]
-        return True
-
-    def assign_arrows(k):
-        if k == len(non_identity):
-            return True
-        u = non_identity[k]
-        x = object_map[a.source[u]]
-        y = object_map[a.target[u]]
-        for w in b.hom(x, y):
-            if w in used_arrows or b.is_identity_arrow(w):
-                continue
-            if not arrow_consistent(u, w):
-                continue
-            arrow_map[u] = w
-            used_arrows.add(w)
-            if assign_arrows(k + 1):
-                return True
-            del arrow_map[u]
-            used_arrows.remove(w)
-        return False
-
-    def hom_counts_match():
-        for x in a.objects:
-            for y in a.objects:
-                if len(a.hom(x, y)) != len(b.hom(object_map[x], object_map[y])):
-                    return False
-        return True
-
-    def assign_objects(i):
-        if i == len(a.objects):
-            if not hom_counts_match():
-                return False
-            for x in a.objects:
-                arrow_map[a.identity_of[x]] = b.identity_of[object_map[x]]
-            ok = assign_arrows(0)
-            if not ok:
-                for x in a.objects:
-                    del arrow_map[a.identity_of[x]]
-            return ok
-        x = a.objects[i]
-        profile = _object_profile(a, x)
-        for y in b.objects:
-            if y in used_objects or profiles_b[y] != profile:
-                continue
-            object_map[x] = y
-            used_objects.add(y)
-            if assign_objects(i + 1):
-                return True
-            del object_map[x]
-            used_objects.remove(y)
-        return False
-
-    if not assign_objects(0):
-        return None
+    unused = components(b)
+    object_map, arrow_map = {}, {}
+    for block in components(a):
+        x = block[0]
+        group = object_group(a, x)
+        for image in unused:
+            phi = len(image) == len(block) and group_isomorphism(
+                group, object_group(b, image[0]))
+            if phi:
+                break
+        else:
+            return None
+        unused.remove(image)
+        object_map.update(zip(block, image))
+        t = {z: a.hom(x, z)[0] for z in block}
+        s = {z: b.hom(image[0], object_map[z])[0] for z in block}
+        for z in block:
+            for u in star(a, z):
+                z2 = a.target[u]
+                loop = a.compose[(a.inverse_of[t[z2]], a.compose[(u, t[z])])]
+                arrow_map[u] = b.compose[
+                    (s[z2], b.compose[(phi[loop], b.inverse_of[s[z]])])]
     iso = GroupoidMorphism(a, b, object_map, arrow_map,
                            name=f"{a.name}~{b.name}")
     assert validate_morphism(iso) == []
