@@ -9,22 +9,35 @@ product by the normal closure of the pairs (identity at g.x, g), and its
 canonical morphism from the acted-on groupoid is constant on orbits and
 universal among such morphisms.
 
+orbit_groupoid computes that quotient without building the product, one
+G-orbit of components of the space at a time, by Armstrong's theorem (M. A.
+Armstrong, "The fundamental group of the orbit space of a discontinuous
+group", Proc. Cambridge Philos. Soc. 64, 1968).  With x the first object
+of such an orbit, K(x) is the group of pairs (a, g) with a: g.x -> x, and F(x)
+holds the pairs (-b + g.b, g) for every b in star(x) and every g fixing
+the target of b, the elements with fixed points lifted to the universal
+cover.  F(x) is closed under conjugation, so the subgroup it generates is
+normal, and the orbit component is a tree on the object orbits times
+K(x)/<F(x)>.  The semidirect verb and the semidirect-laws check still
+build the product.
+
 Results come back as dataclasses: SemidirectProduct (groupoid, projection,
 action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
-(groupoid, morphism, semidirect), and the RestrictOrbitReport and
-RegularCoverReport check reports.
+(groupoid, morphism, action, and the semidirect product built on first
+access), and the RestrictOrbitReport and RegularCoverReport check reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
-from .catalog import group_isomorphic, groupoid_from_group
-from .core import (FiniteGroupoid, GroupoidMorphism, WideSubgroupoid,
-                   blocks_by, classes, components, fresh_name,
-                   full_subgroupoid, is_covering, is_fibration,
+from .catalog import bundle, group_isomorphic, groupoid_from_group
+from .core import (FiniteGroupoid, GroupoidMorphism, GroupTable,
+                   WideSubgroupoid, blocks_by, classes, components, cosets,
+                   fresh_name, full_subgroupoid, is_covering, is_fibration,
                    is_quotient_morphism, is_tree_groupoid, object_group,
                    quotient_group, star, subgroup_closure, validate_groupoid,
                    validate_morphism)
@@ -40,25 +53,35 @@ class SemidirectProduct:
     name_of: dict               # (arrow, group element) -> arrow name
 
 
-def semidirect_product(act):
-    """The semidirect product groupoid of an action, with its projection.
+def _pair_names(act):
+    """Names of the semidirect arrows of a valid action, keyed by pair.
 
-    The projection onto the one-object groupoid of the acting group sends
-    (a, g) to g; it is always a fibration.
+    Identities first, id_x for (id_x, 1), then the pairs (a, g) in input
+    order, "(a,g)" with primes added where names holding commas collide.
+    An invalid action raises ValueError.
     """
     problems = validate_action(act)
     if problems:
         raise ValueError(f"{act.name}: invalid action: {problems[0]}")
     G, sp = act.group, act.space
-    name = f"{sp.name}x{G.name}"
-
-    # identities first, then the pairs (a, g) in input order
     name_of = {(sp.identity_of[x], G.identity): f"id_{x}" for x in sp.objects}
     taken = set(name_of.values())
     for a in sp.arrows:
         for g in G.elements:
             if (a, g) not in name_of:
                 name_of[(a, g)] = fresh_name(f"({a},{g})", taken)
+    return name_of
+
+
+def semidirect_product(act):
+    """The semidirect product groupoid of an action, with its projection.
+
+    The projection onto the one-object groupoid of the acting group sends
+    (a, g) to g; it is always a fibration.
+    """
+    name_of = _pair_names(act)
+    G, sp = act.group, act.space
+    name = f"{sp.name}x{G.name}"
 
     source = {}
     target = {}
@@ -202,11 +225,16 @@ def quotient_groupoid(k, n, name=None):
 
 @dataclass
 class OrbitGroupoid:
-    """An orbit groupoid, its canonical morphism and its semidirect product."""
+    """An orbit groupoid and its canonical morphism.  The semidirect product
+    of the action is built on first access to semidirect, and kept."""
 
     groupoid: FiniteGroupoid
     morphism: GroupoidMorphism
-    semidirect: SemidirectProduct
+    action: GroupoidAction
+
+    @cached_property
+    def semidirect(self):
+        return semidirect_product(self.action)
 
 
 def _constant_on_orbits(act, f):
@@ -218,33 +246,118 @@ def _constant_on_orbits(act, f):
             for g in G.elements for a in sp.arrows)
 
 
+def _loop_group(act, x):
+    """K(x): the object group at x of the semidirect product, built alone.
+
+    Its elements are the pairs (a, g) with a: g.x -> x, in input order of
+    a and then of g, under (b, h)(a, g) = (b + h.a, hg).
+    """
+    G, sp = act.group, act.space
+    pairs = [(a, g) for a in sp.costar(x) for g in G.elements
+             if act.act_obj[(g, x)] == sp.source[a]]
+    mul = {(v, u): (sp.compose[(v[0], act.act_arrow[(v[1], u[0])])],
+                    G.mul[(v[1], u[1])])
+           for v in pairs for u in pairs}
+    inverse = {(a, g): (act.act_arrow[(G.inv[g], sp.inverse_of[a])],
+                        G.inv[g]) for (a, g) in pairs}
+    return GroupTable(pairs, mul, name=f"K({x})",
+                      identity=(sp.identity_of[x], G.identity), inv=inverse)
+
+
+def _fixer_pairs(act, x):
+    """F(x): the pairs (-b + g.b, g) of K(x), for every b in star(x) and
+    every g that fixes the target of b."""
+    G, sp = act.group, act.space
+    return [(sp.compose[(sp.inverse_of[b], act.act_arrow[(g, b)])], g)
+            for b in star(sp, x) for g in G.elements
+            if act.act_obj[(g, sp.target[b])] == sp.target[b]]
+
+
 def orbit_groupoid(act):
     """The orbit groupoid of an action, with its canonical morphism.
 
-    Quotient of the semidirect product by the normal closure of the pairs
-    (identity at g.x, g).  The canonical morphism sends an arrow a to the
-    class of (a, 1); it is constant on orbits, surjective, and a fibration,
-    and its objects correspond to the object orbits.
+    The quotient of the semidirect product by the normal closure of the
+    pairs (identity at g.x, g), computed per G-orbit of components of the
+    space as a tree on the object orbits times K(x)/<F(x)> (see the module
+    docstring).  Names are the quotient's: the object [x] for each object
+    orbit, x its first object; id_[x] for each identity class, first; and
+    [u] for every other class, u the semidirect name of its first pair,
+    in that order.  One pass over the pairs finds them: each pair u: y -> z
+    goes to -t_z + u + t_y in K(x), where the transport t_y: x -> y is
+    (identity, k) + t_y0 for y = k.y0, y0 the first object of y's orbit.
+    The canonical morphism sends an arrow a to the class of (a, 1); it is
+    constant on orbits, surjective, and a fibration, and its objects
+    correspond to the object orbits.
     """
     G, sp = act.group, act.space
-    sd = semidirect_product(act)
-    relations = [sd.name_of[(act.act_arrow[(g, sp.identity_of[x])], g)]
-                 for x in sp.objects for g in G.elements]
-    n = normal_closure(sd.groupoid, relations, name="N-orbit")
-    q = quotient_groupoid(sd.groupoid, n, name=f"{sp.name}//{G.name}")
-    cls = q.morphism
-    morphism = GroupoidMorphism(
-        sp, q.groupoid, {x: cls.object_map[x] for x in sp.objects},
-        {a: cls.arrow_map[sd.name_of[(a, G.identity)]] for a in sp.arrows},
-        name=f"orbit-{act.name}")
+    name_of = _pair_names(act)
+    orbits = object_orbits(act)
+
+    # base[c] = (x, h): x the first object of the G-orbit of the space's
+    # component c, and h.x lies in c
+    comp = {y: i for i, block in enumerate(components(sp)) for y in block}
+    base = {}
+    for x in sp.objects:
+        for h in G.elements:
+            base.setdefault(comp[act.act_obj[(h, x)]], (x, h))
+    # per object y: its orbit's name, its base, and t_y = (c, h), c: h.x -> y
+    orbit_of, base_of, transport, names_at = {}, {}, {}, {}
+    for block in orbits:
+        y0 = block[0]
+        x, h = base[comp[y0]]
+        names_at.setdefault(x, []).append(f"[{y0}]")
+        c = sp.hom(act.act_obj[(h, x)], y0)[0]
+        for k in G.elements:
+            y = act.act_obj[(k, y0)]
+            if y not in transport:
+                orbit_of[y], base_of[y] = f"[{y0}]", x
+                transport[y] = (act.act_arrow[(k, c)], G.mul[(k, h)])
+    quotient, coset = {}, {}
+    for x in names_at:
+        loops = _loop_group(act, x)
+        members = subgroup_closure(loops, _fixer_pairs(act, x))
+        quotient[x] = quotient_group(loops, members)   # <F(x)> is normal
+        coset[x] = cosets(loops, members)
+
+    label, arrow_map = {}, {}
+    for (a, g), u in name_of.items():
+        y, z = act.act_obj[(G.inv[g], sp.source[a])], sp.target[a]
+        (cy, hy), (cz, hz) = transport[y], transport[z]
+        back = G.inv[hz]
+        loop = (act.act_arrow[(back, sp.compose[(
+                    sp.inverse_of[cz],
+                    sp.compose[(a, act.act_arrow[(g, cy)])])])],
+                G.mul[(G.mul[(back, g)], hy)])
+        x = base_of[y]
+        key = (orbit_of[y], coset[x][loop], orbit_of[z])
+        if key not in label:
+            label[key] = f"id_{key[0]}" if key[0] == key[2] and \
+                key[1] == quotient[x].identity else f"[{u}]"
+        if g == G.identity:
+            arrow_map[a] = label[key]
+
+    name = f"{sp.name}//{G.name}"
+    shape = bundle([f"[{block[0]}]" for block in orbits],
+                   [(names_at[x], quotient[x]) for x in names_at],
+                   lambda y, v, z, _q: label[(y, v, z)], name)
+    # the quotient's arrow order: the classes as the pass opened them
+    gpd = FiniteGroupoid(shape.objects, label.values(), shape.source,
+                         shape.target, shape.identity_of, shape.inverse_of,
+                         shape.compose, name=name)
+    problems = validate_groupoid(gpd)
+    if problems:
+        raise AssertionError(f"orbit groupoid is not a groupoid: "
+                             f"{problems[0]}")
+    morphism = GroupoidMorphism(sp, gpd, orbit_of, arrow_map,
+                                name=f"orbit-{act.name}")
     assert validate_morphism(morphism) == []
 
     assert _constant_on_orbits(act, morphism)
     assert blocks_by(sp.objects, morphism.object_map) == object_orbits(act)
-    assert set(morphism.object_map.values()) == set(q.groupoid.objects)
-    assert set(morphism.arrow_map.values()) == set(q.groupoid.arrows)
+    assert set(morphism.object_map.values()) == set(gpd.objects)
+    assert set(morphism.arrow_map.values()) == set(gpd.arrows)
     assert is_fibration(morphism)
-    return OrbitGroupoid(q.groupoid, morphism, sd)
+    return OrbitGroupoid(gpd, morphism, act)
 
 
 def orbit_kernel_generators(act):
@@ -275,6 +388,9 @@ def tree_orbit_group(act):
     K is the subgroup generated by the elements with a fixed object; it is
     normal (quotient_group raises otherwise), and the suite's tree-orbit-groups
     check compares the quotient with every object group of the orbit groupoid.
+    On a tree this is orbit_groupoid's route with K(x) = G, but it does not
+    call that route's helpers: the check would then compare them with
+    themselves.
     """
     G, sp = act.group, act.space
     if not is_tree_groupoid(sp):
@@ -394,7 +510,7 @@ def regular_cover_orbit_check(p, deck):
     action on the source of p; p is constant on deck orbits.  Checks: the
     orbit groupoid of the deck action is isomorphic to the target over p, and
     the target object group at p(x) is isomorphic to the object group of the
-    semidirect product at x, for every x.
+    semidirect product at x, K(x), for every x.
     """
     problems = validate_morphism(p)
     if problems:
@@ -422,7 +538,7 @@ def regular_cover_orbit_check(p, deck):
     object_group_iso_ok = True
     for x in p.dom.objects:
         target_group = object_group(p.cod, p.object_map[x])
-        lifted_group = object_group(orbit.semidirect.groupoid, x)
+        lifted_group = _loop_group(deck, x)
         if not group_isomorphic(target_group, lifted_group):
             object_group_iso_ok = False
             details.append(

@@ -350,6 +350,13 @@ def is_normal_subgroup(gt, members):
                for g in gt.elements for n in members)
 
 
+def cosets(gt, members):
+    """Map each element x to "[r]", r the first element of the coset
+    x members in input order: the element names of quotient_group."""
+    first = classes(gt.elements, lambda x: [gt.prod(x, n) for n in members])
+    return {x: f"[{first[x]}]" for x in gt.elements}
+
+
 def quotient_group(gt, members, name=None):
     """Quotient of gt by a normal subgroup given as an element subset.
 
@@ -365,9 +372,8 @@ def quotient_group(gt, members, name=None):
                 raise ValueError(f"{gt.name}: subset not closed under product")
     if not is_normal_subgroup(gt, members):
         raise ValueError(f"{gt.name}: subgroup is not normal")
-    first = classes(gt.elements, lambda x: [gt.prod(x, n) for n in members])
-    coset = {x: f"[{first[x]}]" for x in gt.elements}
-    reps = [x for x in gt.elements if first[x] == x]
+    coset = cosets(gt, members)
+    reps = [block[0] for block in blocks_by(gt.elements, coset)]
     mul = {(coset[a], coset[b]): coset[gt.prod(a, b)]
            for a in reps for b in reps}
     return GroupTable([coset[x] for x in reps], mul,
