@@ -9,22 +9,23 @@ product by the normal closure of the pairs (identity at g.x, g), and its
 canonical morphism from the acted-on groupoid is constant on orbits and
 universal among such morphisms.
 
-orbit_groupoid computes that quotient without building the product, one
+orbit_groupoid computes that quotient without composing in the product, one
 G-orbit of components of the space at a time, by Armstrong's theorem (M. A.
 Armstrong, "The fundamental group of the orbit space of a discontinuous
-group", Proc. Cambridge Philos. Soc. 64, 1968).  With x the first object
-of such an orbit, K(x) is the group of pairs (a, g) with a: g.x -> x, and F(x)
-holds the pairs (-b + g.b, g) for every b in star(x) and every g fixing
-the target of b, the elements with fixed points lifted to the universal
-cover.  F(x) is closed under conjugation, so the subgroup it generates is
-normal, and the orbit component is a tree on the object orbits times
-K(x)/<F(x)>.  The semidirect verb and the semidirect-laws check still
-build the product.
+group", Proc. Cambridge Philos. Soc. 64, 1968).  With x the first object of
+such an orbit, K(x) is the group of pairs (a, g) with a: g.x -> x, and F(x)
+holds the pairs (-b + g.b, g) for every b in star(x) and every g fixing the
+target of b, the elements with fixed points lifted to the universal cover.
+F(x) is closed under conjugation, so the subgroup it generates is normal,
+and the orbit component is a tree on the object orbits times K(x)/<F(x)>.
+The semidirect verb and the semidirect-laws check still compute the
+product's whole composition table.
 
 Results come back as dataclasses: SemidirectProduct (groupoid, projection,
 action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
-(groupoid, morphism, action, and the semidirect product built on first
-access), and the RestrictOrbitReport and RegularCoverReport check reports.
+(groupoid, morphism, and the semidirect product, whose composition table
+is computed on first read), and the RestrictOrbitReport and
+RegularCoverReport check reports.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
 from .catalog import bundle, group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, GroupTable,
-                   WideSubgroupoid, blocks_by, classes, components, cosets,
+                   WideSubgroupoid, blocks_by, classes, components,
                    fresh_name, full_subgroupoid, is_covering, is_fibration,
                    is_quotient_morphism, is_tree_groupoid, object_group,
-                   quotient_group, star, subgroup_closure, validate_groupoid,
-                   validate_morphism)
+                   quotient_group, quotient_map, star, subgroup_closure,
+                   validate_groupoid, validate_morphism)
 
 
 @dataclass
@@ -73,49 +74,67 @@ def _pair_names(act):
     return name_of
 
 
+class _PairGroupoid(FiniteGroupoid):
+    """The semidirect product groupoid on the pairs named by name_of.
+
+    Its composition table, (b, h) + (a, g) = (b + h.a, hg), has about
+    |A|^2|G|^2/n entries; it is computed on first read, so that the orbit
+    groupoid can carry the product without paying for its compositions.
+    """
+
+    def __init__(self, act, name_of):
+        G, sp = act.group, act.space
+        source, target, inverse = {}, {}, {}
+        for (a, g), u in name_of.items():
+            ginv = G.inv[g]
+            source[u] = act.act_obj[(ginv, sp.source[a])]
+            target[u] = sp.target[a]
+            inverse[u] = name_of[(act.act_arrow[(ginv, sp.inverse_of[a])],
+                                  ginv)]
+        super().__init__(sp.objects, name_of.values(), source, target,
+                         {x: f"id_{x}" for x in sp.objects}, inverse, {},
+                         name=f"{sp.name}x{G.name}")
+        del self.compose        # the empty table; the property fills it
+        self._act, self._name_of = act, name_of
+
+    @cached_property
+    def compose(self):
+        act, name_of = self._act, self._name_of
+        G, sp = act.group, act.space
+        into = {}       # object -> the pairs ending there, in order
+        for (a, g), u in name_of.items():
+            into.setdefault(sp.target[a], []).append((a, g, u))
+        return {(v, u): name_of[(sp.compose[(b, act.act_arrow[(h, a)])],
+                                 G.mul[(h, g)])]
+                for (b, h), v in name_of.items()
+                for (a, g, u) in into[self.source[v]]}
+
+
+def _semidirect(act, name_of):
+    """The semidirect product of a valid action on the named pairs, its
+    composition table not yet computed and its projection not checked."""
+    G = act.group
+    gpd = _PairGroupoid(act, name_of)
+    cod = groupoid_from_group(G, name=f"{G.name}-gpd")
+    projection = GroupoidMorphism(
+        gpd, cod, {x: "pt" for x in gpd.objects},
+        {u: "id_pt" if g == G.identity else g
+         for (_a, g), u in name_of.items()},
+        name=f"proj-{gpd.name}")
+    return SemidirectProduct(gpd, projection, act, name_of)
+
+
 def semidirect_product(act):
     """The semidirect product groupoid of an action, with its projection.
 
     The projection onto the one-object groupoid of the acting group sends
     (a, g) to g; it is always a fibration.
     """
-    name_of = _pair_names(act)
-    G, sp = act.group, act.space
-    name = f"{sp.name}x{G.name}"
-
-    source = {}
-    target = {}
-    for (a, g), u in name_of.items():
-        source[u] = act.act_obj[(G.inv[g], sp.source[a])]
-        target[u] = sp.target[a]
-
-    inverse = {}
-    for (a, g), u in name_of.items():
-        ginv = G.inv[g]
-        inverse[u] = name_of[(act.act_arrow[(ginv, sp.inverse_of[a])], ginv)]
-
-    into = {}       # object -> the pairs ending there, in order
-    for (a, g), u in name_of.items():
-        into.setdefault(sp.target[a], []).append((a, g, u))
-    compose = {}
-    for (b, h), v in name_of.items():
-        for (a, g, u) in into[source[v]]:
-            compose[(v, u)] = \
-                name_of[(sp.compose[(b, act.act_arrow[(h, a)])], G.mul[(h, g)])]
-
-    gpd = FiniteGroupoid(
-        sp.objects, list(name_of.values()), source, target,
-        {x: f"id_{x}" for x in sp.objects}, inverse, compose, name=name)
-
-    cod = groupoid_from_group(G, name=f"{G.name}-gpd")
-    projection = GroupoidMorphism(
-        gpd, cod, {x: "pt" for x in sp.objects},
-        {u: "id_pt" if g == G.identity else g
-         for (_a, g), u in name_of.items()},
-        name=f"proj-{name}")
-    assert validate_morphism(projection) == []
-    assert is_fibration(projection)
-    return SemidirectProduct(gpd, projection, act, name_of)
+    sd = _semidirect(act, _pair_names(act))
+    sd.groupoid.compose     # the whole table, here rather than in a reader
+    assert validate_morphism(sd.projection) == []
+    assert is_fibration(sd.projection)
+    return sd
 
 
 def _saturate(g, arrows, normal):
@@ -225,16 +244,12 @@ def quotient_groupoid(k, n, name=None):
 
 @dataclass
 class OrbitGroupoid:
-    """An orbit groupoid and its canonical morphism.  The semidirect product
-    of the action is built on first access to semidirect, and kept."""
+    """An orbit groupoid, its canonical morphism and its semidirect product,
+    whose composition table is computed on first read."""
 
     groupoid: FiniteGroupoid
     morphism: GroupoidMorphism
-    action: GroupoidAction
-
-    @cached_property
-    def semidirect(self):
-        return semidirect_product(self.action)
+    semidirect: SemidirectProduct
 
 
 def _constant_on_orbits(act, f):
@@ -287,7 +302,8 @@ def orbit_groupoid(act):
     (identity, k) + t_y0 for y = k.y0, y0 the first object of y's orbit.
     The canonical morphism sends an arrow a to the class of (a, 1); it is
     constant on orbits, surjective, and a fibration, and its objects
-    correspond to the object orbits.
+    correspond to the object orbits.  The semidirect product comes along
+    with its composition table not yet computed.
     """
     G, sp = act.group, act.space
     name_of = _pair_names(act)
@@ -316,8 +332,8 @@ def orbit_groupoid(act):
     for x in names_at:
         loops = _loop_group(act, x)
         members = subgroup_closure(loops, _fixer_pairs(act, x))
-        quotient[x] = quotient_group(loops, members)   # <F(x)> is normal
-        coset[x] = cosets(loops, members)
+        # quotient_map raises unless <F(x)> is normal
+        quotient[x], coset[x] = quotient_map(loops, members)
 
     label, arrow_map = {}, {}
     for (a, g), u in name_of.items():
@@ -357,7 +373,7 @@ def orbit_groupoid(act):
     assert set(morphism.object_map.values()) == set(gpd.objects)
     assert set(morphism.arrow_map.values()) == set(gpd.arrows)
     assert is_fibration(morphism)
-    return OrbitGroupoid(gpd, morphism, act)
+    return OrbitGroupoid(gpd, morphism, _semidirect(act, name_of))
 
 
 def orbit_kernel_generators(act):

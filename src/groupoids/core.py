@@ -350,15 +350,9 @@ def is_normal_subgroup(gt, members):
                for g in gt.elements for n in members)
 
 
-def cosets(gt, members):
-    """Map each element x to "[r]", r the first element of the coset
-    x members in input order: the element names of quotient_group."""
-    first = classes(gt.elements, lambda x: [gt.prod(x, n) for n in members])
-    return {x: f"[{first[x]}]" for x in gt.elements}
-
-
-def quotient_group(gt, members, name=None):
-    """Quotient of gt by a normal subgroup given as an element subset.
+def quotient_map(gt, members, name=None):
+    """Quotient of gt by a normal subgroup given as an element subset, and
+    the map sending each element of gt to its coset.
 
     Cosets are named "[r]" after their first element in input order.
     """
@@ -372,13 +366,22 @@ def quotient_group(gt, members, name=None):
                 raise ValueError(f"{gt.name}: subset not closed under product")
     if not is_normal_subgroup(gt, members):
         raise ValueError(f"{gt.name}: subgroup is not normal")
-    coset = cosets(gt, members)
-    reps = [block[0] for block in blocks_by(gt.elements, coset)]
+    first = classes(gt.elements, lambda x: [gt.prod(x, n) for n in members])
+    coset = {x: f"[{first[x]}]" for x in gt.elements}
+    reps = [x for x in gt.elements if first[x] == x]
     mul = {(coset[a], coset[b]): coset[gt.prod(a, b)]
            for a in reps for b in reps}
     return GroupTable([coset[x] for x in reps], mul,
                       name=name or f"{gt.name}/N", identity=coset[gt.identity],
-                      inv={coset[a]: coset[gt.inv[a]] for a in reps})
+                      inv={coset[a]: coset[gt.inv[a]] for a in reps}), coset
+
+
+def quotient_group(gt, members, name=None):
+    """Quotient of gt by a normal subgroup given as an element subset.
+
+    Cosets are named "[r]" after their first element in input order.
+    """
+    return quotient_map(gt, members, name)[0]
 
 
 def fresh_name(name, taken):
