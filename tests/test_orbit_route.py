@@ -156,3 +156,7 @@ def test_orbit_groupoid_builds_no_semidirect_product(monkeypatch):
     # the product it carries has every pair and no composition table yet
     assert len(orb.semidirect.groupoid.arrows) == 16 ** 3
     assert "compose" not in vars(orb.semidirect.groupoid)
+    # the first read computes the table, once
+    small = orbit_groupoid(_rotation(4)).semidirect.groupoid
+    table = small.compose
+    assert len(table) == 64 * 64 // 4 and small.compose is table
