@@ -9,17 +9,17 @@ product by the normal closure of the pairs (identity at g.x, g), and its
 canonical morphism from the acted-on groupoid is constant on orbits and
 universal among such morphisms.
 
-orbit_groupoid computes that quotient without composing in the product, one
-G-orbit of components of the space at a time, by Armstrong's theorem (M. A.
+Both quotients are assembled by one helper from the structure theorem (P. J.
+Higgins, Categories and Groupoids, 1971): for N normal and wide in K, each
+component of K/N is a tree on the components of N it meets times K(x)/N(x),
+x a base object.  quotient_groupoid reads K(x) and N(x) off its arguments.
+orbit_groupoid never composes in the product: by Armstrong's theorem (M. A.
 Armstrong, "The fundamental group of the orbit space of a discontinuous
-group", Proc. Cambridge Philos. Soc. 64, 1968).  With x the first object of
-such an orbit, K(x) is the group of pairs (a, g) with a: g.x -> x, and F(x)
-holds the pairs (-b + g.b, g) for every b in star(x) and every g fixing the
-target of b, the elements with fixed points lifted to the universal cover.
-F(x) is closed under conjugation, so the subgroup it generates is normal,
-and the orbit component is a tree on the object orbits times K(x)/<F(x)>.
-The semidirect verb and the semidirect-laws check still compute the
-product's whole composition table.
+group", Proc. Cambridge Philos. Soc. 64, 1968), on a G-orbit of components
+of the space with first object x, K(x) is the group of pairs (a, g) with
+a: g.x -> x, and N(x) is generated by F(x), the elements of G with fixed
+points lifted to K(x) (see _fixer_pairs).  The semidirect verb and the
+semidirect-laws check still compute the product's whole composition table.
 
 Results come back as dataclasses: SemidirectProduct (groupoid, projection,
 action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
@@ -37,8 +37,8 @@ from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
 from .catalog import bundle, group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, GroupTable,
-                   WideSubgroupoid, blocks_by, classes, components,
-                   fresh_name, full_subgroupoid, is_covering, is_fibration,
+                   WideSubgroupoid, blocks_by, components, fresh_name,
+                   full_subgroupoid, is_covering, is_fibration,
                    is_quotient_morphism, is_tree_groupoid, object_group,
                    quotient_group, quotient_map, star, subgroup_closure,
                    validate_groupoid, validate_morphism)
@@ -189,13 +189,40 @@ class QuotientGroupoid:
     morphism: GroupoidMorphism
 
 
+def _assemble(objects, blocks, key_of, name):
+    """The quotient with these components, and the class of each arrow.
+
+    blocks lists each component's objects with its vertex group K(x)/N(x),
+    x its base.  key_of maps every arrow u, in input order, to (Y, c, Z):
+    u runs Y -> Z and is in the coset c after transport to x.  Classes open
+    in that order, id_Y for (Y, identity, Y) and [u] otherwise, and the
+    quotient lists the identity classes first.
+    """
+    ids = {(y, vg.identity, y) for objs, vg in blocks for y in objs}
+    label = {}
+    for u, key in key_of.items():
+        if key not in label:
+            label[key] = f"id_{key[0]}" if key in ids else f"[{u}]"
+    shape = bundle(objects, blocks, lambda y, v, z, _vg: label[(y, v, z)],
+                   name)
+    arrows = sorted(label.values(), key=lambda u: not u.startswith("id_"))
+    gpd = FiniteGroupoid(shape.objects, arrows, shape.source, shape.target,
+                         shape.identity_of, shape.inverse_of, shape.compose,
+                         name=name)
+    problems = validate_groupoid(gpd)
+    if problems:
+        raise AssertionError(f"{name} is not a groupoid: {problems[0]}")
+    return gpd, {u: label[key] for u, key in key_of.items()}
+
+
 def quotient_groupoid(k, n, name=None):
     """Quotient of a groupoid by a normal wide subgroupoid.
 
     Objects are the components of n, named "[x]" after their first object;
     arrows are the equivalence classes under a ~ m + a + n', named "[a]"
-    after their first member.  Class addition picks the first connecting
-    arrow of n in input order; the result is independent of that choice.
+    after their first member.  With x the first object of a's component of
+    k, a: y -> z goes to the coset of -t_z + a + t_y in k(x)/n(x), where t_y
+    runs from x to the first object of y's component of n, then in n.
     """
     if not isinstance(n, WideSubgroupoid) or n.ambient is not k:
         raise ValueError("quotient needs a wide subgroupoid of the same groupoid")
@@ -203,38 +230,26 @@ def quotient_groupoid(k, n, name=None):
         raise ValueError(f"{n.name}: not normal; quotient is undefined")
     name = name or f"{k.name}/{n.name}"
 
-    blocks = components(k, n.arrows)
-    obj_class = {x: f"[{block[0]}]" for block in blocks for x in block}
-    # arrow classes: [a] = { m + a + n' : m, n' in n }, each represented by
-    # its first member in input order; the class of a is an identity class
-    # exactly when a is in n
-    first = classes(k.arrows, lambda a: (
-        k.compose[(m, k.compose[(a, nn)])]
-        for nn in n.costar(k.source[a]) for m in n.star(k.target[a])))
-    label = {a: f"id_{obj_class[k.source[a]]}" if n.contains(a) else f"[{a}]"
-             for a in k.arrows if first[a] == a}
-    arrow_class = {u: label[first[u]] for u in k.arrows}
-    # identities first, then the rest, each in opening order
-    reps = sorted(label, key=lambda a: not n.contains(a))
+    first = {y: block[0] for block in components(k, n.arrows) for y in block}
+    obj_class = {y: f"[{y0}]" for y, y0 in first.items()}
+    blocks, coset_of, transport = [], {}, {}
+    for comp in components(k):
+        x = comp[0]
+        vg, coset = quotient_map(object_group(k, x), n.at(x))
+        blocks.append((list(dict.fromkeys(obj_class[y] for y in comp)), vg))
+        for y in comp:
+            coset_of[y] = coset
+            transport[y] = k.compose[(n.hom(first[y], y)[0],
+                                      k.hom(x, first[y])[0])]
+    key_of = {}
+    for a in k.arrows:
+        y, z = k.source[a], k.target[a]
+        loop = k.compose[(k.inverse_of[transport[z]],
+                          k.compose[(a, transport[y])])]
+        key_of[a] = (obj_class[y], coset_of[y][loop], obj_class[z])
 
-    source = {label[a]: obj_class[k.source[a]] for a in reps}
-    target = {label[a]: obj_class[k.target[a]] for a in reps}
-    identity_of = {obj_class[x]: arrow_class[k.identity_of[x]]
-                   for x in k.objects}
-    inverse = {label[a]: arrow_class[k.inverse_of[a]] for a in reps}
-    compose = {}
-    for k2 in reps:
-        for k1 in reps:
-            if target[label[k1]] == source[label[k2]]:
-                link = n.hom(k.target[k1], k.source[k2])[0]
-                compose[(label[k2], label[k1])] = arrow_class[
-                    k.compose[(k.compose[(k2, link)], k1)]]
-
-    gpd = FiniteGroupoid([f"[{block[0]}]" for block in blocks],
-                         [label[a] for a in reps], source, target,
-                         identity_of, inverse, compose, name=name)
-    problems = validate_groupoid(gpd)
-    assert problems == [], f"quotient is not a groupoid: {problems[0]}"
+    gpd, arrow_class = _assemble(list(dict.fromkeys(obj_class.values())),
+                                 blocks, key_of, name)
     morphism = GroupoidMorphism(k, gpd, obj_class, arrow_class,
                                 name=f"cls-{name}")
     assert validate_morphism(morphism) == []
@@ -294,11 +309,9 @@ def orbit_groupoid(act):
     The quotient of the semidirect product by the normal closure of the
     pairs (identity at g.x, g), computed per G-orbit of components of the
     space as a tree on the object orbits times K(x)/<F(x)> (see the module
-    docstring).  Names are the quotient's: the object [x] for each object
-    orbit, x its first object; id_[x] for each identity class, first; and
-    [u] for every other class, u the semidirect name of its first pair,
-    in that order.  One pass over the pairs finds them: each pair u: y -> z
-    goes to -t_z + u + t_y in K(x), where the transport t_y: x -> y is
+    docstring), and named as quotient_groupoid names it, after the
+    semidirect names of the pairs.  Each pair u: y -> z goes to
+    -t_z + u + t_y in K(x), where the transport t_y: x -> y is
     (identity, k) + t_y0 for y = k.y0, y0 the first object of y's orbit.
     The canonical morphism sends an arrow a to the class of (a, 1); it is
     constant on orbits, surjective, and a fibration, and its objects
@@ -328,14 +341,15 @@ def orbit_groupoid(act):
             if y not in transport:
                 orbit_of[y], base_of[y] = f"[{y0}]", x
                 transport[y] = (act.act_arrow[(k, c)], G.mul[(k, h)])
-    quotient, coset = {}, {}
-    for x in names_at:
+    blocks, coset = [], {}
+    for x, names in names_at.items():
         loops = _loop_group(act, x)
         members = subgroup_closure(loops, _fixer_pairs(act, x))
         # quotient_map raises unless <F(x)> is normal
-        quotient[x], coset[x] = quotient_map(loops, members)
+        vg, coset[x] = quotient_map(loops, members)
+        blocks.append((names, vg))
 
-    label, arrow_map = {}, {}
+    key_of = {}
     for (a, g), u in name_of.items():
         y, z = act.act_obj[(G.inv[g], sp.source[a])], sp.target[a]
         (cy, hy), (cz, hz) = transport[y], transport[z]
@@ -344,26 +358,11 @@ def orbit_groupoid(act):
                     sp.inverse_of[cz],
                     sp.compose[(a, act.act_arrow[(g, cy)])])])],
                 G.mul[(G.mul[(back, g)], hy)])
-        x = base_of[y]
-        key = (orbit_of[y], coset[x][loop], orbit_of[z])
-        if key not in label:
-            label[key] = f"id_{key[0]}" if key[0] == key[2] and \
-                key[1] == quotient[x].identity else f"[{u}]"
-        if g == G.identity:
-            arrow_map[a] = label[key]
+        key_of[u] = (orbit_of[y], coset[base_of[y]][loop], orbit_of[z])
 
-    name = f"{sp.name}//{G.name}"
-    shape = bundle([f"[{block[0]}]" for block in orbits],
-                   [(names_at[x], quotient[x]) for x in names_at],
-                   lambda y, v, z, _q: label[(y, v, z)], name)
-    # the quotient's arrow order: the classes as the pass opened them
-    gpd = FiniteGroupoid(shape.objects, label.values(), shape.source,
-                         shape.target, shape.identity_of, shape.inverse_of,
-                         shape.compose, name=name)
-    problems = validate_groupoid(gpd)
-    if problems:
-        raise AssertionError(f"orbit groupoid is not a groupoid: "
-                             f"{problems[0]}")
+    gpd, class_of = _assemble([f"[{block[0]}]" for block in orbits], blocks,
+                              key_of, f"{sp.name}//{G.name}")
+    arrow_map = {a: class_of[name_of[(a, G.identity)]] for a in sp.arrows}
     morphism = GroupoidMorphism(sp, gpd, orbit_of, arrow_map,
                                 name=f"orbit-{act.name}")
     assert validate_morphism(morphism) == []

@@ -356,8 +356,8 @@ def quotient_map(gt, members, name=None):
 
     Cosets are named "[r]" after their first element in input order.
     """
-    members = tuple(x for x in gt.elements if x in set(members))
-    mset = set(members)
+    mset = set(gt.elements).intersection(members)
+    members = tuple(x for x in gt.elements if x in mset)
     if gt.identity not in mset:
         raise ValueError(f"{gt.name}: subgroup misses the identity")
     for a in members:

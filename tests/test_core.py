@@ -543,7 +543,7 @@ def test_postcondition_asserts_do_not_grow():
                               for node in ast.walk(ast.parse(
                                   path.read_text(encoding="utf-8"))))
                for path in sorted(root.glob("*.py"))}
-    assert sum(asserts.values()) <= 13, (
-        f"{sum(asserts.values())} asserts in src/groupoids, at most 13 "
+    assert sum(asserts.values()) <= 12, (
+        f"{sum(asserts.values())} asserts in src/groupoids, at most 12 "
         f"allowed: turn postconditions into raises (ROADMAP item 2) "
         f"instead of adding asserts; per file: {asserts}")

@@ -2,12 +2,14 @@
 
 orbit_groupoid does not compose in the semidirect product: the product it
 returns computes its composition table on first read.  The reference here
-is the route it replaced, built from public functions: the semidirect
-product, the normal closure of the pairs (identity at g.x, g), the
-quotient, and a |-> the class of (a, 1).  Its text must match byte for
-byte.  The third route lifts the action to K(x) acting on the universal
-cover at x; the tree orbit group of the lift must be isomorphic to the
-orbit object group at x.
+is the route it replaced: the semidirect product, the normal closure of
+the pairs (identity at g.x, g), the quotient, and a |-> the class of
+(a, 1).  The quotient is test_partition's reference copy, the class scan
+that predates the structure theorem, since quotient_groupoid and
+orbit_groupoid share their assembly.  Its text must match byte for byte.
+The third route lifts the action to K(x) acting on the universal cover at
+x; the tree orbit group of the lift must be isomorphic to the orbit object
+group at x.
 """
 
 import pytest
@@ -15,12 +17,13 @@ import pytest
 from groupoids import (GroupoidMorphism, action_from_object_map, components,
                        constructions, corpus, cyclic_group, dihedral_group,
                        group_isomorphic, normal_closure, object_group,
-                       orbit_groupoid, parse_text, quotient_groupoid,
-                       render_entities, semidirect_product, symmetric_group,
-                       tree_groupoid, tree_orbit_group, validate_action)
+                       orbit_groupoid, parse_text, render_entities,
+                       semidirect_product, symmetric_group, tree_groupoid,
+                       tree_orbit_group, validate_action)
 from groupoids.constructions import _fixer_pairs, _loop_group
 from groupoids.core import is_normal_subgroup, subgroup_closure
 from groupoids.suite import _universal_cover
+from test_partition import reference_quotient_groupoid
 
 
 def _reference(act):
@@ -29,7 +32,8 @@ def _reference(act):
     relations = [sd.name_of[(act.act_arrow[(g, sp.identity_of[x])], g)]
                  for x in sp.objects for g in G.elements]
     n = normal_closure(sd.groupoid, relations, name="N-orbit")
-    q = quotient_groupoid(sd.groupoid, n, name=f"{sp.name}//{G.name}")
+    q = reference_quotient_groupoid(sd.groupoid, n,
+                                    name=f"{sp.name}//{G.name}")
     cls = q.morphism
     morphism = GroupoidMorphism(
         sp, q.groupoid, {x: cls.object_map[x] for x in sp.objects},

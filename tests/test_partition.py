@@ -1,15 +1,20 @@
-"""The class partition helpers, and every quotient built on them checked
-against the hand-written loop it replaced."""
+"""The class partition helpers, and the quotients checked against the
+hand-written loops and the class scan they replaced."""
 
+import random
 from collections import deque
 
 import pytest
 
-from groupoids import (alternating_group, components, dihedral_group,
-                       normal_closure, object_orbits, quaternion_group,
-                       quotient_group, quotient_groupoid, symmetric_group)
+from groupoids import (FiniteGroupoid, GroupoidMorphism, WideSubgroupoid,
+                       alternating_group, components, connected_groupoid,
+                       dihedral_group, disjoint_union, normal_closure,
+                       object_orbits, quaternion_group, quotient_group,
+                       quotient_groupoid, render_entities, semidirect_product,
+                       symmetric_group, validate_groupoid, validate_morphism)
+from groupoids.constructions import QuotientGroupoid
 from groupoids.core import (blocks_by, classes, is_normal_subgroup,
-                            subgroup_closure)
+                            is_quotient_morphism, subgroup_closure)
 from groupoids.corpus import (_group_pool, named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
@@ -112,6 +117,50 @@ def _reference_arrow_classes(k, n):
     return arrow_class, arrows
 
 
+def reference_quotient_groupoid(k, n, name=None):
+    """quotient_groupoid as it was before it read the structure theorem: a
+    class scan over m + a + n', then every pair of class representatives
+    composed through the first connecting arrow of n in input order."""
+    if not isinstance(n, WideSubgroupoid) or n.ambient is not k:
+        raise ValueError("quotient needs a wide subgroupoid of the same groupoid")
+    if not n.normal:
+        raise ValueError(f"{n.name}: not normal; quotient is undefined")
+    name = name or f"{k.name}/{n.name}"
+
+    blocks = components(k, n.arrows)
+    obj_class = {x: f"[{block[0]}]" for block in blocks for x in block}
+    first = classes(k.arrows, lambda a: (
+        k.compose[(m, k.compose[(a, nn)])]
+        for nn in n.costar(k.source[a]) for m in n.star(k.target[a])))
+    label = {a: f"id_{obj_class[k.source[a]]}" if n.contains(a) else f"[{a}]"
+             for a in k.arrows if first[a] == a}
+    arrow_class = {u: label[first[u]] for u in k.arrows}
+    reps = sorted(label, key=lambda a: not n.contains(a))
+
+    source = {label[a]: obj_class[k.source[a]] for a in reps}
+    target = {label[a]: obj_class[k.target[a]] for a in reps}
+    identity_of = {obj_class[x]: arrow_class[k.identity_of[x]]
+                   for x in k.objects}
+    inverse = {label[a]: arrow_class[k.inverse_of[a]] for a in reps}
+    compose = {}
+    for k2 in reps:
+        for k1 in reps:
+            if target[label[k1]] == source[label[k2]]:
+                link = n.hom(k.target[k1], k.source[k2])[0]
+                compose[(label[k2], label[k1])] = arrow_class[
+                    k.compose[(k.compose[(k2, link)], k1)]]
+
+    gpd = FiniteGroupoid([f"[{block[0]}]" for block in blocks],
+                         [label[a] for a in reps], source, target,
+                         identity_of, inverse, compose, name=name)
+    assert validate_groupoid(gpd) == []
+    morphism = GroupoidMorphism(k, gpd, obj_class, arrow_class,
+                                name=f"cls-{name}")
+    assert validate_morphism(morphism) == []
+    assert is_quotient_morphism(morphism)
+    return QuotientGroupoid(gpd, morphism)
+
+
 # --- the helpers ----------------------------------------------------------
 
 def test_classes_are_named_after_their_first_member():
@@ -152,6 +201,46 @@ def test_orbits_and_components_match_the_earlier_loops():
         assert components(sp) == _reference_components(sp), act.name
         loops = [u for u in sp.arrows if sp.source[u] == sp.target[u]]
         assert components(sp, loops) == _reference_components(sp, loops)
+
+
+def _quotient_instances():
+    """(groupoid, normal wide subgroupoid) pairs for the reference copy."""
+    out = [(k, normal_closure(k, gens))
+           for k, gens in random_quotient_instances()]
+    for _name, act in named_actions():
+        sd = semidirect_product(act)
+        g, sp = sd.groupoid, act.space
+        relations = [sd.name_of[(act.act_arrow[(h, sp.identity_of[x])], h)]
+                     for x in sp.objects for h in act.group.elements]
+        out += [(g, normal_closure(g, g.arrows[-2:])),
+                (g, normal_closure(g, relations))]
+    rng = random.Random(5)
+    for act in _actions():
+        sp = act.space
+        for size in range(4):
+            out.append((sp, normal_closure(
+                sp, rng.sample(sp.arrows, min(size, len(sp.arrows))))))
+    # vertex groups that are not abelian, cut by arrows that are not loops
+    k = disjoint_union(
+        disjoint_union(connected_groupoid(("s0", "s1"), symmetric_group(3)),
+                       connected_groupoid(("q0", "q1"), quaternion_group())),
+        connected_groupoid(("d0", "d1", "d2"), dihedral_group(3)), name="u")
+    rng = random.Random(9)
+    bridges = [u for u in k.arrows if k.source[u] != k.target[u]]
+    out += [(k, normal_closure(k, rng.sample(bridges, size)))
+            for size in (0, 1, 1, 2, 2, 3, 3, 4)]
+    empty = FiniteGroupoid((), (), {}, {}, {}, {}, {}, name="empty")
+    return out + [(empty, normal_closure(empty, ()))]
+
+
+def test_quotient_groupoid_matches_its_reference_copy_byte_for_byte():
+    # the text holds the compose and inverse tables as well as the classes
+    instances = _quotient_instances()
+    assert len(instances) >= 380
+    for k, n in instances:
+        new, old = quotient_groupoid(k, n), reference_quotient_groupoid(k, n)
+        assert render_entities([new.groupoid, new.morphism]) == \
+            render_entities([old.groupoid, old.morphism]), (k.name, n.arrows)
 
 
 def test_quotient_groupoids_match_the_earlier_loops():
