@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from .core import (GroupoidMorphism, blocks_by, classes, full_subgroupoid,
-                   subgroupoid, validate_morphism)
+from .core import (GroupoidMorphism, _generators, _group_generators,
+                   _morphism_problems, blocks_by, classes, full_subgroupoid,
+                   subgroupoid)
 
 
 class GroupoidAction:
@@ -33,10 +34,16 @@ class GroupoidAction:
 def validate_action(act):
     """Return a list of violated action axioms; empty means valid.
 
-    Each g must act by a morphism (validate_morphism), then the unit and
-    composition axioms are checked on arrows only: g. sends id_x to
-    id_(g.x) and identities of distinct objects differ, so e.id_x = id_x
-    gives e.x = x and g.(h.id_x) = (gh).id_x gives g.(h.x) = (gh).x.
+    Expects act.space to be a valid groupoid and act.group a group (an
+    associative table).  Each g must act by a morphism (validate_morphism,
+    on the space's generators, picked once), then the unit and composition
+    axioms are checked on arrows only: g. sends id_x to id_(g.x) and
+    identities of distinct objects differ, so e.id_x = id_x gives e.x = x
+    and g.(h.id_x) = (gh).id_x gives g.(h.x) = (gh).x.  Once the unit axiom
+    holds, the g with g.(h.a) = (gh).a for every h and a contain e and are
+    closed under products, so composition is checked for g in a generating
+    set of G only.  Every triple is tried only to list the failures, so the
+    list is always the full check's.
     """
     problems = []
     G, sp = act.group, act.space
@@ -56,25 +63,32 @@ def validate_action(act):
     if problems:
         return problems
 
+    gens = _generators(sp)
     for g in G.elements:
         image = GroupoidMorphism(
             sp, sp, {x: act.act_obj[(g, x)] for x in sp.objects},
             {a: act.act_arrow[(g, a)] for a in sp.arrows}, name=g)
-        problems += [f"g={g}: {p}" for p in validate_morphism(image)]
+        problems += [f"g={g}: {p}" for p in _morphism_problems(image, gens)]
     if problems:
         return problems
 
     problems += [f"unit axiom fails on arrow {a}" for a in sp.arrows
                  if act.act_arrow[(G.identity, a)] != a]
-    for g in G.elements:
+    if problems or any(_composition_failures(act, _group_generators(G))):
+        problems += [f"composition axiom fails on arrows: g={g}, h={h}, a={a}"
+                     for g, h, a in _composition_failures(act, G.elements)]
+    return problems
+
+
+def _composition_failures(act, elements):
+    """The triples (g, h, a), g among elements, with g.(h.a) != (gh).a."""
+    G, act_arrow = act.group, act.act_arrow
+    for g in elements:
         for h in G.elements:
             gh = G.prod(g, h)
-            for a in sp.arrows:
-                if act.act_arrow[(g, act.act_arrow[(h, a)])] != \
-                        act.act_arrow[(gh, a)]:
-                    problems.append(f"composition axiom fails on arrows: "
-                                    f"g={g}, h={h}, a={a}")
-    return problems
+            for a in act.space.arrows:
+                if act_arrow[(g, act_arrow[(h, a)])] != act_arrow[(gh, a)]:
+                    yield g, h, a
 
 
 def object_orbits(act):

@@ -127,7 +127,7 @@ def bundle(objects, blocks, arrow, name):
     on its objects times its vertex group.
 
     blocks lists (block objects, vertex group vg) pairs.  The arrows x -> y
-    of a block are arrow(x, v, y, vg) for v in vg, composed by
+    of a block are arrow(x, v, y, vg) for v in vg, named once each, and
     arrow(y, w, z, vg) + arrow(x, v, y, vg) = arrow(x, w*v, z, vg).
     Identities come first, in block order, then the other arrows in
     (block, x, v, y) order.
@@ -137,23 +137,22 @@ def bundle(objects, blocks, arrow, name):
     source, target, inverse, compose = {}, {}, {}, {}
     for objs, vg in blocks:
         e = vg.identity
-        identity_of.update((x, arrow(x, e, x, vg)) for x in objs)
-        for x in objs:
-            for v in vg.elements:
-                for y in objs:
-                    u = arrow(x, v, y, vg)
-                    source[u], target[u] = x, y
-                    inverse[u] = arrow(y, vg.inv[v], x, vg)
-                    if x != y or v != e:
-                        others.append(u)
+        named = {(x, v, y): arrow(x, v, y, vg)
+                for x in objs for v in vg.elements for y in objs}
+        identity_of.update((x, named[(x, e, x)]) for x in objs)
+        for (x, v, y), u in named.items():
+            source[u], target[u] = x, y
+            inverse[u] = named[(y, vg.inv[v], x)]
+            if x != y or v != e:
+                others.append(u)
         for y in objs:
             for w in vg.elements:
                 for z in objs:
-                    left = arrow(y, w, z, vg)
+                    left = named[(y, w, z)]
                     for x in objs:
                         for v in vg.elements:
-                            compose[(left, arrow(x, v, y, vg))] = \
-                                arrow(x, vg.prod(w, v), z, vg)
+                            compose[(left, named[(x, v, y)])] = \
+                                named[(x, vg.mul[(w, v)], z)]
     return FiniteGroupoid(objects, [*identity_of.values(), *others], source,
                           target, identity_of, inverse, compose, name=name)
 

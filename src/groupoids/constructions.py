@@ -37,8 +37,8 @@ from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
 from .catalog import bundle, group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, GroupTable,
-                   WideSubgroupoid, blocks_by, components, fresh_name,
-                   full_subgroupoid, is_covering, is_fibration,
+                   WideSubgroupoid, _checked_morphism, blocks_by, components,
+                   fresh_name, full_subgroupoid, is_covering, is_fibration,
                    is_quotient_morphism, is_tree_groupoid, object_group,
                    quotient_group, quotient_map, star, subgroup_closure,
                    validate_groupoid, validate_morphism)
@@ -128,11 +128,13 @@ def semidirect_product(act):
     """The semidirect product groupoid of an action, with its projection.
 
     The projection onto the one-object groupoid of the acting group sends
-    (a, g) to g; it is always a fibration.
+    (a, g) to g; it is always a fibration.  validate_morphism checks it on
+    generators, which takes the product to be a groupoid, as it is for a
+    valid action; the semidirect-laws check validates the corpus products.
     """
     sd = _semidirect(act, _pair_names(act))
     sd.groupoid.compose     # the whole table, here rather than in a reader
-    assert validate_morphism(sd.projection) == []
+    _checked_morphism(sd.projection)
     assert is_fibration(sd.projection)
     return sd
 
@@ -250,9 +252,8 @@ def quotient_groupoid(k, n, name=None):
 
     gpd, arrow_class = _assemble(list(dict.fromkeys(obj_class.values())),
                                  blocks, key_of, name)
-    morphism = GroupoidMorphism(k, gpd, obj_class, arrow_class,
-                                name=f"cls-{name}")
-    assert validate_morphism(morphism) == []
+    morphism = _checked_morphism(GroupoidMorphism(
+        k, gpd, obj_class, arrow_class, name=f"cls-{name}"))
     assert is_quotient_morphism(morphism)
     return QuotientGroupoid(gpd, morphism)
 
@@ -363,9 +364,8 @@ def orbit_groupoid(act):
     gpd, class_of = _assemble([f"[{block[0]}]" for block in orbits], blocks,
                               key_of, f"{sp.name}//{G.name}")
     arrow_map = {a: class_of[name_of[(a, G.identity)]] for a in sp.arrows}
-    morphism = GroupoidMorphism(sp, gpd, orbit_of, arrow_map,
-                                name=f"orbit-{act.name}")
-    assert validate_morphism(morphism) == []
+    morphism = _checked_morphism(GroupoidMorphism(
+        sp, gpd, orbit_of, arrow_map, name=f"orbit-{act.name}"))
 
     assert _constant_on_orbits(act, morphism)
     assert blocks_by(sp.objects, morphism.object_map) == object_orbits(act)

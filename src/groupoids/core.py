@@ -224,32 +224,44 @@ def validate_groupoid(g):
     return problems
 
 
-def _generators_associate(g):
-    """Light's test: whether (w + s) + u == w + (s + u) for every s of a
-    generating set and every composable w and u.
+def _generators(g):
+    """Arrows of g, in input order, that give every arrow of g from the
+    identities under composition.
 
-    The arrows s for which this holds are closed under composition, and
-    contain the identities when the identity laws hold, so checking a set
-    that generates every arrow from the identities under composition is
-    enough.  Generators are picked greedily in input order: an arrow joins
-    when it is not yet a product of the identities and the earlier
-    generators.  Expects a complete table with the right endpoints."""
+    An arrow joins when it is not yet a product of the identities and the
+    earlier generators.  Expects a complete table with the right endpoints.
+    """
     compose, source, target = g.compose, g.source, g.target
     products = set(g._identities)     # closed under w -> s + w, s in gens
-    gens_from = {}                    # object -> generators with that source
+    gens, gens_from = [], {}          # gens_from: object -> gens leaving it
     for s in g.arrows:
         if s in products:
             continue
+        gens.append(s)
         gens_from.setdefault(source[s], []).append(s)
-        before = g._costar.get(source[s], ())
-        fresh = [compose[(s, w)] for w in before if w in products]
+        fresh = [compose[(s, w)] for w in g._costar.get(source[s], ())
+                 if w in products]
         while fresh:
             w = fresh.pop()
             if w in products:
                 continue
             products.add(w)
             fresh.extend(compose[(t, w)] for t in gens_from.get(target[w], ()))
-        for w in g._star.get(target[s], ()):
+    return gens
+
+
+def _generators_associate(g):
+    """Light's test: whether (w + s) + u == w + (s + u) for every s of
+    _generators(g) and every composable w and u.
+
+    The arrows s for which this holds are closed under composition, and
+    contain the identities when the identity laws hold, so checking a
+    generating set is enough.  Expects a complete table with the right
+    endpoints."""
+    compose = g.compose
+    for s in _generators(g):
+        before = g._costar.get(g.source[s], ())
+        for w in g._star.get(g.target[s], ()):
             ws = compose[(w, s)]
             for u in before:
                 if compose[(ws, u)] != compose[(w, compose[(s, u)])]:
@@ -344,6 +356,18 @@ def subgroup_closure(gt, gens):
     return tuple(x for x in gt.elements if x in members)
 
 
+def _group_generators(gt):
+    """Elements that generate gt, picked greedily in element order: each
+    lies outside the subgroup of the earlier ones, so there are at most
+    log2 of the order."""
+    gens, span = [], {gt.identity}
+    for x in gt.elements:
+        if x not in span:
+            gens.append(x)
+            span = set(subgroup_closure(gt, gens))
+    return gens
+
+
 def is_normal_subgroup(gt, members):
     mset = set(members)
     return all(gt.prod(gt.prod(g, n), gt.inv[g]) in mset
@@ -425,7 +449,23 @@ class GroupoidMorphism:
 
 
 def validate_morphism(f):
-    """Return a list of violated morphism conditions; empty means valid."""
+    """Return a list of violated morphism conditions; empty means valid.
+
+    Expects f.dom and f.cod to be valid groupoids (validate_groupoid).
+    Images, endpoints and identities are checked everywhere, but
+    f(s + u) == f(s) + f(u) only for s in _generators(f.dom) and every u
+    ending at the source of s.  The arrows s for which it holds contain the
+    identities, once those are preserved, and are closed under composition
+    by associativity in f.dom and f.cod, so they are every arrow.  The scan
+    of every composition entry runs only to list the failures, so the list
+    is always the full scan's.
+    """
+    return _morphism_problems(f, _generators(f.dom))
+
+
+def _morphism_problems(f, gens):
+    """validate_morphism with gens a generating set of f.dom, as
+    _generators picks it."""
     problems = []
     for x in f.dom.objects:
         y = f.object_map.get(x)
@@ -453,10 +493,23 @@ def validate_morphism(f):
             problems.append(f"identity at {x} is not preserved")
     if problems:
         return problems
-    for (v, u), w in f.dom.compose.items():
-        if f.cod.compose[(f.arrow_map[v], f.arrow_map[u])] != f.arrow_map[w]:
+    dom, image, cod_compose = f.dom, f.arrow_map, f.cod.compose
+    if all(cod_compose[(image[s], image[u])] == image[dom.compose[(s, u)]]
+           for s in gens for u in dom._costar.get(dom.source[s], ())):
+        return problems
+    for (v, u), w in dom.compose.items():
+        if cod_compose[(image[v], image[u])] != image[w]:
             problems.append(f"composition not preserved on ({v}, {u})")
     return problems
+
+
+def _checked_morphism(f):
+    """f, once validate_morphism passes; a failure is a bug in this package
+    and raises AssertionError, also under python -O."""
+    problems = validate_morphism(f)
+    if problems:
+        raise AssertionError(f"{f.name} is not a morphism: {problems[0]}")
+    return f
 
 
 class WideSubgroupoid:
@@ -637,9 +690,8 @@ def group_isomorphism(a, b):
     """An isomorphism of group tables a -> b as an element dict, or None.
 
     Only the images of a generating set are searched (G. L. Miller, "On the
-    n^log n isomorphism technique", STOC 1978).  Generators are picked
-    greedily in element order, each outside the subgroup of the earlier
-    ones, so there are at most log2 of the order.  Images of the same
+    n^log n isomorphism technique", STOC 1978).  The generators are
+    _group_generators(a), at most log2 of the order.  Images of the same
     element order are tried in element order.  A choice for the first k
     generators is extended along left multiplication by them, phi(s x) =
     phi(s) phi(x), and kept when that is well defined and injective: then
@@ -649,11 +701,7 @@ def group_isomorphism(a, b):
     _check_iso_cap(a.order, b.order)
     if a.order != b.order:
         return None
-    gens, span = [], {a.identity}
-    for x in a.elements:
-        if x not in span:
-            gens.append(x)
-            span = set(subgroup_closure(a, gens))
+    gens = _group_generators(a)
 
     def search(images):
         phi = {a.identity: b.identity}
@@ -714,7 +762,5 @@ def search_isomorphism(a, b):
                 loop = a.compose[(a.inverse_of[t[z2]], a.compose[(u, t[z])])]
                 arrow_map[u] = b.compose[
                     (s[z2], b.compose[(phi[loop], b.inverse_of[s[z]])])]
-    iso = GroupoidMorphism(a, b, object_map, arrow_map,
-                           name=f"{a.name}~{b.name}")
-    assert validate_morphism(iso) == []
-    return iso
+    return _checked_morphism(GroupoidMorphism(
+        a, b, object_map, arrow_map, name=f"{a.name}~{b.name}"))

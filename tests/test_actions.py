@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
-from groupoids import (GroupoidAction, action_from_object_map, cyclic_group,
+from groupoids import (GroupoidAction, GroupoidMorphism,
+                       action_from_object_map, cyclic_group,
                        connected_groupoid, fixed_subgroupoid,
-                       groupoid_from_group, is_free_action, object_orbits,
-                       restrict_action, tree_groupoid, trivial_action,
-                       validate_action)
-from groupoids.corpus import named_actions, random_actions
+                       groupoid_from_group, is_free_action, normal_closure,
+                       object_orbits, orbit_groupoid, quotient_groupoid,
+                       restrict_action, semidirect_product, tree_groupoid,
+                       trivial_action, validate_action, validate_morphism)
+from groupoids.corpus import (named_actions, random_actions,
+                              random_orbit_instances,
+                              random_quotient_instances)
 
 
 def _named(name):
@@ -169,6 +175,83 @@ def _element_swaps(act):
                     name=act.name)
 
 
+def _full_scan_validate_morphism(f):
+    """Reference: validate_morphism checking every composition entry of
+    the domain, as it did before its generator certificate."""
+    problems = []
+    for x in f.dom.objects:
+        y = f.object_map.get(x)
+        if y is None:
+            problems.append(f"object {x} has no image")
+        elif y not in f.cod.object_index:
+            problems.append(f"object {x} maps to unknown object {y}")
+    for u in f.dom.arrows:
+        w = f.arrow_map.get(u)
+        if w is None:
+            problems.append(f"arrow {u} has no image")
+        elif w not in f.cod.arrow_index:
+            problems.append(f"arrow {u} maps to unknown arrow {w}")
+    if problems:
+        return problems
+    for u in f.dom.arrows:
+        w = f.arrow_map[u]
+        if f.cod.source[w] != f.object_map[f.dom.source[u]]:
+            problems.append(f"image of {u} has wrong source")
+        if f.cod.target[w] != f.object_map[f.dom.target[u]]:
+            problems.append(f"image of {u} has wrong target")
+    for x in f.dom.objects:
+        if f.arrow_map[f.dom.identity_of[x]] != \
+                f.cod.identity_of[f.object_map[x]]:
+            problems.append(f"identity at {x} is not preserved")
+    if problems:
+        return problems
+    for (v, u), w in f.dom.compose.items():
+        if f.cod.compose[(f.arrow_map[v], f.arrow_map[u])] != f.arrow_map[w]:
+            problems.append(f"composition not preserved on ({v}, {u})")
+    return problems
+
+
+def _full_scan_validate_action(act):
+    """Reference: validate_action checking every element by the full-scan
+    morphism check and the composition axiom on every triple, as it did
+    before its generator certificates."""
+    problems = []
+    G, sp = act.group, act.space
+    for g in G.elements:
+        for x in sp.objects:
+            y = act.act_obj.get((g, x))
+            if y is None:
+                problems.append(f"missing object image ({g}, {x})")
+            elif y not in sp.object_index:
+                problems.append(f"({g}, {x}) maps to unknown object {y}")
+        for a in sp.arrows:
+            b = act.act_arrow.get((g, a))
+            if b is None:
+                problems.append(f"missing arrow image ({g}, {a})")
+            elif b not in sp.arrow_index:
+                problems.append(f"({g}, {a}) maps to unknown arrow {b}")
+    if problems:
+        return problems
+    for g in G.elements:
+        image = GroupoidMorphism(
+            sp, sp, {x: act.act_obj[(g, x)] for x in sp.objects},
+            {a: act.act_arrow[(g, a)] for a in sp.arrows}, name=g)
+        problems += [f"g={g}: {p}" for p in _full_scan_validate_morphism(image)]
+    if problems:
+        return problems
+    problems += [f"unit axiom fails on arrow {a}" for a in sp.arrows
+                 if act.act_arrow[(G.identity, a)] != a]
+    for g in G.elements:
+        for h in G.elements:
+            gh = G.prod(g, h)
+            for a in sp.arrows:
+                if act.act_arrow[(g, act.act_arrow[(h, a)])] != \
+                        act.act_arrow[(gh, a)]:
+                    problems.append(f"composition axiom fails on arrows: "
+                                    f"g={g}, h={h}, a={a}")
+    return problems
+
+
 def test_validate_action_agrees_with_the_reference_on_corruptions():
     named = [act for _name, act in named_actions()]
     cases = [b for act in named for b in _single_entry_replacements(act)]
@@ -176,10 +259,50 @@ def test_validate_action_agrees_with_the_reference_on_corruptions():
     swaps = [b for act in named + random_actions()
              for b in _element_swaps(act)]
     for b in cases + swaps:
-        assert (not validate_action(b)) == (not _reference_validate_action(b))
+        problems = validate_action(b)
+        assert (not problems) == (not _reference_validate_action(b))
+        assert problems == _full_scan_validate_action(b)
     # a valid action is a bijection on each level, so only the 286
     # replacements of an entry by itself leave it valid; a swap stays valid
     # when the two elements act alike, or when Z2 is made to act trivially
     assert sum(validate_action(b) == [] for b in cases) == 286
     assert (len(swaps), sum(validate_action(b) == [] for b in swaps)) == \
         (578, 163)
+
+
+def _planted_images(f, rng, count):
+    """Copies of f with the image of one arrow replaced by another arrow of
+    the same hom-set of f.cod, so only composition can fail."""
+    keys = [u for u in f.dom.arrows if not f.dom.is_identity_arrow(u)
+            and len(f.cod.hom(f.cod.source[f.arrow_map[u]],
+                              f.cod.target[f.arrow_map[u]])) > 1]
+    for _ in range(count if keys else 0):
+        u = rng.choice(keys)
+        w = f.arrow_map[u]
+        other = rng.choice([v for v in f.cod.hom(f.cod.source[w],
+                                                  f.cod.target[w])
+                            if v != w])
+        yield GroupoidMorphism(f.dom, f.cod, f.object_map,
+                               {**f.arrow_map, u: other}, name=f.name)
+
+
+def test_validate_morphism_lists_what_the_full_scan_lists():
+    morphisms = [semidirect_product(act).projection
+                 for act in random_orbit_instances()]
+    morphisms += [orbit_groupoid(act).morphism
+                  for act in [act for _name, act in named_actions()]
+                  + random_actions()]
+    morphisms += [quotient_groupoid(k, normal_closure(k, gens)).morphism
+                  for k, gens in random_quotient_instances()]
+    assert len(morphisms) == 107
+    rng = random.Random(3)
+    plants = failing = 0
+    for f in morphisms:
+        assert validate_morphism(f) == [] == _full_scan_validate_morphism(f)
+        for planted in _planted_images(f, rng, 6):
+            problems = validate_morphism(planted)
+            assert problems == _full_scan_validate_morphism(planted)
+            plants += 1
+            failing += bool(problems)
+    # the other plants happen to give another morphism
+    assert (plants, failing) == (414, 294)

@@ -22,8 +22,9 @@ from groupoids import (FiniteGroupoid, GroupTable, GroupoidMorphism,
                        tree_groupoid, trivial_group, validate_groupoid,
                        validate_morphism)
 from groupoids.catalog import bundle
-from groupoids.core import _generators_associate, element_order, \
-    group_isomorphism, is_abelian_group, is_normal_subgroup, subgroup_closure
+from groupoids.core import _generators, _generators_associate, \
+    element_order, group_isomorphism, is_abelian_group, is_normal_subgroup, \
+    subgroup_closure
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
@@ -105,6 +106,42 @@ def test_light_test_agrees_with_the_full_scan():
                 assert _generators_associate(h) == (not scan)
                 light_runs += 1
     assert light_runs > 100    # tables that reach Light's test
+
+
+def test_tree_generators_are_the_arrows_at_the_first_object():
+    # a wrong pick leaves every verdict right and only costs time
+    for n in range(2, 13):
+        names = [str(k) for k in range(n)]
+        gens = _generators(tree_groupoid(names))
+        assert gens == [f"0>{k}" for k in names[1:]] + \
+            [f"{k}>0" for k in names[1:]]
+        assert len(gens) == 2 * (n - 1)
+
+
+def _products(g, arrows):
+    """The identities and arrows of g, closed under composition by a naive
+    fixpoint."""
+    members = set(g.identity_of.values()) | set(arrows)
+    while True:
+        fresh = {g.compose[(v, u)] for v in members for u in members
+                 if g.target[u] == g.source[v]} - members
+        if not fresh:
+            return members
+        members |= fresh
+
+
+def test_generators_are_picked_greedily_in_input_order():
+    spaces = [act.space for _name, act in named_actions()]
+    spaces += [act.space for act in random_actions()]
+    spaces += [k for k, _gens in random_quotient_instances()]
+    for g in spaces:
+        gens = _generators(g)
+        picked = []
+        for u in g.arrows:
+            if u not in _products(g, picked):
+                picked.append(u)
+        assert gens == picked
+        assert _products(g, gens) == set(g.arrows)
 
 
 def test_identity_law_failure_keeps_every_associativity_failure():
@@ -535,15 +572,47 @@ def test_trivial_group():
     assert validate_groupoid(groupoid_from_group(one)) == []
 
 
+_PLANTED_MORPHISM_FAILURE = """
+import groupoids.core as core
+from groupoids import (normal_closure, orbit_groupoid, quotient_groupoid,
+                       search_isomorphism, semidirect_product, tree_groupoid)
+from groupoids.corpus import named_actions
+act = dict(named_actions())["tree-swap"]
+t = tree_groupoid(("x", "y"))
+core.validate_morphism = lambda f: ["planted"]
+for build in (lambda: semidirect_product(act), lambda: orbit_groupoid(act),
+              lambda: quotient_groupoid(t, normal_closure(t, ["x>y"])),
+              lambda: search_isomorphism(t, t)):
+    try:
+        build()
+    except AssertionError as exc:
+        print(exc)
+"""
+
+
+def test_morphism_postconditions_survive_python_O():
+    src = str(Path(groupoids.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _PLANTED_MORPHISM_FAILURE],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines() == [
+        "proj-segxZ2 is not a morphism: planted",
+        "orbit-tree-swap is not a morphism: planted",
+        "cls-tree/N4 is not a morphism: planted",
+        "tree~tree is not a morphism: planted"]
+
+
 def test_postcondition_asserts_do_not_grow():
-    # python -O strips asserts; ROADMAP item 2 plans to replace the rest
-    # with raises, so no new one may come in meanwhile
+    # python -O strips asserts; the morphism postconditions are raises now,
+    # and ROADMAP item 2 plans the same for the rest, so no new one may
+    # come in meanwhile
     root = Path(groupoids.__file__).parent
     asserts = {path.name: sum(isinstance(node, ast.Assert)
                               for node in ast.walk(ast.parse(
                                   path.read_text(encoding="utf-8"))))
                for path in sorted(root.glob("*.py"))}
-    assert sum(asserts.values()) <= 12, (
-        f"{sum(asserts.values())} asserts in src/groupoids, at most 12 "
+    assert sum(asserts.values()) <= 8, (
+        f"{sum(asserts.values())} asserts in src/groupoids, at most 8 "
         f"allowed: turn postconditions into raises (ROADMAP item 2) "
         f"instead of adding asserts; per file: {asserts}")
