@@ -19,7 +19,9 @@ group", Proc. Cambridge Philos. Soc. 64, 1968), on a G-orbit of components
 of the space with first object x, K(x) is the group of pairs (a, g) with
 a: g.x -> x, and N(x) is generated by F(x), the elements of G with fixed
 points lifted to K(x) (see _fixer_pairs).  The semidirect verb and the
-semidirect-laws check still compute the product's whole composition table.
+semidirect-laws check still compute the product's whole composition table;
+_PairGroupoid builds it from integer positions, one row per product arrow,
+in the order the emitter writes it.
 
 Results come back as dataclasses: SemidirectProduct (groupoid, projection,
 action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
@@ -80,6 +83,10 @@ class _PairGroupoid(FiniteGroupoid):
     Its composition table, (b, h) + (a, g) = (b + h.a, hg), has about
     |A|^2|G|^2/n entries; it is computed on first read, so that the orbit
     groupoid can carry the product without paying for its compositions.
+    The table is built from positions, (a, g) at index(a)|G| + index(g):
+    per arrow b the position of b + a, and per element h those of h.a and
+    hg.  Rows come in name_of order, each holding every pair u into the
+    source of v, also in name_of order; the emitter reads them that way.
     """
 
     def __init__(self, act, name_of):
@@ -101,13 +108,27 @@ class _PairGroupoid(FiniteGroupoid):
     def compose(self):
         act, name_of = self._act, self._name_of
         G, sp = act.group, act.space
+        n, a_at, g_at = len(G.elements), sp.arrow_index, G.index
+        names = [None] * (len(sp.arrows) * n)
         into = {}       # object -> the pairs ending there, in order
         for (a, g), u in name_of.items():
-            into.setdefault(sp.target[a], []).append((a, g, u))
-        return {(v, u): name_of[(sp.compose[(b, act.act_arrow[(h, a)])],
-                                 G.mul[(h, g)])]
-                for (b, h), v in name_of.items()
-                for (a, g, u) in into[self.source[v]]}
+            names[a_at[a] * n + g_at[g]] = u
+            us, at = into.setdefault(sp.target[a], ([], []))
+            us.append(u)
+            at.append((a_at[a], g_at[g]))
+        plus = {b: {a_at[c]: a_at[sp.compose[(b, c)]]
+                    for c in sp.costar(sp.source[b])} for b in sp.arrows}
+        act_at = {h: [a_at[act.act_arrow[(h, a)]] for a in sp.arrows]
+                  for h in G.elements}
+        mul_at = {h: [g_at[G.mul[(h, g)]] for g in G.elements]
+                  for h in G.elements}
+        table = {}
+        for (b, h), v in name_of.items():
+            us, at = into[self.source[v]]
+            row, ha, hg = plus[b], act_at[h], mul_at[h]
+            table.update(zip(zip(repeat(v), us),
+                             [names[row[ha[i]] * n + hg[j]] for i, j in at]))
+        return table
 
 
 def _semidirect(act, name_of):

@@ -615,19 +615,21 @@ class _Emitter:
             if u != f"id_{x}":
                 raise _unwritable("arrow", u, f"the identity at {x} must be "
                                   f"named id_{x}")
-        non_identity = [u for u in g.arrows if not g.is_identity_arrow(u)]
+        identities = set(g.identity_of.values())
+        non_identity = [u for u in g.arrows if u not in identities]
         for u in non_identity:
             _token(u, "arrow")
             lines.append(f"arrow {u} : {g.source[u]} -> {g.target[u]}")
-        for u in non_identity:
-            v = g.inverse_of[u]
-            if g.arrow_index[u] <= g.arrow_index[v]:
-                lines.append(f"inverse {u} {v}")
+        inverse, at, compose = g.inverse_of, g.arrow_index, g.compose
+        lines += [f"inverse {u} {inverse[u]}" for u in non_identity
+                  if at[u] <= at[inverse[u]]]
+        # each source's non-identity costar, with the inverse of each arrow
+        into = {y: [(u, inverse[u]) for u in g.costar(y)
+                    if u not in identities]
+                for y in {g.source[v] for v in non_identity}}
         for v in non_identity:
-            for u in g.costar(g.source[v]):
-                if g.is_identity_arrow(u) or v == g.inverse_of[u]:
-                    continue
-                lines.append(f"compose {v} {u} = {g.compose[(v, u)]}")
+            lines += [f"compose {v} {u} = {compose[(v, u)]}"
+                      for u, w in into[g.source[v]] if w != v]
         return "\n".join(lines)
 
     def _action(self, act):

@@ -19,6 +19,7 @@ from groupoids import suite
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
+from test_orbit_route import ACTIONS, _dihedral, _rotation
 
 
 def _named(name):
@@ -54,6 +55,38 @@ def test_semidirect_rejects_invalid_action():
                        name="broken")
     with pytest.raises(ValueError):
         semidirect_product(broken)
+
+
+def _reference_semidirect_table(sd):
+    """The semidirect composition table by the pair rule, name lookup by
+    name lookup: rows in name_of order, each in name_of order of the pairs
+    ending at the row's source."""
+    act, name_of, g = sd.action, sd.name_of, sd.groupoid
+    G, sp = act.group, act.space
+    into = {}
+    for (a, h), u in name_of.items():
+        into.setdefault(sp.target[a], []).append((a, h, u))
+    return {(v, u): name_of[(sp.compose[(b, act.act_arrow[(h, a)])],
+                             G.mul[(h, k)])]
+            for (b, h), v in name_of.items()
+            for (a, k, u) in into[g.source[v]]}
+
+
+@pytest.mark.parametrize("act", ACTIONS, ids=lambda act: act.name)
+def test_semidirect_table_matches_the_pair_rule(act):
+    sd = semidirect_product(act)
+    # entries and insertion order: the emitter writes the table in order
+    assert list(sd.groupoid.compose.items()) == \
+        list(_reference_semidirect_table(sd).items())
+
+
+@pytest.mark.parametrize("act", [_rotation(8), _dihedral(6)],
+                         ids=lambda act: act.name)
+def test_semidirect_products_above_the_suite_cap_are_groupoids(act):
+    # the semidirect-laws check validates products of at most 48 arrows
+    sd = semidirect_product(act)
+    assert len(sd.groupoid.arrows) > 48
+    assert validate_groupoid(sd.groupoid) == []
 
 
 def test_generated_wide_subgroupoid():

@@ -10,9 +10,12 @@ from groupoids import (DirectedGraph, FiniteGroupoid, GroupoidMorphism,
                        search_isomorphism, semidirect_product,
                        symmetric_group, tree_groupoid, trivial_action,
                        validate_groupoid, validate_morphism)
+from groupoids import fileformat
 from groupoids.corpus import (named_actions, named_graph_actions,
                               random_actions, random_orbit_instances,
                               random_quotient_instances)
+from groupoids.fileformat import _token, _unwritable
+from test_orbit_route import _dihedral, _rotation
 
 SEG = """\
 groupoid seg
@@ -319,6 +322,98 @@ def test_emitter_rejects_unwritable_names():
     for entity in (z2, collapse):
         with pytest.raises(ValueError, match=r"arrow 'e' cannot be written"):
             render_entities([entity])
+
+
+def _reference_groupoid_block(self, g, name):
+    """The groupoid block written arrow by arrow and entry by entry."""
+    lines = [f"groupoid {name}"]
+    if g.objects:
+        lines.append("objects " + " ".join(
+            _token(x, "object") for x in g.objects))
+    for x, u in g.identity_of.items():
+        if u != f"id_{x}":
+            raise _unwritable("arrow", u, f"the identity at {x} must be "
+                              f"named id_{x}")
+    non_identity = [u for u in g.arrows if not g.is_identity_arrow(u)]
+    for u in non_identity:
+        _token(u, "arrow")
+        lines.append(f"arrow {u} : {g.source[u]} -> {g.target[u]}")
+    for u in non_identity:
+        v = g.inverse_of[u]
+        if g.arrow_index[u] <= g.arrow_index[v]:
+            lines.append(f"inverse {u} {v}")
+    for v in non_identity:
+        for u in g.costar(g.source[v]):
+            if g.is_identity_arrow(u) or v == g.inverse_of[u]:
+                continue
+            lines.append(f"compose {v} {u} = {g.compose[(v, u)]}")
+    return "\n".join(lines)
+
+
+def _render_both(monkeypatch, entities):
+    """render_entities(entities), then the same with the reference block;
+    a ValueError stands for its message."""
+    texts = []
+    for block in (fileformat._Emitter._groupoid, _reference_groupoid_block):
+        monkeypatch.setattr(fileformat._Emitter, "_groupoid", block)
+        try:
+            texts.append(render_entities(entities))
+        except ValueError as err:
+            texts.append(f"ValueError: {err}")
+    return texts
+
+
+def test_groupoid_blocks_match_the_reference_emitter(monkeypatch):
+    acts = ([act for _name, act in named_actions()] + random_actions()
+            + random_orbit_instances() + [_rotation(n) for n in range(2, 13)])
+    cases = [[act.space] for act in acts]
+    cases += [[k] for k, _gens in random_quotient_instances()]
+    cases += [[sd.groupoid, sd.projection]
+              for sd in map(semidirect_product, acts)]
+    for entities in cases:
+        text, reference = _render_both(monkeypatch, entities)
+        assert text == reference, entities[0].name
+        assert not text.startswith("ValueError")
+
+
+def _one_loop(identity, loop, obj="pt"):
+    """The one-object groupoid of Z2 on the arrows identity and loop."""
+    return FiniteGroupoid(
+        (obj,), (identity, loop), {identity: obj, loop: obj},
+        {identity: obj, loop: obj}, {obj: identity},
+        {identity: identity, loop: loop},
+        {(identity, identity): identity, (identity, loop): loop,
+         (loop, identity): loop, (loop, loop): identity}, name="z2")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (_one_loop("id_pt", "s t"), "arrow 's t'"),
+    (_one_loop("id_pt", "s#"), "arrow 's#'"),
+    (_one_loop("id_pt", "id_s"), "arrow 'id_s'"),
+    (_one_loop("id_a b", "s", obj="a b"), "object 'a b'"),
+    (_one_loop("id_id_p", "s", obj="id_p"), "object 'id_p'"),
+    (_one_loop("e", "s"), "arrow 'e'"),
+    # the identity's name is checked before the other arrows' names
+    (_one_loop("e", "s t"), "arrow 'e'"),
+], ids=["space", "hash", "reserved", "object-space", "object-reserved",
+        "identity", "identity-first"])
+def test_emitter_refuses_what_the_reference_refuses(monkeypatch, bad,
+                                                     message):
+    text, reference = _render_both(monkeypatch, [bad])
+    assert text == reference
+    assert text.startswith(f"ValueError: {message} cannot be written")
+
+
+@pytest.mark.parametrize("act", [_rotation(6), _dihedral(4)],
+                         ids=lambda act: act.name)
+def test_semidirect_products_above_the_suite_cap_round_trip(act):
+    # the round-trip check covers corpus products of at most 48 arrows
+    sd = semidirect_product(act)
+    assert len(sd.groupoid.arrows) > 48
+    text = render_entities([sd.groupoid, sd.projection])
+    parsed = parse_text(text)
+    assert render_entities([parsed.entities[n] for n in parsed.order]) == \
+        text
 
 
 # A two-vertex circle for graph actions.
