@@ -19,22 +19,24 @@ group", Proc. Cambridge Philos. Soc. 64, 1968), on a G-orbit of components
 of the space with first object x, K(x) is the group of pairs (a, g) with
 a: g.x -> x, and N(x) is generated by F(x), the elements of G with fixed
 points lifted to K(x) (see _fixer_pairs).  The semidirect verb and the
-semidirect-laws check still compute the product's whole composition table;
-_PairGroupoid builds it from integer positions, one row per product arrow,
-in the order the emitter writes it.
+semidirect-laws check read the product's composition table, but no entry
+of it is stored: _PairTable computes each entry from integer positions
+when it is read, and a whole row, one per product arrow, in the order the
+emitter writes it, through compose_row.
 
 Results come back as dataclasses: SemidirectProduct (groupoid, projection,
 action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
 (groupoid, morphism, and the semidirect product, whose composition table
-is computed on first read), and the RestrictOrbitReport and
+is computed when read), and the RestrictOrbitReport and
 RegularCoverReport check reports.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
@@ -77,16 +79,92 @@ def _pair_names(act):
     return name_of
 
 
+class _PairTable(Mapping):
+    """The composition table of a _PairGroupoid, each entry computed when
+    read; nothing is stored per entry.
+
+    The pair (a, g) is numbered index(a)|G| + index(g) in names.  Each
+    pair v = (b, h) keeps (row, ha, hg): row maps the arrow position of
+    every c ending at the source of b to that of b + c, ha lists the arrow
+    positions of h.a and hg the element positions of hg, in input order.
+    Each pair u = (a, k) keeps the positions i of a and j of k.  Then
+    v + u = (b + h.a, hk) is names[row[ha[i]]|G| + hg[j]], and row has no
+    entry for h.a exactly when u does not end at the source of v.  Rows go
+    in name_of order, each over the pairs ending at the row's source, also
+    in name_of order.
+    """
+
+    def __init__(self, act, name_of, source):
+        G, sp = act.group, act.space
+        n, a_at, g_at = len(G.elements), sp.arrow_index, G.index
+        plus = {b: {a_at[c]: a_at[sp.compose[(b, c)]]
+                    for c in sp.costar(sp.source[b])} for b in sp.arrows}
+        act_at = {h: [a_at[act.act_arrow[(h, a)]] for a in sp.arrows]
+                  for h in G.elements}
+        mul_at = {h: [g_at[G.mul[(h, g)]] for g in G.elements]
+                  for h in G.elements}
+        self._names = names = [None] * (len(sp.arrows) * n)
+        self._n, self._source = n, source
+        self._left, self._right = {}, {}
+        self._into = {}     # object -> (the pairs ending there, positions)
+        for (a, g), u in name_of.items():
+            names[a_at[a] * n + g_at[g]] = u
+            self._left[u] = (plus[a], act_at[g], mul_at[g])
+            self._right[u] = at = (a_at[a], g_at[g])
+            us, ats = self._into.setdefault(sp.target[a], ([], []))
+            us.append(u)
+            ats.append(at)
+        self._len = sum(len(self._into[source[v]][0]) for v in self._left)
+
+    def __getitem__(self, key):
+        try:
+            v, u = key
+            row, ha, hg = self._left[v]
+            i, j = self._right[u]
+            if isinstance(key, tuple):
+                return self._names[row[ha[i]] * self._n + hg[j]]
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        into, source = self._into, self._source
+        return chain.from_iterable(zip(repeat(v), into[source[v]][0])
+                                   for v in self._left)
+
+    def __len__(self):
+        return self._len
+
+    def row(self, v):
+        """v + u for every pair u ending at the source of v, in order."""
+        row, ha, hg = self._left[v]
+        names, n = self._names, self._n
+        return [names[row[ha[i]] * n + hg[j]]
+                for i, j in self._into[self._source[v]][1]]
+
+    def items(self):
+        return _RowItems(self)
+
+
+class _RowItems(ItemsView):
+    """The entries of a _PairTable in its order, read a row at a time."""
+
+    def __iter__(self):
+        table = self._mapping
+        into, source = table._into, table._source
+        return chain.from_iterable(
+            zip(zip(repeat(v), into[source[v]][0]), table.row(v))
+            for v in table._left)
+
+
 class _PairGroupoid(FiniteGroupoid):
     """The semidirect product groupoid on the pairs named by name_of.
 
     Its composition table, (b, h) + (a, g) = (b + h.a, hg), has about
-    |A|^2|G|^2/n entries; it is computed on first read, so that the orbit
-    groupoid can carry the product without paying for its compositions.
-    The table is built from positions, (a, g) at index(a)|G| + index(g):
-    per arrow b the position of b + a, and per element h those of h.a and
-    hg.  Rows come in name_of order, each holding every pair u into the
-    source of v, also in name_of order; the emitter reads them that way.
+    |A|^2|G|^2/n entries, none of them stored: compose is a _PairTable,
+    made on first read, that computes each entry from positions when it is
+    read, and compose_row reads a whole row the same way.  The orbit
+    groupoid carries the product without making the table at all.
     """
 
     def __init__(self, act, name_of):
@@ -101,39 +179,20 @@ class _PairGroupoid(FiniteGroupoid):
         super().__init__(sp.objects, name_of.values(), source, target,
                          {x: f"id_{x}" for x in sp.objects}, inverse, {},
                          name=f"{sp.name}x{G.name}")
-        del self.compose        # the empty table; the property fills it
+        del self.compose        # the empty table; the property makes it
         self._act, self._name_of = act, name_of
 
     @cached_property
     def compose(self):
-        act, name_of = self._act, self._name_of
-        G, sp = act.group, act.space
-        n, a_at, g_at = len(G.elements), sp.arrow_index, G.index
-        names = [None] * (len(sp.arrows) * n)
-        into = {}       # object -> the pairs ending there, in order
-        for (a, g), u in name_of.items():
-            names[a_at[a] * n + g_at[g]] = u
-            us, at = into.setdefault(sp.target[a], ([], []))
-            us.append(u)
-            at.append((a_at[a], g_at[g]))
-        plus = {b: {a_at[c]: a_at[sp.compose[(b, c)]]
-                    for c in sp.costar(sp.source[b])} for b in sp.arrows}
-        act_at = {h: [a_at[act.act_arrow[(h, a)]] for a in sp.arrows]
-                  for h in G.elements}
-        mul_at = {h: [g_at[G.mul[(h, g)]] for g in G.elements]
-                  for h in G.elements}
-        table = {}
-        for (b, h), v in name_of.items():
-            us, at = into[self.source[v]]
-            row, ha, hg = plus[b], act_at[h], mul_at[h]
-            table.update(zip(zip(repeat(v), us),
-                             [names[row[ha[i]] * n + hg[j]] for i, j in at]))
-        return table
+        return _PairTable(self._act, self._name_of, self.source)
+
+    def compose_row(self, v):
+        return self.compose.row(v)
 
 
 def _semidirect(act, name_of):
     """The semidirect product of a valid action on the named pairs, its
-    composition table not yet computed and its projection not checked."""
+    composition table not yet made and its projection not checked."""
     G = act.group
     gpd = _PairGroupoid(act, name_of)
     cod = groupoid_from_group(G, name=f"{G.name}-gpd")
@@ -154,7 +213,7 @@ def semidirect_product(act):
     valid action; the semidirect-laws check validates the corpus products.
     """
     sd = _semidirect(act, _pair_names(act))
-    sd.groupoid.compose     # the whole table, here rather than in a reader
+    sd.groupoid.compose     # the position tables, here, not in a reader
     _checked_morphism(sd.projection)
     assert is_fibration(sd.projection)
     return sd
@@ -282,7 +341,7 @@ def quotient_groupoid(k, n, name=None):
 @dataclass
 class OrbitGroupoid:
     """An orbit groupoid, its canonical morphism and its semidirect product,
-    whose composition table is computed on first read."""
+    whose composition table is computed when read."""
 
     groupoid: FiniteGroupoid
     morphism: GroupoidMorphism
@@ -338,7 +397,7 @@ def orbit_groupoid(act):
     The canonical morphism sends an arrow a to the class of (a, 1); it is
     constant on orbits, surjective, and a fibration, and its objects
     correspond to the object orbits.  The semidirect product comes along
-    with its composition table not yet computed.
+    with its composition table not yet made.
     """
     G, sp = act.group, act.space
     name_of = _pair_names(act)

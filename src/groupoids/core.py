@@ -65,6 +65,12 @@ class FiniteGroupoid:
         """Arrows with target x, in input order."""
         return tuple(self._costar.get(x, ()))
 
+    def compose_row(self, v):
+        """v + u for the arrows u ending at the source of v, in costar
+        order; a missing entry raises KeyError."""
+        compose = self.compose
+        return [compose[(v, u)] for u in self._costar.get(self.source[v], ())]
+
     def __repr__(self):
         return (f"FiniteGroupoid({self.name!r}, {len(self.objects)} objects, "
                 f"{len(self.arrows)} arrows)")
@@ -201,10 +207,14 @@ def validate_groupoid(g):
             problems.append(f"compose({v}, {u}) = {w} is not an arrow")
         elif g.source[w] != g.source[u] or g.target[w] != g.target[v]:
             problems.append(f"compose({v}, {u}) = {w} has wrong endpoints")
-    for v in g.arrows:
-        for u in g._costar.get(g.source[v], ()):
-            if (v, u) not in g.compose:
-                problems.append(f"missing composition: compose {v} {u}")
+    # the entries are distinct composable pairs, so as many as there are
+    # pairs means none is missing
+    pairs = sum(len(g._costar.get(g.source[v], ())) for v in g.arrows)
+    if problems or len(g.compose) != pairs:
+        for v in g.arrows:
+            for u in g._costar.get(g.source[v], ()):
+                if (v, u) not in g.compose:
+                    problems.append(f"missing composition: compose {v} {u}")
     if problems:
         return problems
 
@@ -256,15 +266,16 @@ def _generators_associate(g):
 
     The arrows s for which this holds are closed under composition, and
     contain the identities when the identity laws hold, so checking a
-    generating set is enough.  Expects a complete table with the right
-    endpoints."""
+    generating set is enough.  The entries s + u are read once per s, as
+    its row.  Expects a complete table with the right endpoints."""
     compose = g.compose
     for s in _generators(g):
         before = g._costar.get(g.source[s], ())
+        after = g.compose_row(s)
         for w in g._star.get(g.target[s], ()):
             ws = compose[(w, s)]
-            for u in before:
-                if compose[(ws, u)] != compose[(w, compose[(s, u)])]:
+            for u, su in zip(before, after):
+                if compose[(ws, u)] != compose[(w, su)]:
                     return False
     return True
 
@@ -494,8 +505,10 @@ def _morphism_problems(f, gens):
     if problems:
         return problems
     dom, image, cod_compose = f.dom, f.arrow_map, f.cod.compose
-    if all(cod_compose[(image[s], image[u])] == image[dom.compose[(s, u)]]
-           for s in gens for u in dom._costar.get(dom.source[s], ())):
+    if all(cod_compose[(image[s], image[u])] == image[su]
+           for s in gens
+           for u, su in zip(dom._costar.get(dom.source[s], ()),
+                            dom.compose_row(s))):
         return problems
     for (v, u), w in dom.compose.items():
         if cod_compose[(image[v], image[u])] != image[w]:

@@ -569,7 +569,13 @@ class _Emitter:
         self.blocks = {}          # name -> its block, in emission order
 
     def text(self):
-        return "\n\n".join(self.blocks.values()) + "\n"
+        # blocks, a blank line between two, a newline after the last: one
+        # join, so the text is copied once
+        pieces = []
+        for block in self.blocks.values():
+            pieces += (block, "\n\n")
+        pieces[-1:] = ["\n"]
+        return "".join(pieces)
 
     def emit(self, entity):
         if id(entity) in self.seen:
@@ -620,16 +626,21 @@ class _Emitter:
         for u in non_identity:
             _token(u, "arrow")
             lines.append(f"arrow {u} : {g.source[u]} -> {g.target[u]}")
-        inverse, at, compose = g.inverse_of, g.arrow_index, g.compose
+        inverse, at = g.inverse_of, g.arrow_index
         lines += [f"inverse {u} {inverse[u]}" for u in non_identity
                   if at[u] <= at[inverse[u]]]
-        # each source's non-identity costar, with the inverse of each arrow
-        into = {y: [(u, inverse[u]) for u in g.costar(y)
+        # each source's non-identity costar: position in the costar, arrow
+        # and its inverse
+        into = {y: [(k, u, inverse[u]) for k, u in enumerate(g.costar(y))
                     if u not in identities]
                 for y in {g.source[v] for v in non_identity}}
+        # one string per row, so that the entries' lines are never all held
         for v in non_identity:
-            lines += [f"compose {v} {u} = {compose[(v, u)]}"
-                      for u, w in into[g.source[v]] if w != v]
+            row = g.compose_row(v)
+            row_text = "\n".join([f"compose {v} {u} = {row[k]}"
+                                  for k, u, w in into[g.source[v]] if w != v])
+            if row_text:
+                lines.append(row_text)
         return "\n".join(lines)
 
     def _action(self, act):

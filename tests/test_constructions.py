@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,7 @@ from groupoids import (GroupoidAction, GroupoidMorphism,
                        is_fibration, is_quotient_morphism, kernel, klein_group,
                        normal_closure, object_group, orbit_groupoid,
                        orbit_kernel_generators, quotient_groupoid,
-                       regular_cover_orbit_check,
+                       regular_cover_orbit_check, render_entities,
                        restrict_orbit_full_subgroupoid, semidirect_product,
                        symmetric_group, tree_groupoid, tree_orbit_group,
                        trivial_action, trivial_group, validate_groupoid,
@@ -78,6 +79,59 @@ def test_semidirect_table_matches_the_pair_rule(act):
     # entries and insertion order: the emitter writes the table in order
     assert list(sd.groupoid.compose.items()) == \
         list(_reference_semidirect_table(sd).items())
+
+
+@pytest.mark.parametrize("act", ACTIONS, ids=lambda act: act.name)
+def test_semidirect_table_reads_as_a_dict(act):
+    sd = semidirect_product(act)
+    g, reference = sd.groupoid, _reference_semidirect_table(sd)
+    table = g.compose
+    assert len(table) == len(reference)
+    assert dict(table) == reference
+    assert list(table.items()) == list(reference.items())
+    # every entry read one at a time is the reference's, so rows compare
+    # with the reference
+    for v in g.arrows:
+        assert g.compose_row(v) == \
+            [reference[(v, u)] for u in g.costar(g.source[v])]
+    v, u = g.arrows[-1], g.arrows[0]
+    apart = [(w, u) for w in g.arrows if g.source[w] != g.target[u]][:1]
+    for key in apart + [(v, "nope"), ("nope", u), v, (v,), (v, u, u)]:
+        assert key not in table and key not in reference
+        assert table.get(key) is None and table.get(key, 0) == 0
+        with pytest.raises(KeyError):
+            table[key]
+    assert (v, g.identity_of[g.source[v]]) in table
+
+
+def test_semidirect_table_of_the_z16_ring():
+    sd = semidirect_product(_rotation(16))
+    g, act = sd.groupoid, sd.action
+    G, sp = act.group, act.space
+    assert len(g.compose) == 16 ** 5
+    pair = {u: p for p, u in sd.name_of.items()}
+    for v in g.arrows[::1021]:
+        b, h = pair[v]
+        into = g.costar(g.source[v])
+        assert len(into) == 16 ** 2
+        assert g.compose_row(v) == [
+            sd.name_of[(sp.compose[(b, act.act_arrow[(h, pair[u][0])])],
+                        G.mul[(h, pair[u][1])])] for u in into]
+
+
+def test_semidirect_product_and_its_text_stay_small():
+    act = _rotation(12)
+    tracemalloc.start()
+    try:
+        sd = semidirect_product(act)
+        held = tracemalloc.get_traced_memory()[0]
+        text = render_entities([sd.groupoid, sd.projection])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a stored table, 25 MB here, fails both bounds
+    assert held < 5e6
+    assert peak < 4 * len(text)
 
 
 @pytest.mark.parametrize("act", [_rotation(8), _dihedral(6)],

@@ -376,6 +376,19 @@ def test_groupoid_blocks_match_the_reference_emitter(monkeypatch):
         assert not text.startswith("ValueError")
 
 
+def test_emitter_fails_on_a_missing_entry_as_the_reference_does(
+        monkeypatch):
+    z3 = groupoid_from_group(cyclic_group(3))
+    compose = {key: w for key, w in z3.compose.items() if key != ("1", "1")}
+    broken = FiniteGroupoid(z3.objects, z3.arrows, z3.source, z3.target,
+                            z3.identity_of, z3.inverse_of, compose,
+                            name="broken")
+    for block in (fileformat._Emitter._groupoid, _reference_groupoid_block):
+        monkeypatch.setattr(fileformat._Emitter, "_groupoid", block)
+        with pytest.raises(KeyError, match=r"\('1', '1'\)"):
+            render_entities([broken])
+
+
 def _one_loop(identity, loop, obj="pt"):
     """The one-object groupoid of Z2 on the arrows identity and loop."""
     return FiniteGroupoid(
