@@ -26,15 +26,16 @@ emitter writes it, through compose_row.
 
 Results come back as dataclasses: SemidirectProduct (groupoid, projection,
 action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
-(groupoid, morphism, and the semidirect product, whose composition table
-is computed when read), and the RestrictOrbitReport and
-RegularCoverReport check reports.
+(groupoid, morphism, and the semidirect product, which orbit_groupoid does
+not build: it is built on first read, from the action and the pair names,
+and its composition table when that is read), and the RestrictOrbitReport
+and RegularCoverReport check reports.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -163,8 +164,8 @@ class _PairGroupoid(FiniteGroupoid):
     Its composition table, (b, h) + (a, g) = (b + h.a, hg), has about
     |A|^2|G|^2/n entries, none of them stored: compose is a _PairTable,
     made on first read, that computes each entry from positions when it is
-    read, and compose_row reads a whole row the same way.  The orbit
-    groupoid carries the product without making the table at all.
+    read, and compose_row reads a whole row the same way.  An orbit
+    groupoid builds the product only when it is read.
     """
 
     def __init__(self, act, name_of):
@@ -341,11 +342,16 @@ def quotient_groupoid(k, n, name=None):
 @dataclass
 class OrbitGroupoid:
     """An orbit groupoid, its canonical morphism and its semidirect product,
-    whose composition table is computed when read."""
+    which is built on first read, its composition table when that is read."""
 
     groupoid: FiniteGroupoid
     morphism: GroupoidMorphism
-    semidirect: SemidirectProduct
+    _action: GroupoidAction = field(repr=False, compare=False)
+    _name_of: dict = field(repr=False, compare=False)
+
+    @cached_property
+    def semidirect(self):
+        return _semidirect(self._action, self._name_of)
 
 
 def _constant_on_orbits(act, f):
@@ -396,8 +402,8 @@ def orbit_groupoid(act):
     (identity, k) + t_y0 for y = k.y0, y0 the first object of y's orbit.
     The canonical morphism sends an arrow a to the class of (a, 1); it is
     constant on orbits, surjective, and a fibration, and its objects
-    correspond to the object orbits.  The semidirect product comes along
-    with its composition table not yet made.
+    correspond to the object orbits.  The semidirect product is built when
+    the result's semidirect field is first read.
     """
     G, sp = act.group, act.space
     name_of = _pair_names(act)
@@ -452,7 +458,7 @@ def orbit_groupoid(act):
     assert set(morphism.object_map.values()) == set(gpd.objects)
     assert set(morphism.arrow_map.values()) == set(gpd.arrows)
     assert is_fibration(morphism)
-    return OrbitGroupoid(gpd, morphism, _semidirect(act, name_of))
+    return OrbitGroupoid(gpd, morphism, act, name_of)
 
 
 def orbit_kernel_generators(act):

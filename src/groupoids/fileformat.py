@@ -49,6 +49,8 @@ emitting a parsed emission is byte-identical.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .actions import GroupoidAction, validate_action
 from .catalog import group_of_one_object_groupoid, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, validate_groupoid,
@@ -168,19 +170,29 @@ _IDENTITY_IMAGE = "identity arrow images follow the object map; remove " \
     "this line"
 
 
+def _getter(positions):
+    """A function of a token list that gives the tokens at positions in a
+    sequence; a bare itemgetter would give a single token unwrapped."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions
+                      else slice(0))
+
+
 def _rule(usage, handler=None):
-    """Compile a usage string into (arity, fixed tokens, wildcard positions,
-    usage, handler).  Upper-case words are wildcards, a final "..." takes
-    any number of further tokens (arity None), and an "or" clause only
-    shows in the error message.  The first word is left out of the fixed
-    tokens, since it chose the rule."""
+    """Compile a usage string into (arity, fixed tokens, their getter,
+    the wildcards' getter, usage, handler).  Upper-case words are
+    wildcards, a final "..." takes any number of further tokens (arity
+    None), and an "or" clause only shows in the error message.  The first
+    word is left out of the fixed tokens, since it chose the rule."""
     words = usage.split(" or ")[0].split()
     if words[-1] == "...":
-        return None, (), (), usage, handler
-    fixed = tuple((i, w) for i, w in enumerate(words)
-                  if i and not w.isupper())
-    slots = tuple(i for i, w in enumerate(words) if w.isupper())
-    return len(words), fixed, slots, usage, handler
+        return None, [], _getter(()), itemgetter(slice(1, None)), usage, \
+            handler
+    get_fixed = _getter([i for i, w in enumerate(words)
+                         if i and not w.isupper()])
+    get_slots = _getter([i for i, w in enumerate(words) if w.isupper()])
+    return len(words), get_fixed(words), get_fixed, get_slots, usage, handler
 
 
 class _Block:
@@ -219,15 +231,10 @@ class _Block:
             from None
 
     def match(self, rule, tokens):
-        arity, fixed, slots, usage, _handler = rule
-        if arity is None:
-            return tokens[1:]
-        if len(tokens) == arity:
-            for i, w in fixed:
-                if tokens[i] != w:
-                    break
-            else:
-                return [tokens[i] for i in slots]
+        arity, fixed, get_fixed, get_slots, usage, _handler = rule
+        if (arity is None or len(tokens) == arity) and \
+                get_fixed(tokens) == fixed:
+            return get_slots(tokens)
         self.fail(f"expected: {usage}")
 
     def line(self, tokens, line_no, col):
@@ -270,7 +277,7 @@ class _GroupoidBlock(_Block):
                "compose V U = W")
 
     def start(self):
-        self.objects = []
+        self.objects = {}         # object -> None, in order
         self.arrows = []          # non-identity arrows
         self.names = set()        # all arrow names, identities included
         self.source = {}
@@ -281,7 +288,7 @@ class _GroupoidBlock(_Block):
     def do_objects(self, *names):
         for x in names:
             self.fresh("object", self.objects, x)
-            self.objects.append(x)
+            self.objects[x] = None
             self.names.add(f"id_{x}")
 
     def do_arrow(self, name, src, tgt):
@@ -370,8 +377,10 @@ class _ActionBlock(_Block):
                           f"graph without relators")
             space = space.graph
             self.cells = (space.vertices, space.edges)
+            self.points = set(space.vertices)
         else:
             self.cells = (space.objects, space.arrows)
+            self.points = space.object_index
         self.space = space
         self.group_groupoid = self.entity(group, "groupoid")
         if len(self.group_groupoid.objects) != 1:
@@ -396,7 +405,7 @@ class _ActionBlock(_Block):
         images = self.arr_lines
         if self.word == "obj":
             images = self.obj_lines
-            self.known("object", self.cells[0], a, b)
+            self.known("object", self.points, a, b)
         elif self.word == "arr":
             self.known("arrow", self.space.arrow_index, a, b)
             if self.space.is_identity_arrow(a):
@@ -430,7 +439,7 @@ class _GraphBlock(_Block):
     grammar = ("vertex ...", "edge NAME : SRC -> TGT", "relator ...")
 
     def start(self):
-        self.vertices = []
+        self.vertices = {}        # vertex -> None, in order
         self.edges = []
         self.source = {}
         self.target = {}
@@ -439,7 +448,7 @@ class _GraphBlock(_Block):
     def do_vertex(self, *names):
         for v in names:
             self.fresh("vertex", self.vertices, v)
-            self.vertices.append(v)
+            self.vertices[v] = None
 
     def do_edge(self, name, src, tgt):
         self.fresh("edge", self.source, name)
@@ -474,13 +483,13 @@ class _PresentationBlock(_Block):
     grammar = ("generators ...", "relator ...")
 
     def start(self):
-        self.gens = []
+        self.gens = {}            # generator -> None, in order
         self.relators = []
 
     def do_generators(self, *names):
         for g in names:
             self.fresh("generator", self.gens, g)
-            self.gens.append(g)
+            self.gens[g] = None
 
     def do_relator(self, *tokens):
         if not tokens:

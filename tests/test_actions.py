@@ -9,9 +9,13 @@ from groupoids import (GroupoidAction, GroupoidMorphism,
                        object_orbits, orbit_groupoid, quotient_groupoid,
                        restrict_action, semidirect_product, tree_groupoid,
                        trivial_action, validate_action, validate_morphism)
+from groupoids import actions, corpus
+from groupoids.actions import _acting
+from groupoids.core import _group_generators
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
+from test_orbit_route import _dihedral, _rotation
 
 
 def _named(name):
@@ -306,3 +310,82 @@ def test_validate_morphism_lists_what_the_full_scan_lists():
             failing += bool(problems)
     # the other plants happen to give another morphism
     assert (plants, failing) == (414, 294)
+
+
+def _past_the_generators(act):
+    """Corruptions at g = s^2 for s a generator of the group, with g outside
+    the generating set: a wrong object image with the arrow images left as
+    they were, a wrong image of a non-identity arrow, and a wrong image of
+    an identity arrow.  The elements of the generating set still act as
+    before."""
+    G, sp = act.group, act.space
+    gens = _group_generators(G)
+    for g in dict.fromkeys(G.prod(s, s) for s in gens):
+        if g in gens or g == G.identity:
+            continue
+        if len(sp.objects) > 1:
+            x = sp.objects[0]
+            y = next(z for z in sp.objects if z != act.act_obj[(g, x)])
+            yield GroupoidAction(G, sp, {**act.act_obj, (g, x): y},
+                                 act.act_arrow, name=act.name)
+            yield GroupoidAction(G, sp, act.act_obj,
+                                 {**act.act_arrow,
+                                  (g, sp.identity_of[x]): sp.identity_of[y]},
+                                 name=act.name)
+        for a in sp.arrows:
+            if sp.is_identity_arrow(a):
+                continue
+            b = act.act_arrow[(g, a)]
+            same = [c for c in sp.hom(sp.source[b], sp.target[b]) if c != b]
+            wrong = (same or [c for c in sp.arrows if c != b])[0]
+            yield GroupoidAction(G, sp, act.act_obj,
+                                 {**act.act_arrow, (g, a): wrong},
+                                 name=act.name)
+            break
+
+
+def test_corruptions_past_the_generators_fail_as_the_full_scan_does():
+    named = [act for _name, act in named_actions()]
+    cases = [b for act in named + random_actions() + random_orbit_instances()
+             + [_rotation(n) for n in (3, 4, 6)]
+             + [_dihedral(n) for n in (3, 4)]
+             for b in _past_the_generators(act)]
+    assert len(cases) == 72
+    for b in cases:
+        # every generator still acts by a morphism
+        for s in _group_generators(b.group):
+            assert validate_morphism(_acting(b, s)) == []
+        problems = validate_action(b)
+        assert problems
+        assert problems == _full_scan_validate_action(b)
+        assert _reference_validate_action(b)
+
+
+def test_valid_actions_pass_on_the_certificate(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a valid action reached the full check")
+    monkeypatch.setattr(actions, "_axiom_problems", refuse)
+    valid = [act for _name, act in named_actions()] + random_actions() + \
+        random_orbit_instances() + [_rotation(n) for n in range(2, 13)] + \
+        [_dihedral(n) for n in range(3, 7)]
+    for act in valid:
+        assert validate_action(act) == [], act.name
+
+
+def test_the_unit_and_generator_clauses_are_needed():
+    z2 = cyclic_group(2)
+    seg = tree_groupoid(("x", "y"), name="seg")
+    # both elements collapse the segment onto x: every clause of the
+    # certificate but the unit axiom holds
+    collapse = GroupoidAction(
+        z2, seg, {(g, x): "x" for g in z2.elements for x in seg.objects},
+        {(g, a): "id_x" for g in z2.elements for a in seg.arrows},
+        name="collapse")
+    # 1 swaps the arrows 1 and 2 of Z4, which is no morphism, but an
+    # involution fixing the identity
+    swap = corpus._one_object_action(z2, cyclic_group(4),
+                                     {"1": {"1": "2", "2": "1"}}, name="swap")
+    for act in (collapse, swap):
+        problems = validate_action(act)
+        assert problems
+        assert problems == _full_scan_validate_action(act)

@@ -16,7 +16,7 @@ from groupoids import (GroupoidAction, GroupoidMorphism,
                        symmetric_group, tree_groupoid, tree_orbit_group,
                        trivial_action, trivial_group, validate_groupoid,
                        validate_morphism)
-from groupoids import suite
+from groupoids import constructions, suite
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
@@ -274,6 +274,26 @@ def test_orbit_groupoid_fixed_point_connected_is_quotient():
     assert is_quotient_morphism(orb.morphism)
     assert not is_covering(orb.morphism)
     assert set(kernel(orb.morphism).arrows) == {"id_pt", "2"}
+
+
+def test_orbit_groupoid_builds_its_product_when_read(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("orbit_groupoid built the product")
+    build = constructions._semidirect
+    monkeypatch.setattr(constructions, "_semidirect", refuse)
+    act = _rotation(6)
+    orb = orbit_groupoid(act)
+    assert "_action" not in repr(orb)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(constructions, "_semidirect", counted)
+    sd = orb.semidirect
+    assert orb.semidirect is sd and len(calls) == 1
+    assert sd.action is act and len(sd.groupoid.arrows) == 6 ** 3
+    assert "compose" not in vars(sd.groupoid)
 
 
 def test_orbit_kernel_generators():

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -634,6 +635,21 @@ def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as err:
         parse_text(text, path="in.txt")
     assert str(err.value) == f"in.txt:{message}"
+
+
+@pytest.mark.parametrize("block, word, listed", [
+    ("groupoid g", "objects", lambda g: g.objects),
+    ("graph g", "vertex", lambda g: g.graph.vertices),
+    ("presentation g", "generators", lambda p: p.generators),
+], ids=["objects", "vertex", "generators"])
+def test_long_name_lines_parse_in_linear_time(block, word, listed):
+    # a name is checked fresh against a set, not a list of the earlier ones
+    names = [f"n{i}" for i in range(20000)]
+    text = f"{block}\n{word} {' '.join(names)}\n"
+    start = time.perf_counter()
+    entity = parse_text(text).entities["g"]
+    assert time.perf_counter() - start < 1
+    assert listed(entity) == tuple(names)
 
 
 def _round_trip_cases():
