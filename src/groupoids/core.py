@@ -12,6 +12,7 @@ iterates an unordered set to produce output.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 
 
 class SizeCapError(ValueError):
@@ -266,17 +267,30 @@ def _generators_associate(g):
 
     The arrows s for which this holds are closed under composition, and
     contain the identities when the identity laws hold, so checking a
-    generating set is enough.  The entries s + u are read once per s, as
-    its row.  Expects a complete table with the right endpoints."""
-    compose = g.compose
-    for s in _generators(g):
-        before = g._costar.get(g.source[s], ())
-        after = g.compose_row(s)
-        for w in g._star.get(g.target[s], ()):
-            ws = compose[(w, s)]
-            for u, su in zip(before, after):
-                if compose[(ws, u)] != compose[(w, su)]:
-                    return False
+    generating set is enough.  The test compares rows: each arrow's row
+    (compose_row, read once, as a tuple) lists v + u over the costar of
+    its source.  For s from x to y, the row of w + s lists (w + s) + u over
+    the costar of x; w's row, read at the positions in the costar of y of
+    the entries s + u of s's row, lists w + (s + u).  So one itemgetter
+    per s makes each w a single tuple comparison.  Expects a complete
+    table with the right endpoints."""
+    gens = _generators(g)
+    costar, star = g._costar, g._star
+    ends = {x for s in gens for x in (g.source[s], g.target[s])}
+    rows = {w: tuple(g.compose_row(w)) for x in ends for w in star.get(x, ())}
+    position = {x: {u: i for i, u in enumerate(costar.get(x, ()))}
+                for x in ends}
+    for s in gens:
+        at = position[g.target[s]]
+        places = [at[su] for su in rows[s]]
+        # a slice keeps a single place a tuple
+        read = itemgetter(*places) if len(places) > 1 else \
+            itemgetter(slice(places[0], places[0] + 1))
+        k = at[s]
+        for w in star.get(g.target[s], ()):
+            row = rows[w]
+            if rows[row[k]] != read(row):
+                return False
     return True
 
 

@@ -136,25 +136,33 @@ def parse_input(path):
 
 def parse_text(text, path="<input>"):
     parsed = ParsedFile(path)
-    block = None
+    block = line = None
+    # the split lines are not bound to a name, so the last block's build
+    # runs without them
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        tokens = line.split()
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
         if not tokens:
             continue
-        col = len(line) - len(line.lstrip()) + 1
         if tokens[0] in _BLOCKS:
             if block is not None:
                 block.finish()
-            block = _BLOCKS[tokens[0]](parsed, tokens, line_no, col)
+            block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
+            line = block.line
         elif block is None:
-            raise ParseError(path, line_no, col,
+            raise ParseError(path, line_no, _column(raw),
                              f"expected a block header, got {tokens[0]}")
         else:
-            block.line(tokens, line_no, col)
+            line(tokens, line_no)
     if block is not None:
         block.finish()
     return parsed
+
+
+def _column(line):
+    """The column of the first token of line."""
+    return len(line) - len(line.lstrip()) + 1
 
 
 # Prefixes that a new name of this kind may not start with, and why: as
@@ -200,10 +208,14 @@ class _Block:
 
     A subclass gives the header's usage (its first word is the block kind,
     its first wildcard the entity name) and one usage per line kind; a line
-    starting with WORD goes to do_WORD with the line's wildcard tokens.
-    start() takes the header's other wildcards; build() returns the entity
-    and its validator's problems.  Errors point at the current line, and
-    during build() at the header line, column 1.
+    starting with WORD goes to do_WORD with the line's wildcard tokens.  The
+    header is matched as a line too, and start() takes its other wildcards;
+    build() returns the entity and its validator's problems.
+
+    Errors point at the current line, and during build() at the header line,
+    column 1, or at the line a record of it names.  Only the line number is
+    kept: the column is worked out from the input text when the error is
+    raised.
     """
 
     header = ""
@@ -211,38 +223,45 @@ class _Block:
 
     def __init_subclass__(cls):
         cls.kind = cls.header.split()[0]
-        cls.header_rule = _rule(cls.header)
-        cls.rules = {}
+        # a line starting with the kind word opens a new block, so the
+        # header's rule is reached only from __init__
+        cls.rules = {cls.kind: _rule(cls.header, cls.do_header)}
         for usage in cls.grammar:
             word = usage.split()[0]
             cls.rules[word] = _rule(usage, getattr(cls, f"do_{word}"))
         article = "an" if cls.kind[0] in "aeiou" else "a"
         cls.unexpected = f"in {article} {cls.kind} block"
 
-    def __init__(self, parsed, tokens, line_no, col):
+    def __init__(self, parsed, text, tokens, line_no):
         self.parsed = parsed
+        self.text = text
         self.head = line_no
-        self.at = (line_no, col)
-        self.name, *refs = self.match(self.header_rule, tokens)
+        self.line(tokens, line_no)
+
+    def do_header(self, name, *refs):
+        self.name = name
         self.start(*refs)
 
-    def fail(self, message, at=None):
-        raise ParseError(self.parsed.path, *(at or self.at), message) \
-            from None
+    def fail(self, message, line_no=None):
+        """Raise at line_no, else at the current line, or at the header
+        line, column 1, when there is none (during build())."""
+        line_no = line_no or self.at
+        if line_no is None:
+            at = (self.head, 1)
+        else:
+            at = (line_no, _column(self.text.split("\n")[line_no - 1]))
+        raise ParseError(self.parsed.path, *at, message) from None
 
-    def match(self, rule, tokens):
-        arity, fixed, get_fixed, get_slots, usage, _handler = rule
-        if (arity is None or len(tokens) == arity) and \
-                get_fixed(tokens) == fixed:
-            return get_slots(tokens)
-        self.fail(f"expected: {usage}")
-
-    def line(self, tokens, line_no, col):
-        self.at = (line_no, col)
+    def line(self, tokens, line_no):
+        self.at = line_no
         rule = self.rules.get(tokens[0])
         if rule is None:
             self.fail(f"unexpected {tokens[0]} {self.unexpected}")
-        rule[-1](self, *self.match(rule, tokens))
+        arity, fixed, get_fixed, get_slots, usage, handler = rule
+        if (arity is None or len(tokens) == arity) and \
+                get_fixed(tokens) == fixed:
+            return handler(self, *get_slots(tokens))
+        self.fail(f"expected: {usage}")
 
     def known(self, what, pool, *names):
         for name in names:
@@ -264,7 +283,7 @@ class _Block:
         return self.parsed.entities[name]
 
     def finish(self):
-        self.at = (self.head, 1)
+        self.at = None
         entity, problems = self.build()
         if problems:
             self.fail(f"{self.name}: {problems[0]}")
@@ -283,7 +302,7 @@ class _GroupoidBlock(_Block):
         self.source = {}
         self.target = {}
         self.inverse = {}
-        self.compose_lines = []   # (v, u, w, line, col)
+        self.compose_lines = []   # (v, u, w, line)
 
     def do_objects(self, *names):
         for x in names:
@@ -310,8 +329,10 @@ class _GroupoidBlock(_Block):
             self.inverse[u] = v
 
     def do_compose(self, v, u, w):
-        self.known("arrow", self.names, v, u, w)
-        self.compose_lines.append((v, u, w, *self.at))
+        names = self.names
+        if v not in names or u not in names or w not in names:
+            self.known("arrow", names, v, u, w)
+        self.compose_lines.append((v, u, w, self.at))
 
     def build(self):
         identity_of = {x: f"id_{x}" for x in self.objects}
@@ -333,16 +354,18 @@ class _GroupoidBlock(_Block):
             compose[(identity_of[target[u]], u)] = u
             compose[(u, inverse[u])] = identity_of[target[u]]
             compose[(inverse[u], u)] = identity_of[source[u]]
-        for (v, u, w, line, col) in self.compose_lines:
+        for (v, u, w, line) in self.compose_lines:
             if target[u] != source[v]:
-                self.fail(f"compose {v} {u}: not composable", (line, col))
-            if compose.get((v, u), w) != w:
+                self.fail(f"compose {v} {u}: not composable", line)
+            if compose.setdefault((v, u), w) != w:
                 self.fail(f"compose {v} {u} = {w} contradicts an implied "
-                          f"composition", (line, col))
-            compose[(v, u)] = w
-
+                          f"composition", line)
+        # the line records and this table (the groupoid copies it) are
+        # freed before the groupoid is validated
+        del self.compose_lines
         gpd = FiniteGroupoid(self.objects, arrows, source, target,
                              identity_of, inverse, compose, name=self.name)
+        del compose
         return gpd, validate_groupoid(gpd)
 
 
@@ -352,17 +375,17 @@ def _with_fixed(group, names, listed):
             for g in group.elements for x in names}
 
 
+def _refuse(message):
+    """A rule that takes a line of any shape and fails with message."""
+    def handler(self, *_tokens):
+        self.fail(message)
+    return _rule("...", handler)
+
+
 class _ActionBlock(_Block):
     header = "action NAME on TARGET by GROUP"
     grammar = ("obj G : X -> Y", "arr G : A -> B",
                "act G : E -> F or act G : E -> -F")
-    # lines that do not fit the target's kind
-    wrong_target = {
-        ("arr", "graph"): "arr lines need a groupoid target; use act lines "
-                          "for graph edges",
-        ("act", "groupoid"): "act lines need a graph target; use arr lines "
-                             "for groupoid arrows",
-    }
 
     def start(self, target, group):
         self.target_kind = self.parsed.kinds.get(target)
@@ -376,47 +399,63 @@ class _ActionBlock(_Block):
                 self.fail(f"graph {target} has relators; an action needs a "
                           f"graph without relators")
             space = space.graph
+            self.rules = self.graph_rules
             self.cells = (space.vertices, space.edges)
             self.points = set(space.vertices)
+            # every edge letter an act line may name as an image
+            self.letters = {*space.edges, *(f"-{e}" for e in space.edges)}
         else:
+            self.rules = self.groupoid_rules
             self.cells = (space.objects, space.arrows)
             self.points = space.object_index
+            self.moving = space.arrow_index.keys() - space.identity_of.values()
         self.space = space
         self.group_groupoid = self.entity(group, "groupoid")
         if len(self.group_groupoid.objects) != 1:
             self.fail(f"group block {group} must have exactly one object")
         self.group = group_of_one_object_groupoid(self.group_groupoid)
+        self.acting = self.group.index.keys() - {self.group.identity}
         self.obj_lines = {}
         self.arr_lines = {}       # arr or act lines, by the target's kind
 
-    def line(self, tokens, line_no, col):
-        self.word = tokens[0]
-        wrong = self.wrong_target.get((self.word, self.target_kind))
-        if wrong:
-            raise ParseError(self.parsed.path, line_no, col, wrong)
-        super().line(tokens, line_no, col)
+    # Each name is tested once, against the names it may be; the known()
+    # calls after a failed test only find the error and raise it.
 
-    def do_obj(self, g, a, b):
-        """An obj, arr or act line: g carries a to b."""
+    def do_obj(self, g, x, y):
+        points = self.points
+        if g not in self.acting or x not in points or y not in points:
+            self.element(g)
+            self.known("object", points, x, y)
+        self.image(self.obj_lines, g, x, y)
+
+    def do_arr(self, g, a, b):
+        if g not in self.acting or a not in self.moving or \
+                b not in self.space.arrow_index:
+            self.element(g)
+            self.known("arrow", self.space.arrow_index, a, b)
+            self.fail(_IDENTITY_IMAGE)
+        self.image(self.arr_lines, g, a, b)
+
+    def do_act(self, g, e, f):
+        if g not in self.acting or e not in self.space.source or \
+                f not in self.letters:
+            self.element(g)
+            self.known("edge", self.space.source, e, f.removeprefix("-"))
+        self.image(self.arr_lines, g, e, f)
+
+    def element(self, g):
+        """Fail unless g is an element of the group other than the
+        identity."""
         self.known("group element", self.group.index, g)
         if g == self.group.identity:
             self.fail("the identity element acts trivially; remove this "
                       "line")
-        images = self.arr_lines
-        if self.word == "obj":
-            images = self.obj_lines
-            self.known("object", self.points, a, b)
-        elif self.word == "arr":
-            self.known("arrow", self.space.arrow_index, a, b)
-            if self.space.is_identity_arrow(a):
-                self.fail(_IDENTITY_IMAGE)
-        else:
-            self.known("edge", self.space.source, a, b.removeprefix("-"))
+
+    def image(self, images, g, a, b):
+        """Record that g carries a to b."""
         if (g, a) in images:
             self.fail(f"duplicate image for {g} on {a}")
         images[(g, a)] = b
-
-    do_arr = do_act = do_obj
 
     def build(self):
         G, sp = self.group, self.space
@@ -434,6 +473,17 @@ class _ActionBlock(_Block):
         return act, validate(act)
 
 
+# lines that do not fit the target's kind fail whatever their shape
+_ActionBlock.graph_rules = {
+    **_ActionBlock.rules,
+    "arr": _refuse("arr lines need a groupoid target; use act lines for "
+                   "graph edges")}
+_ActionBlock.groupoid_rules = {
+    **_ActionBlock.rules,
+    "act": _refuse("act lines need a graph target; use arr lines for "
+                   "groupoid arrows")}
+
+
 class _GraphBlock(_Block):
     header = "graph NAME"
     grammar = ("vertex ...", "edge NAME : SRC -> TGT", "relator ...")
@@ -443,7 +493,7 @@ class _GraphBlock(_Block):
         self.edges = []
         self.source = {}
         self.target = {}
-        self.relator_lines = []   # (tokens, (line, col))
+        self.relator_lines = []   # (tokens, line)
 
     def do_vertex(self, *names):
         for v in names:
@@ -466,14 +516,14 @@ class _GraphBlock(_Block):
         graph = DirectedGraph(self.vertices, self.edges, self.source,
                               self.target, name=self.name)
         relators = []
-        for (tokens, at) in self.relator_lines:
+        for (tokens, line) in self.relator_lines:
             try:
                 word = graph.word(tokens)
             except ValueError as exc:
-                self.fail(str(exc), at)
+                self.fail(str(exc), line)
             if word.source != word.target:
                 self.fail(f"relator is not a loop "
-                          f"({word.source} -> {word.target})", at)
+                          f"({word.source} -> {word.target})", line)
             relators.append(word)
         return PresentedGroupoid(graph, relators, name=self.name), ()
 

@@ -9,8 +9,9 @@ import pytest
 
 import groupoids
 from groupoids import (FiniteGroupoid, GroupTable, GroupoidMorphism,
-                       SizeCapError, WideSubgroupoid, alternating_group,
-                       components, connected_groupoid, cyclic_group,
+                       SizeCapError, WideSubgroupoid, action_from_object_map,
+                       alternating_group, components, connected_groupoid,
+                       cyclic_group,
                        dihedral_group, direct_product_group, disjoint_union,
                        discrete_groupoid, full_subgroupoid, group_isomorphic,
                        groupoid_from_group, is_connected, is_covering,
@@ -22,9 +23,10 @@ from groupoids import (FiniteGroupoid, GroupTable, GroupoidMorphism,
                        tree_groupoid, trivial_group, validate_groupoid,
                        validate_morphism)
 from groupoids.catalog import bundle
-from groupoids.core import _generators, _generators_associate, \
-    element_order, group_isomorphism, is_abelian_group, is_normal_subgroup, \
-    subgroup_closure
+from groupoids.constructions import _PairGroupoid
+from groupoids.core import _associativity_failures, _generators, \
+    _generators_associate, element_order, group_isomorphism, \
+    is_abelian_group, is_normal_subgroup, subgroup_closure
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
@@ -106,6 +108,79 @@ def test_light_test_agrees_with_the_full_scan():
                 assert _generators_associate(h) == (not scan)
                 light_runs += 1
     assert light_runs > 100    # tables that reach Light's test
+
+
+def _seeded_ring(rng, n):
+    """Z_n rotating the n-object tree freely, its objects named and listed
+    in a seeded order."""
+    names = [f"r{k}" for k in rng.sample(range(100), n)]
+    space = tree_groupoid(names, name=f"tree{n}")
+    return action_from_object_map(
+        cyclic_group(n), space,
+        {(str(k), names[i]): names[(i + k) % n]
+         for k in range(n) for i in range(n)}, name=f"ring{n}")
+
+
+def test_light_test_by_rows_agrees_with_the_full_scan():
+    rng = random.Random(23)
+    # greedy picks many generators here, so each s reads many rows
+    many = [connected_groupoid([f"x{i}" for i in range(k)], cyclic_group(5))
+            for k in (4, 5, 6)]
+    many.append(semidirect_product(_seeded_ring(rng, 4)).groupoid)
+    failures = 0
+    for g in many:
+        assert len(_generators(g)) >= 7
+        assert _generators_associate(g)
+        # entries that no identity or inverse law fixes, so every planted
+        # table reaches Light's test
+        keys = [(v, u) for (v, u) in g.compose
+                if not g.is_identity_arrow(v) and not g.is_identity_arrow(u)
+                and g.inverse_of[u] != v]
+        for v, u in rng.sample(keys, 4):
+            others = [w for w in g.hom(g.source[u], g.target[v])
+                      if w != g.compose[(v, u)]]
+            h = _with_compose(g, {**g.compose, (v, u): rng.choice(others)})
+            scan = _associativity_failures(h)
+            assert _generators_associate(h) == (not scan)
+            failures += bool(scan)
+    assert failures == 16      # every planted table here breaks a triple
+
+    # costars of a single arrow: no generator leaves them, so no row is read
+    # at one place
+    single = [discrete_groupoid(("p", "q", "r")),
+              groupoid_from_group(trivial_group(), name="one"),
+              disjoint_union(discrete_groupoid(("p",)),
+                             tree_groupoid(("a", "b")))]
+    for g in single:
+        assert _generators_associate(g)
+    # a category with no inverses, where the generator a leaves x, whose
+    # costar is id_x alone: a's row is read at one place
+    source = {"id_x": "x", "id_y": "y", "id_z": "z",
+              "a": "x", "c": "y", "d": "x", "e": "x"}
+    target = {"id_x": "x", "id_y": "y", "id_z": "z",
+              "a": "y", "c": "z", "d": "z", "e": "z"}
+    compose = {(v, u): u if v.startswith("id_") else v
+               for v in source for u in source
+               if target[u] == source[v] and "id_" in v + u}
+    compose[("c", "a")] = "d"
+    one_way = FiniteGroupoid("xyz", source, source, target,
+                             {x: f"id_{x}" for x in "xyz"}, {}, compose,
+                             name="one-way")
+    assert _generators(one_way) == ["a", "c", "e"]
+    assert _generators_associate(one_way)
+    assert _associativity_failures(one_way) == []
+    for key, w, holds in ((("d", "id_x"), "e", False),
+                          (("c", "a"), "e", True)):
+        h = _with_compose(one_way, {**compose, key: w})
+        scan = _associativity_failures(h)
+        assert _generators_associate(h) == (not scan) == holds
+
+    # products whose rows come from the pair table
+    for n in (3, 4, 5):
+        h = semidirect_product(_seeded_ring(rng, n)).groupoid
+        assert isinstance(h, _PairGroupoid)
+        assert _generators_associate(h)
+        assert _associativity_failures(h) == []
 
 
 def test_tree_generators_are_the_arrows_at_the_first_object():

@@ -552,6 +552,8 @@ PARSE_ERRORS = {
                   "12:1: expected: act G : E -> F or act G : E -> -F"),
     "act-unknown-edge": (_GACT + "act t : e -> -q\n",
                          "12:1: unknown edge q"),
+    "act-double-inverse-mark": (_GACT + "act t : e -> --e\n",
+                                "12:1: unknown edge -e"),
     "act-duplicate": (_GACT + "act t : e -> h\nact t : e -> -e\n",
                       "13:1: duplicate image for t on e"),
     "action-unexpected": (_ACT + "objects z\n",
@@ -626,6 +628,22 @@ PARSE_ERRORS = {
     "morphism-law": (_MOR + "obj x -> pt\nobj y -> pt\narr f -> t\n"
                      "arr g -> id_pt\n",
                      "12:1: m: composition not preserved on (f, g)"),
+    # columns of indented lines, found when the error is raised
+    "not-composable-indented": (SEG + "  compose f f = f\n",
+                                "6:3: compose f f: not composable"),
+    "contradicts-implied-indented": (SEG + "compose f g = id_y\n"
+                                     "   compose g f = g\n",
+                                     "7:4: compose g f = g contradicts an "
+                                     "implied composition"),
+    "tab-indented-line": ("groupoid g\n\t objects x x\n",
+                          "2:3: duplicate object x"),
+    "indented-comment": ("groupoid g\n  objects x x  # twice\n",
+                         "2:3: duplicate object x"),
+    "relator-not-a-loop-indented": (CIRC + "\t\trelator e\n",
+                                    "5:3: relator is not a loop (v -> w)"),
+    "arr-on-graph-indented": (_GACT + "    arr t : e -> h\n",
+                              "12:5: arr lines need a groupoid target; use "
+                              "act lines for graph edges"),
 }
 
 
@@ -634,6 +652,14 @@ PARSE_ERRORS = {
 def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as err:
         parse_text(text, path="in.txt")
+    assert str(err.value) == f"in.txt:{message}"
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS.values(),
+                         ids=PARSE_ERRORS.keys())
+def test_parse_error_messages_with_crlf_line_ends(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_text(text.replace("\n", "\r\n"), path="in.txt")
     assert str(err.value) == f"in.txt:{message}"
 
 
