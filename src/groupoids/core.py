@@ -451,7 +451,7 @@ def direct_product_group(a, b, name=None):
                for x in a.elements for y in b.elements}
     return GroupTable(
         name_of.values(),
-        {(u, v): name_of[(a.prod(x1, x2), b.prod(y1, y2))]
+        {(u, v): name_of[(a.mul[(x1, x2)], b.mul[(y1, y2)])]
          for (x1, y1), u in name_of.items()
          for (x2, y2), v in name_of.items()},
         name=name or f"{a.name}x{b.name}",

@@ -23,11 +23,15 @@ MAX_LATTICE_ARROWS = 24
 MAX_GROUP_ORDER = 1000
 
 
-def enumerate_morphisms(dom, cod):
-    """All morphisms dom -> cod, in deterministic order.
+def _maps(dom, cod):
+    """Every morphism dom -> cod as an (object map, arrow map) pair of dicts.
 
-    Backtracking over object maps and arrow maps; identities are forced.
-    Capped at MAX_SOURCE_ARROWS and MAX_TARGET_ARROWS.
+    Backtracking over object maps and arrow maps; identities are forced, and
+    each non-identity arrow is assigned together with its inverse, when the
+    first of the two comes up in dom.arrows.  A composition triple is tested
+    once, at the step that assigns the last of its three arrows, which is
+    the first step at which it can fail.  Capped at MAX_SOURCE_ARROWS and
+    MAX_TARGET_ARROWS.
     """
     if len(dom.arrows) > MAX_SOURCE_ARROWS:
         raise SizeCapError(
@@ -36,41 +40,34 @@ def enumerate_morphisms(dom, cod):
         raise SizeCapError(
             f"morphism enumeration capped at {MAX_TARGET_ARROWS} target arrows")
 
-    non_identity = [u for u in dom.arrows if not dom.is_identity_arrow(u)]
-    through = {u: [] for u in dom.arrows}
+    # step k assigns firsts[k] and its inverse; identities come before
+    firsts = []
+    step = dict.fromkeys(dom.identity_of.values(), -1)
+    for a in dom.arrows:
+        if a not in step:
+            step[a] = step[dom.inverse_of[a]] = len(firsts)
+            firsts.append(a)
+    # a triple through an identity, or composing to one, holds under every
+    # map built here: it sends each arrow between the images of its ends,
+    # identities to identities and inverses to inverses
+    filed = [[] for _ in firsts]
     for (v, u), w in dom.compose.items():
-        for arrow in {v, u, w}:
-            through[arrow].append((v, u, w))
+        steps = (step[v], step[u], step[w])
+        if min(steps) >= 0:
+            filed[max(steps)].append((v, u, w))
+    compose = cod.compose
 
-    found = []
     for images in itertools.product(cod.objects, repeat=len(dom.objects)):
         object_map = dict(zip(dom.objects, images))
         arrow_map = {dom.identity_of[x]: cod.identity_of[object_map[x]]
                      for x in dom.objects}
-
-        def consistent(a):
-            # a triple not through a or its inverse was checked when its
-            # last arrow was assigned
-            for v, u, w in through[a] + through[dom.inverse_of[a]]:
-                fv = arrow_map.get(v)
-                fu = arrow_map.get(u)
-                fw = arrow_map.get(w)
-                if fv is None or fu is None or fw is None:
-                    continue
-                if cod.compose.get((fv, fu)) != fw:
-                    return False
-            return True
+        found = []
 
         def extend(k):
-            if k == len(non_identity):
-                found.append(GroupoidMorphism(
-                    dom, cod, dict(object_map), dict(arrow_map),
-                    name=f"hom{len(found)}"))
+            if k == len(firsts):
+                found.append((dict(object_map), dict(arrow_map)))
                 return
-            a = non_identity[k]
-            if a in arrow_map:
-                extend(k + 1)
-                return
+            a = firsts[k]
             partner = dom.inverse_of[a]
             x = object_map[dom.source[a]]
             y = object_map[dom.target[a]]
@@ -80,29 +77,65 @@ def enumerate_morphisms(dom, cod):
                 arrow_map[a] = b
                 if partner != a:
                     arrow_map[partner] = cod.inverse_of[b]
-                if consistent(a):
+                for (v, u, w) in filed[k]:
+                    if compose[(arrow_map[v], arrow_map[u])] != arrow_map[w]:
+                        break
+                else:
                     extend(k + 1)
                 del arrow_map[a]
                 if partner != a:
                     del arrow_map[partner]
 
         extend(0)
-    return found
+        yield from found
+
+
+def enumerate_morphisms(dom, cod):
+    """All morphisms dom -> cod, in deterministic order, named hom0, hom1,
+    ...  Capped at MAX_SOURCE_ARROWS and MAX_TARGET_ARROWS."""
+    return [GroupoidMorphism(dom, cod, object_map, arrow_map, name=f"hom{i}")
+            for i, (object_map, arrow_map) in enumerate(_maps(dom, cod))]
+
+
+def _moves(act):
+    """The pairs (x, g·x) and (a, g·a) with g·x != x and g·a != a.
+
+    Two lists, of object pairs and of arrow pairs, each pair listed once, in
+    the order of act.group.elements and then of the space's objects or
+    arrows.  A map out of act.space is constant on orbits exactly when it
+    agrees on both sides of every pair.
+    """
+    G, sp = act.group, act.space
+    objects = {(x, act.act_obj[(g, x)]): None
+               for g in G.elements for x in sp.objects}
+    arrows = {(a, act.act_arrow[(g, a)]): None
+              for g in G.elements for a in sp.arrows}
+    return ([(x, y) for (x, y) in objects if x != y],
+            [(a, b) for (a, b) in arrows if a != b])
+
+
+def _invariant(moves, object_map, arrow_map):
+    """Whether the maps agree on both sides of every pair in moves."""
+    object_moves, arrow_moves = moves
+    for (x, y) in object_moves:
+        if object_map[x] != object_map[y]:
+            return False
+    for (a, b) in arrow_moves:
+        if arrow_map[a] != arrow_map[b]:
+            return False
+    return True
 
 
 def _constant_on_orbits(act, f):
     """Whether f, a morphism out of act.space, is constant on orbits."""
-    G, sp = act.group, act.space
-    return all(f.object_map[act.act_obj[(g, x)]] == f.object_map[x]
-               for g in G.elements for x in sp.objects) and \
-        all(f.arrow_map[act.act_arrow[(g, a)]] == f.arrow_map[a]
-            for g in G.elements for a in sp.arrows)
+    return _invariant(_moves(act), f.object_map, f.arrow_map)
 
 
 def invariant_morphisms(act, cod):
     """Morphisms from the acted-on groupoid that are constant on orbits."""
+    moves = _moves(act)
     return [f for f in enumerate_morphisms(act.space, cod)
-            if _constant_on_orbits(act, f)]
+            if _invariant(moves, f.object_map, f.arrow_map)]
 
 
 @dataclass
@@ -125,6 +158,8 @@ def check_universal_property(act, candidate, targets):
     constant on orbits, exactly one morphism from the candidate's codomain
     must compose with the candidate to give it.  The candidate itself must
     be a valid, invariant morphism; that is a precondition, not a finding.
+    Both sides are compared as raw maps from _maps, with no morphism
+    objects built.
     """
     problems = validate_morphism(candidate)
     if problems:
@@ -134,20 +169,28 @@ def check_universal_property(act, candidate, targets):
     if not _constant_on_orbits(act, candidate):
         raise ValueError(f"{candidate.name}: not constant on orbits")
 
+    moves = _moves(act)
     objects, arrows = act.space.objects, act.space.arrows
+    # where the candidate sends them, in the same order
+    images = ([candidate.object_map[x] for x in objects],
+              [candidate.arrow_map[a] for a in arrows])
     entries = []
     for cod in targets:
-        composites = Counter(
-            (tuple(psi.object_map[candidate.object_map[x]] for x in objects),
-             tuple(psi.arrow_map[candidate.arrow_map[a]] for a in arrows))
-            for psi in enumerate_morphisms(candidate.cod, cod))
-        wanted = invariant_morphisms(act, cod)
-        hits = [composites[(tuple(f.object_map[x] for x in objects),
-                            tuple(f.arrow_map[a] for a in arrows))]
-                for f in wanted]
-        entries.append((cod.name, len(wanted), hits.count(0),
+        composites = Counter(_key(images, maps)
+                             for maps in _maps(candidate.cod, cod))
+        hits = [composites[_key((objects, arrows), maps)]
+                for maps in _maps(act.space, cod)
+                if _invariant(moves, *maps)]
+        entries.append((cod.name, len(hits), hits.count(0),
                         sum(1 for h in hits if h > 1)))
     return UniversalPropertyReport(tuple(entries))
+
+
+def _key(points, maps):
+    """The images under maps of the objects and arrows listed in points."""
+    (objects, arrows), (object_map, arrow_map) = points, maps
+    return (tuple(map(object_map.__getitem__, objects)),
+            tuple(map(arrow_map.__getitem__, arrows)))
 
 
 def _fixpoint(members, forced):
@@ -164,11 +207,11 @@ def _fixpoint(members, forced):
         members |= fresh
 
 
-def _wide_rule(g):
-    """The inverses and composites an arrow set of g forces."""
-    after = {v: [] for v in g.arrows}
-    for (v, u), w in g.compose.items():
-        after[v].append((u, w))
+def _wide_rule(g, after):
+    """The inverses and composites an arrow set of g forces.
+
+    after[v] lists the pairs (u, v + u) of g's composition table.
+    """
     return lambda s: itertools.chain(
         (g.inverse_of[u] for u in s),
         (w for v in s for (u, w) in after[v] if u in s))
@@ -185,25 +228,44 @@ def wide_subgroupoid_lattice(g):
     Starts from the discrete one and grows by a single generator at a time;
     returns a list of frozensets in discovery order.  Capped at
     MAX_LATTICE_ARROWS ambient arrows.
+
+    Growing a member by a skips the arrows c + a + d, for c and d in the
+    member, and their inverses: they grow it to the same member as a.  Such
+    an x lies in the closure of the member and a, and a = -c + x - d lies in
+    the closure of the member and x; a closure holds x exactly when it holds
+    -x.  So every skipped growth gives a member already seen, and the
+    discovery order is that of the full search.
     """
     if len(g.arrows) > MAX_LATTICE_ARROWS:
         raise SizeCapError(
             f"subgroupoid lattice capped at {MAX_LATTICE_ARROWS} arrows")
-    rule = _wide_rule(g)
+    # after[v] lists (u, v + u) and before[u] lists (v, v + u)
+    after = {v: [] for v in g.arrows}
+    before = {u: [] for u in g.arrows}
+    for (v, u), w in g.compose.items():
+        after[v].append((u, w))
+        before[u].append((v, w))
+    rule = _wide_rule(g, after)
     base = _fixpoint(g.identity_of.values(), rule)
     seen = {base}
     order = [base]
     queue = [base]
     while queue:
         current = queue.pop(0)
+        done = set()
         for a in g.arrows:
-            if a in current:
+            if a in current or a in done:
                 continue
             grown = _fixpoint(current | {a}, rule)
             if grown not in seen:
                 seen.add(grown)
                 order.append(grown)
                 queue.append(grown)
+            for ad in (w for (d, w) in after[a] if d in current):
+                for (c, x) in before[ad]:
+                    if c in current:
+                        done.add(x)
+                        done.add(g.inverse_of[x])
     return order
 
 

@@ -1,16 +1,18 @@
 import ast
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from groupoids import (GroupPresentation, GroupoidMorphism, SizeCapError,
-                       abelian_invariants, alternating_group, cyclic_group,
-                       dihedral_group, direct_product_group,
-                       discrete_groupoid, group_isomorphic,
-                       groupoid_from_group, normal_closure, orbit_groupoid,
+from groupoids import (GroupPresentation, GroupTable, GroupoidMorphism,
+                       SizeCapError, abelian_invariants, alternating_group,
+                       connected_groupoid, cyclic_group, dihedral_group,
+                       direct_product_group, discrete_groupoid,
+                       disjoint_union, group_isomorphic, groupoid_from_group,
+                       klein_group, normal_closure, orbit_groupoid,
                        quaternion_group, semidirect_product, symmetric_group,
-                       tree_groupoid, trivial_group)
+                       tree_groupoid, trivial_action, trivial_group)
 from groupoids import oracle, suite
 from groupoids.corpus import (named_actions, random_quotient_instances,
                               standard_target_family)
@@ -299,6 +301,120 @@ def test_enumeration_matches_the_full_scan_reference():
                     (dom.name, cod.name)
                 pairs += 1
     assert pairs == 83 * 2 * 6
+
+
+def test_lattice_skip_matches_the_pairwise_reference_beyond_the_suite():
+    # groupoids whose lattices the suite's instances do not reach: groups
+    # with many subgroups, connected and tree groupoids, a discrete one
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    groupoids = [groupoid_from_group(gt) for gt in (
+        symmetric_group(3), dihedral_group(4), quaternion_group(),
+        alternating_group(4),
+        direct_product_group(klein_group(), z2, name="Z2^3"))]
+    groupoids += [connected_groupoid("ab", z2), connected_groupoid("ab", z3),
+                  connected_groupoid("abc", z2), tree_groupoid("abcd"),
+                  discrete_groupoid("abc")]
+    for g in groupoids:
+        lattice = _reference_lattice(g)
+        assert oracle.wide_subgroupoid_lattice(g) == lattice, g.name
+        for size in (1, 2):
+            for gens in itertools.combinations(g.arrows, size):
+                assert oracle.minimal_normal_closure(g, gens) == \
+                    _reference_minimum(g, lattice, gens), (g.name, gens)
+    # three objects with Z3 has 27 arrows, above the lattice cap
+    with pytest.raises(SizeCapError):
+        oracle.wide_subgroupoid_lattice(connected_groupoid("abc", z3))
+
+
+def _renamed(gt, prefix):
+    """gt with its elements renamed prefix0, prefix1, ... and listed in
+    reverse order, so that the identity comes last."""
+    new = {x: f"{prefix}{i}" for i, x in enumerate(reversed(gt.elements))}
+    return GroupTable(new.values(),
+                      {(new[x], new[y]): new[z]
+                       for (x, y), z in gt.mul.items()},
+                      name=f"{prefix}{gt.name}")
+
+
+def _benchmark_targets():
+    """One-object targets shaped like the benchmark's target files."""
+    return [groupoid_from_group(_renamed(klein_group(), "k"), "pk",
+                                name="T-klein"),
+            groupoid_from_group(_renamed(dihedral_group(3), "d"), "pd",
+                                name="T-d3")]
+
+
+def _reference_constant(act, object_map, arrow_map):
+    """Full scan: the maps agree on x and g·x for every g and every x."""
+    G, sp = act.group, act.space
+    return all(object_map[act.act_obj[(g, x)]] == object_map[x]
+               for g in G.elements for x in sp.objects) and \
+        all(arrow_map[act.act_arrow[(g, a)]] == arrow_map[a]
+            for g in G.elements for a in sp.arrows)
+
+
+def _reference_entries(act, candidate, targets):
+    """check_universal_property's entries, from the reference enumeration
+    and the full-scan invariance filter."""
+    objects, arrows = act.space.objects, act.space.arrows
+    entries = []
+    for cod in targets:
+        composites = Counter(
+            (tuple(om[candidate.object_map[x]] for x in objects),
+             tuple(am[candidate.arrow_map[a]] for a in arrows))
+            for (om, am) in _reference_morphisms(candidate.cod, cod))
+        hits = [composites[(tuple(om[x] for x in objects),
+                            tuple(am[a] for a in arrows))]
+                for (om, am) in _reference_morphisms(act.space, cod)
+                if _reference_constant(act, om, am)]
+        entries.append((cod.name, len(hits), hits.count(0),
+                        sum(1 for h in hits if h > 1)))
+    return tuple(entries)
+
+
+def test_enumeration_and_invariance_on_the_benchmark_target_shapes():
+    pairs = 0
+    for act in suite._orbit_actions(None):
+        orb = orbit_groupoid(act)
+        for cod in _benchmark_targets():
+            for dom in (act.space, orb.groupoid):
+                got = [(f.object_map, f.arrow_map)
+                       for f in oracle.enumerate_morphisms(dom, cod)]
+                assert got == _reference_morphisms(dom, cod), \
+                    (dom.name, cod.name)
+                pairs += 1
+            want = [(f"hom{i}", om, am) for i, (om, am) in
+                    enumerate(_reference_morphisms(act.space, cod))
+                    if _reference_constant(act, om, am)]
+            assert [(f.name, f.object_map, f.arrow_map)
+                    for f in oracle.invariant_morphisms(act, cod)] == want, \
+                (act.name, cod.name)
+    assert pairs == 83 * 2 * 2
+
+
+def test_universal_property_entries_match_the_reference():
+    targets = standard_target_family() + _benchmark_targets()
+    for act in suite._orbit_actions(None):
+        morphism = orbit_groupoid(act).morphism
+        assert oracle.check_universal_property(
+            act, morphism, targets).entries == \
+            _reference_entries(act, morphism, targets), act.name
+
+    # the suite's two negative controls, whose entries are not all zero
+    z2 = groupoid_from_group(cyclic_group(2), name="z2")
+    act = trivial_action(trivial_group(), z2, name="trivial")
+    point = groupoid_from_group(trivial_group(), name="point")
+    collapse = GroupoidMorphism(z2, point, {"pt": "pt"},
+                                {u: "id_pt" for u in z2.arrows})
+    orb = orbit_groupoid(act)
+    spare = disjoint_union(orb.groupoid, groupoid_from_group(
+        trivial_group(), object_name="spare"), name="padded")
+    padded = GroupoidMorphism(z2, spare, orb.morphism.object_map,
+                              orb.morphism.arrow_map)
+    for candidate in (collapse, padded):
+        report = oracle.check_universal_property(act, candidate, targets)
+        assert not report.ok
+        assert report.entries == _reference_entries(act, candidate, targets)
 
 
 def test_group_normal_closure_matches_the_lattice_reference():
