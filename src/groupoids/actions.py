@@ -11,8 +11,9 @@ class GroupoidAction:
     """A group acting on a groupoid.
 
     act_obj maps (g, object) to an object, act_arrow maps (g, arrow) to an
-    arrow; both are total.  The constructor only stores; validate_action
-    checks the axioms: each element acts by a morphism, unit, composition.
+    arrow; both are total.  The constructor only stores, keeping the maps
+    as given (see the core module docstring); validate_action checks the
+    axioms: each element acts by a morphism, unit, composition.
     """
 
     def __init__(self, group, space, act_obj, act_arrow, name="act",
@@ -20,8 +21,8 @@ class GroupoidAction:
         self.name = name
         self.group = group
         self.space = space
-        self.act_obj = dict(act_obj)
-        self.act_arrow = dict(act_arrow)
+        self.act_obj = act_obj
+        self.act_arrow = act_arrow
         # optional: the one-object groupoid the group was read from, kept so
         # emitting the action reproduces the original block byte for byte
         self.group_groupoid = group_groupoid

@@ -28,8 +28,8 @@ Results come back as dataclasses: SemidirectProduct (groupoid, projection,
 action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
 (groupoid, morphism, and the semidirect product, which orbit_groupoid does
 not build: it is built on first read, from the action and the pair names,
-and its composition table when that is read), and the RestrictOrbitReport
-and RegularCoverReport check reports.
+together with its position tables, and still no entry is stored), and the
+RestrictOrbitReport and RegularCoverReport check reports.
 """
 
 from __future__ import annotations
@@ -163,9 +163,10 @@ class _PairGroupoid(FiniteGroupoid):
 
     Its composition table, (b, h) + (a, g) = (b + h.a, hg), has about
     |A|^2|G|^2/n entries, none of them stored: compose is a _PairTable,
-    made on first read, that computes each entry from positions when it is
-    read, and compose_row reads a whole row the same way.  An orbit
-    groupoid builds the product only when it is read.
+    built with the groupoid and handed to its constructor, that computes
+    each entry from position tables when it is read, and compose_row reads
+    a whole row the same way.  An orbit groupoid builds the product, and
+    with it the position tables, only when it is read.
     """
 
     def __init__(self, act, name_of):
@@ -178,14 +179,9 @@ class _PairGroupoid(FiniteGroupoid):
             inverse[u] = name_of[(act.act_arrow[(ginv, sp.inverse_of[a])],
                                   ginv)]
         super().__init__(sp.objects, name_of.values(), source, target,
-                         {x: f"id_{x}" for x in sp.objects}, inverse, {},
+                         {x: f"id_{x}" for x in sp.objects}, inverse,
+                         _PairTable(act, name_of, source),
                          name=f"{sp.name}x{G.name}")
-        del self.compose        # the empty table; the property makes it
-        self._act, self._name_of = act, name_of
-
-    @cached_property
-    def compose(self):
-        return _PairTable(self._act, self._name_of, self.source)
 
     def compose_row(self, v):
         return self.compose.row(v)
@@ -193,7 +189,7 @@ class _PairGroupoid(FiniteGroupoid):
 
 def _semidirect(act, name_of):
     """The semidirect product of a valid action on the named pairs, its
-    composition table not yet made and its projection not checked."""
+    projection not checked."""
     G = act.group
     gpd = _PairGroupoid(act, name_of)
     cod = groupoid_from_group(G, name=f"{G.name}-gpd")
@@ -214,7 +210,6 @@ def semidirect_product(act):
     valid action; the semidirect-laws check validates the corpus products.
     """
     sd = _semidirect(act, _pair_names(act))
-    sd.groupoid.compose     # the position tables, here, not in a reader
     _checked_morphism(sd.projection)
     assert is_fibration(sd.projection)
     return sd
@@ -342,7 +337,8 @@ def quotient_groupoid(k, n, name=None):
 @dataclass
 class OrbitGroupoid:
     """An orbit groupoid, its canonical morphism and its semidirect product,
-    which is built on first read, its composition table when that is read."""
+    which is built on first read, together with its position tables; still
+    no entry of its composition table is stored."""
 
     groupoid: FiniteGroupoid
     morphism: GroupoidMorphism

@@ -7,6 +7,11 @@ defined exactly when ``target(u) == source(v)``.
 Objects and arrows are opaque strings.  Input order is the canonical order and
 is used for every deterministic tie-break in this package; no operation ever
 iterates an unordered set to produce output.
+
+The entity constructors (FiniteGroupoid, GroupTable, GroupoidMorphism, and
+GroupoidAction, DirectedGraph and GraphAction elsewhere) keep the mappings
+they are given, not copies, and store objects, arrows and elements as tuples.
+A table once handed over is not written to; no code in this package does so.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ class FiniteGroupoid:
     Fields mirror the data: objects, arrows, source/target maps, one identity
     arrow per object, an inverse involution, and a composition table keyed by
     ``(v, u)`` with value ``v + u``.  The constructor only stores and indexes;
-    run validate_groupoid to check the axioms.
+    run validate_groupoid to check the axioms.  The tables are kept as given
+    (see the module docstring).
     """
 
     def __init__(self, objects, arrows, source, target, identity_of,
@@ -37,11 +43,11 @@ class FiniteGroupoid:
         self.name = name
         self.objects = tuple(objects)
         self.arrows = tuple(arrows)
-        self.source = dict(source)
-        self.target = dict(target)
-        self.identity_of = dict(identity_of)
-        self.inverse_of = dict(inverse_of)
-        self.compose = dict(compose)
+        self.source = source
+        self.target = target
+        self.identity_of = identity_of
+        self.inverse_of = inverse_of
+        self.compose = compose
         self.object_index = {x: i for i, x in enumerate(self.objects)}
         self.arrow_index = {u: i for i, u in enumerate(self.arrows)}
         if len(self.object_index) != len(self.objects):
@@ -308,13 +314,14 @@ class GroupTable:
     """A finite group as an explicit multiplication table.
 
     elements keep input order; ``mul`` maps (g, h) to gh.  identity and
-    inverses are derived from the table when not supplied.
+    inverses are derived from the table when not supplied.  The tables are
+    kept as given (see the module docstring).
     """
 
     def __init__(self, elements, mul, name="G", identity=None, inv=None):
         self.name = name
         self.elements = tuple(elements)
-        self.mul = dict(mul)
+        self.mul = mul
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError(f"{name}: duplicate element names")
@@ -337,7 +344,7 @@ class GroupTable:
                         break
                 else:
                     raise ValueError(f"{name}: element {x} has no inverse")
-        self.inv = dict(inv)
+        self.inv = inv
 
     @property
     def order(self):
@@ -364,33 +371,38 @@ def is_abelian_group(gt):
                for a in gt.elements for b in gt.elements)
 
 
+def _span(gt, candidates):
+    """(gens, members) for the subgroup of gt the candidates generate: a
+    candidate joins gens, in order, when it lies outside the subgroup of the
+    earlier ones, and the set members stays closed under w -> s w for s in
+    gens, which in a finite group is that subgroup.  A name that is not an
+    element raises ValueError."""
+    mul = gt.mul
+    gens, members = [], {gt.identity}
+    for s in candidates:
+        if s in members:
+            continue
+        if s not in gt.index:
+            raise ValueError(f"{gt.name}: unknown element {s}")
+        gens.append(s)
+        fresh = [mul[(s, w)] for w in members]
+        while fresh:
+            w = fresh.pop()
+            if w not in members:
+                members.add(w)
+                fresh.extend(mul[(t, w)] for t in gens)
+    return gens, members
+
+
 def subgroup_closure(gt, gens):
     """Elements of the subgroup generated by gens, in ambient element order."""
-    members = {gt.identity}
-    work = [g for g in gens if g not in members]
-    members.update(work)
-    while work:
-        fresh = []
-        for a in list(members):
-            for b in work:
-                for c in (gt.prod(a, b), gt.prod(b, a)):
-                    if c not in members:
-                        members.add(c)
-                        fresh.append(c)
-        work = fresh
+    members = _span(gt, gens)[1]
     return tuple(x for x in gt.elements if x in members)
 
 
 def _group_generators(gt):
-    """Elements that generate gt, picked greedily in element order: each
-    lies outside the subgroup of the earlier ones, so there are at most
-    log2 of the order."""
-    gens, span = [], {gt.identity}
-    for x in gt.elements:
-        if x not in span:
-            gens.append(x)
-            span = set(subgroup_closure(gt, gens))
-    return gens
+    """Generators of gt, by _span in element order: at most log2 |gt|."""
+    return _span(gt, gt.elements)[0]
 
 
 def is_normal_subgroup(gt, members):
@@ -403,16 +415,15 @@ def quotient_map(gt, members, name=None):
     """Quotient of gt by a normal subgroup given as an element subset, and
     the map sending each element of gt to its coset.
 
-    Cosets are named "[r]" after their first element in input order.
+    Cosets are named "[r]" after their first element in input order.  A name
+    that is not an element raises ValueError.
     """
-    mset = set(gt.elements).intersection(members)
+    mset, span = set(members), _span(gt, members)[1]
     members = tuple(x for x in gt.elements if x in mset)
     if gt.identity not in mset:
         raise ValueError(f"{gt.name}: subgroup misses the identity")
-    for a in members:
-        for b in members:
-            if gt.prod(a, b) not in mset:
-                raise ValueError(f"{gt.name}: subset not closed under product")
+    if span != mset:
+        raise ValueError(f"{gt.name}: subset not closed under product")
     if not is_normal_subgroup(gt, members):
         raise ValueError(f"{gt.name}: subgroup is not normal")
     first = classes(gt.elements, lambda x: [gt.prod(x, n) for n in members])
@@ -460,14 +471,15 @@ def direct_product_group(a, b, name=None):
 
 
 class GroupoidMorphism:
-    """A morphism of finite groupoids: an object map and an arrow map."""
+    """A morphism of finite groupoids: an object map and an arrow map, kept
+    as given (see the module docstring)."""
 
     def __init__(self, dom, cod, object_map, arrow_map, name="f"):
         self.name = name
         self.dom = dom
         self.cod = cod
-        self.object_map = dict(object_map)
-        self.arrow_map = dict(arrow_map)
+        self.object_map = object_map
+        self.arrow_map = arrow_map
 
     def __repr__(self):
         return f"GroupoidMorphism({self.name!r}: {self.dom.name} -> {self.cod.name})"
@@ -686,14 +698,12 @@ def disjoint_union(a, b, name=None):
         raise ValueError("object names collide in disjoint union")
     if set(a.arrows) & set(b.arrows):
         raise ValueError("arrow names collide in disjoint union")
-    compose = dict(a.compose)
-    compose.update(b.compose)
     return FiniteGroupoid(
         a.objects + b.objects, a.arrows + b.arrows,
         {**a.source, **b.source}, {**a.target, **b.target},
         {**a.identity_of, **b.identity_of},
         {**a.inverse_of, **b.inverse_of},
-        compose, name=name or f"{a.name}+{b.name}")
+        {**a.compose, **b.compose}, name=name or f"{a.name}+{b.name}")
 
 
 def object_group(g, x):

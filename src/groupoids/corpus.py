@@ -156,16 +156,9 @@ def _subgroups(gt):
     """All subgroups (as element tuples) generated by at most two elements.
 
     For the corpus groups (order at most 8) this is every subgroup."""
-    found = []
-    seen = set()
-    for a in gt.elements:
-        for b in gt.elements:
-            members = subgroup_closure(gt, (a, b))
-            if members not in seen:
-                seen.add(members)
-                found.append(members)
-    found.sort(key=lambda m: (len(m), [gt.index[x] for x in m]))
-    return found
+    found = {subgroup_closure(gt, (a, b))
+             for a in gt.elements for b in gt.elements}
+    return sorted(found, key=lambda m: (len(m), [gt.index[x] for x in m]))
 
 
 def _sign_characters(gt, subgroups):

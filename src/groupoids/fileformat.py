@@ -360,12 +360,10 @@ class _GroupoidBlock(_Block):
             if compose.setdefault((v, u), w) != w:
                 self.fail(f"compose {v} {u} = {w} contradicts an implied "
                           f"composition", line)
-        # the line records and this table (the groupoid copies it) are
-        # freed before the groupoid is validated
+        # the line records are freed before the groupoid is validated
         del self.compose_lines
         gpd = FiniteGroupoid(self.objects, arrows, source, target,
                              identity_of, inverse, compose, name=self.name)
-        del compose
         return gpd, validate_groupoid(gpd)
 
 

@@ -33,11 +33,14 @@ class Word:
 
 
 class DirectedGraph:
+    """Vertices, edges and their endpoint maps, the maps kept as given (see
+    the core module docstring)."""
+
     def __init__(self, vertices, edges, source, target, name="graph"):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self.source = dict(source)
-        self.target = dict(target)
+        self.source = source
+        self.target = target
         self.name = name
         vertex_set = set(self.vertices)
         if len(vertex_set) != len(self.vertices):
@@ -137,15 +140,16 @@ class GraphAction:
 
     act_vertex maps (g, v) to a vertex; act_edge maps (g, e) to a signed
     edge token: "f" if g carries e to f preserving direction, "-f" if it
-    reverses direction.
+    reverses direction.  The maps are kept as given (see the core module
+    docstring).
     """
 
     def __init__(self, group, graph, act_vertex, act_edge, name="graph-action",
                  group_groupoid=None):
         self.group = group
         self.graph = graph
-        self.act_vertex = dict(act_vertex)
-        self.act_edge = dict(act_edge)
+        self.act_vertex = act_vertex
+        self.act_edge = act_edge
         self.name = name
         # one-object groupoid the group was read from, kept for re-emission
         self.group_groupoid = group_groupoid

@@ -313,10 +313,8 @@ def check_universal_property(targets=None, max_arrows=None):
                                                object_name="spare",
                                                name="up-spare"),
                            name="up-padded")
-    padded = GroupoidMorphism(
-        z2_space, spare,
-        dict(orb.morphism.object_map), dict(orb.morphism.arrow_map),
-        name="padded")
+    padded = GroupoidMorphism(z2_space, spare, orb.morphism.object_map,
+                              orb.morphism.arrow_map, name="padded")
     problems = validate_morphism(padded)
     if problems:
         raise _Failed(f"padded candidate is not a morphism: {problems[0]}")

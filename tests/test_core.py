@@ -1,4 +1,5 @@
 import ast
+import copy
 import os
 import random
 import subprocess
@@ -8,25 +9,27 @@ from pathlib import Path
 import pytest
 
 import groupoids
-from groupoids import (FiniteGroupoid, GroupTable, GroupoidMorphism,
+from groupoids import (DirectedGraph, FiniteGroupoid, GraphAction,
+                       GroupoidAction, GroupTable, GroupoidMorphism,
                        SizeCapError, WideSubgroupoid, action_from_object_map,
                        alternating_group, components, connected_groupoid,
-                       cyclic_group,
+                       constructions, cyclic_group,
                        dihedral_group, direct_product_group, disjoint_union,
                        discrete_groupoid, full_subgroupoid, group_isomorphic,
                        groupoid_from_group, is_connected, is_covering,
                        is_discrete, is_fibration, is_normal_subgroupoid,
                        is_quotient_morphism, is_tree_groupoid, kernel,
-                       klein_group, object_group, orbit_groupoid,
-                       quaternion_group, quotient_group, search_isomorphism,
+                       klein_group, normal_closure, object_group,
+                       orbit_groupoid, quaternion_group, quotient_group,
+                       quotient_groupoid, render_entities, search_isomorphism,
                        semidirect_product, star, symmetric_group,
                        tree_groupoid, trivial_group, validate_groupoid,
                        validate_morphism)
 from groupoids.catalog import bundle
 from groupoids.constructions import _PairGroupoid
 from groupoids.core import _associativity_failures, _generators, \
-    _generators_associate, element_order, group_isomorphism, \
-    is_abelian_group, is_normal_subgroup, subgroup_closure
+    _generators_associate, _group_generators, _span, element_order, \
+    group_isomorphism, is_abelian_group, is_normal_subgroup, subgroup_closure
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
@@ -265,6 +268,61 @@ def test_quotient_group():
     q = quotient_group(z4, ["0", "2"])
     assert q.order == 2
     assert group_isomorphic(q, cyclic_group(2))
+
+
+def test_unknown_element_names_are_an_error():
+    z4 = cyclic_group(4)
+    for call in (lambda: quotient_group(z4, ["0", "2", "bogus"]),
+                 lambda: subgroup_closure(z4, ["bogus"])):
+        with pytest.raises(ValueError, match="^Z4: unknown element bogus$"):
+            call()
+
+
+def _reference_subgroup_closure(gt, gens):
+    """subgroup_closure as it was before _span: every member times every
+    new element, on both sides, until nothing new appears."""
+    members = {gt.identity}
+    work = [g for g in gens if g not in members]
+    members.update(work)
+    while work:
+        fresh = []
+        for a in list(members):
+            for b in work:
+                for c in (gt.prod(a, b), gt.prod(b, a)):
+                    if c not in members:
+                        members.add(c)
+                        fresh.append(c)
+        work = fresh
+    return tuple(x for x in gt.elements if x in members)
+
+
+def _reference_group_generators(gt, candidates):
+    """_group_generators as it was before _span, over any candidates: a
+    fresh closure for every generator."""
+    gens, span = [], {gt.identity}
+    for x in candidates:
+        if x not in span:
+            gens.append(x)
+            span = set(_reference_subgroup_closure(gt, gens))
+    return gens
+
+
+@pytest.mark.parametrize("group", [
+    trivial_group(), *(cyclic_group(n) for n in range(2, 9)), klein_group(),
+    symmetric_group(3), dihedral_group(4), quaternion_group(),
+    alternating_group(4), symmetric_group(4)], ids=lambda gt: gt.name)
+def test_span_matches_the_earlier_closure_and_generators(group):
+    elements = list(group.elements)
+    inputs = [[x] for x in elements] + \
+        [[x, y] for x in elements for y in elements] + [elements]
+    for candidates in inputs:
+        closure = _reference_subgroup_closure(group, candidates)
+        gens, members = _span(group, candidates)
+        assert gens == _reference_group_generators(group, candidates)
+        assert members == set(closure)
+        assert subgroup_closure(group, candidates) == closure
+    assert _group_generators(group) == \
+        _reference_group_generators(group, elements)
 
 
 def test_direct_product_group():
@@ -691,3 +749,64 @@ def test_postcondition_asserts_do_not_grow():
         f"{sum(asserts.values())} asserts in src/groupoids, at most 8 "
         f"allowed: turn postconditions into raises (ROADMAP item 2) "
         f"instead of adding asserts; per file: {asserts}")
+
+
+def test_constructors_keep_the_tables_they_are_given():
+    z2 = cyclic_group(2)
+    mul, inv = dict(z2.mul), dict(z2.inv)
+    group = GroupTable(z2.elements, mul, name="Z2", identity="0", inv=inv)
+    assert group.mul is mul and group.inv is inv
+    t = tree_groupoid(("x", "y"))
+    tables = {name: dict(getattr(t, name)) for name in (
+        "source", "target", "identity_of", "inverse_of", "compose")}
+    g = FiniteGroupoid(t.objects, t.arrows, **tables, name="t")
+    assert all(getattr(g, name) is table for name, table in tables.items())
+    object_map, arrow_map = {x: x for x in g.objects}, \
+        {u: u for u in g.arrows}
+    f = GroupoidMorphism(g, g, object_map, arrow_map)
+    assert f.object_map is object_map and f.arrow_map is arrow_map
+    act_obj = {(h, x): x for h in group.elements for x in g.objects}
+    act_arrow = {(h, u): u for h in group.elements for u in g.arrows}
+    act = GroupoidAction(group, g, act_obj, act_arrow)
+    assert act.act_obj is act_obj and act.act_arrow is act_arrow
+    source, target = {"e": "v"}, {"e": "v"}
+    graph = DirectedGraph(("v",), ("e",), source, target)
+    assert graph.source is source and graph.target is target
+    act_vertex = {(h, "v"): "v" for h in group.elements}
+    act_edge = {(h, "e"): "e" for h in group.elements}
+    graph_act = GraphAction(group, graph, act_vertex, act_edge)
+    assert graph_act.act_vertex is act_vertex
+    assert graph_act.act_edge is act_edge
+    rotation = action_from_object_map(
+        group, t, {("0", "x"): "x", ("0", "y"): "y",
+                   ("1", "x"): "y", ("1", "y"): "x"})
+    assert isinstance(semidirect_product(rotation).groupoid.compose,
+                      constructions._PairTable)
+    # handed to the constructor, not made on a later read
+    product = _PairGroupoid(rotation, constructions._pair_names(rotation))
+    assert isinstance(vars(product)["compose"], constructions._PairTable)
+
+
+def _given_tables(act):
+    """Every mapping an action holds, its space's and its group's."""
+    return [value for entity in (act, act.space, act.group)
+            for value in vars(entity).values() if isinstance(value, dict)]
+
+
+def test_no_construction_writes_to_a_table_it_was_given():
+    acts = [act for _name, act in named_actions()] + random_actions() + \
+        random_orbit_instances()
+    for act in acts:
+        before = copy.deepcopy(_given_tables(act))
+        G, sp = act.group, act.space
+        sd = semidirect_product(act)
+        orb = orbit_groupoid(act)
+        n = normal_closure(sd.groupoid, [
+            sd.name_of[(sp.identity_of[act.act_obj[(g, x)]], g)]
+            for g in G.elements for x in sp.objects])
+        quot = quotient_groupoid(sd.groupoid, n)
+        assert len(quot.groupoid.arrows) == len(orb.groupoid.arrows)
+        for entities in ([act], [sd.groupoid, sd.projection],
+                         [orb.groupoid, orb.morphism]):
+            render_entities(entities)
+        assert _given_tables(act) == before, act.name

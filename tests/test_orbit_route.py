@@ -157,10 +157,11 @@ def test_orbit_groupoid_builds_no_semidirect_product(monkeypatch):
         monkeypatch.setattr(constructions, name, refuse)
     orb = orbit_groupoid(_rotation(16))
     assert len(orb.groupoid.arrows) == 16
-    # the product it carries has every pair and no composition table yet
+    # the product it carries has every pair, and its table stores no entry
     assert len(orb.semidirect.groupoid.arrows) == 16 ** 3
-    assert "compose" not in vars(orb.semidirect.groupoid)
-    # the first read computes the table, once
+    assert isinstance(orb.semidirect.groupoid.compose,
+                      constructions._PairTable)
+    # the table is made once, with the product
     small = orbit_groupoid(_rotation(4)).semidirect.groupoid
     table = small.compose
     assert len(table) == 64 * 64 // 4 and small.compose is table
