@@ -43,11 +43,11 @@ from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
 from .catalog import bundle, group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, GroupTable,
-                   WideSubgroupoid, _checked_morphism, blocks_by, components,
-                   fresh_name, full_subgroupoid, is_covering, is_fibration,
-                   is_quotient_morphism, is_tree_groupoid, object_group,
-                   quotient_group, quotient_map, star, subgroup_closure,
-                   validate_groupoid, validate_morphism)
+                   WideSubgroupoid, _checked_morphism, _ensure, blocks_by,
+                   components, fresh_name, full_subgroupoid, is_covering,
+                   is_fibration, is_quotient_morphism, is_tree_groupoid,
+                   object_group, quotient_group, quotient_map, star,
+                   subgroup_closure, validate_groupoid, validate_morphism)
 
 
 @dataclass
@@ -211,7 +211,8 @@ def semidirect_product(act):
     """
     sd = _semidirect(act, _pair_names(act))
     _checked_morphism(sd.projection)
-    assert is_fibration(sd.projection)
+    _ensure(is_fibration(sd.projection),
+            f"{sd.projection.name} is not a fibration")
     return sd
 
 
@@ -288,8 +289,7 @@ def _assemble(objects, blocks, key_of, name):
                          shape.identity_of, shape.inverse_of, shape.compose,
                          name=name)
     problems = validate_groupoid(gpd)
-    if problems:
-        raise AssertionError(f"{name} is not a groupoid: {problems[0]}")
+    _ensure(not problems, f"{name} is not a groupoid", problems)
     return gpd, {u: label[key] for u, key in key_of.items()}
 
 
@@ -330,7 +330,8 @@ def quotient_groupoid(k, n, name=None):
                                  blocks, key_of, name)
     morphism = _checked_morphism(GroupoidMorphism(
         k, gpd, obj_class, arrow_class, name=f"cls-{name}"))
-    assert is_quotient_morphism(morphism)
+    _ensure(is_quotient_morphism(morphism),
+            f"{morphism.name} is not a quotient morphism")
     return QuotientGroupoid(gpd, morphism)
 
 
@@ -449,11 +450,16 @@ def orbit_groupoid(act):
     morphism = _checked_morphism(GroupoidMorphism(
         sp, gpd, orbit_of, arrow_map, name=f"orbit-{act.name}"))
 
-    assert _constant_on_orbits(act, morphism)
-    assert blocks_by(sp.objects, morphism.object_map) == object_orbits(act)
-    assert set(morphism.object_map.values()) == set(gpd.objects)
-    assert set(morphism.arrow_map.values()) == set(gpd.arrows)
-    assert is_fibration(morphism)
+    name = morphism.name
+    _ensure(_constant_on_orbits(act, morphism),
+            f"{name} is not constant on orbits")
+    _ensure(blocks_by(sp.objects, morphism.object_map) == object_orbits(act),
+            f"{name}: object fibres are not the object orbits")
+    _ensure(set(morphism.object_map.values()) == set(gpd.objects),
+            f"{name} is not onto the objects")
+    _ensure(set(morphism.arrow_map.values()) == set(gpd.arrows),
+            f"{name} is not onto the arrows")
+    _ensure(is_fibration(morphism), f"{name} is not a fibration")
     return OrbitGroupoid(gpd, morphism, act, name_of)
 
 

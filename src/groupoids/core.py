@@ -542,12 +542,18 @@ def _morphism_problems(f, gens):
     return problems
 
 
+def _ensure(holds, message, problems=()):
+    """A postcondition that python -O keeps: unless holds, raise
+    AssertionError with message and the first of problems.  A failure is a
+    bug in this package."""
+    if not holds:
+        raise AssertionError(": ".join((message, *problems[:1])))
+
+
 def _checked_morphism(f):
-    """f, once validate_morphism passes; a failure is a bug in this package
-    and raises AssertionError, also under python -O."""
+    """f, once validate_morphism passes (see _ensure)."""
     problems = validate_morphism(f)
-    if problems:
-        raise AssertionError(f"{f.name} is not a morphism: {problems[0]}")
+    _ensure(not problems, f"{f.name} is not a morphism", problems)
     return f
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import classes
+from .core import _ensure, classes
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,8 @@ def orbit_presentation(act):
     relators = []
     for label in inverted:
         # an inverted class must be a loop class in the quotient
-        assert source[label] == target[label]
+        _ensure(source[label] == target[label],
+                f"inverted edge class {label} is not a loop")
         relators.append(Word(((label, 1), (label, 1)),
                              source[label], source[label]))
     return PresentedGroupoid(qgraph, relators, name=name), elabel, vlabel

@@ -3,10 +3,12 @@
 Each check cross-checks a construction against an independent computation
 and returns a CheckResult.  A check is declared once, with its name, by
 the _check decorator: its body returns the PASS detail or raises _Failed
-with the FAIL detail, and any other exception propagates.  No verdict
-rests on a statement that ``python -O`` strips, so an optimized run makes
-the same checks.  The CLI verify verb runs them all, and the acceptance
-tests run them one criterion at a time.
+with the FAIL detail, and any other exception propagates.  Its one
+argument is a _Run, the corpus of one run built once: run_all builds one
+and shares it, and a check called alone builds its own.  No verdict rests
+on a statement that ``python -O`` strips, so an optimized run makes the
+same checks.  The CLI verify verb runs them all, and the acceptance tests
+run them one criterion at a time.
 """
 
 from __future__ import annotations
@@ -53,11 +55,13 @@ class _Failed(Exception):
 
 
 def _check(name):
-    """Turn a body returning its PASS detail into the check called name."""
+    """Turn a body that reads a _Run and returns its PASS detail into the
+    check called name."""
     def decorate(body):
-        def check(*args, **kwargs):
+        def check(run=None):
             try:
-                return CheckResult(name, True, body(*args, **kwargs))
+                return CheckResult(name, True,
+                                   body(_Run() if run is None else run))
             except _Failed as failed:
                 return CheckResult(name, False, str(failed))
         check.__name__ = body.__name__
@@ -65,30 +69,38 @@ def _check(name):
     return decorate
 
 
-def _actions(max_arrows):
-    acts = [act for _name, act in corpus.named_actions()]
-    acts += corpus.random_actions()
-    if max_arrows is not None:
-        acts = [a for a in acts if len(a.space.arrows) <= max_arrows]
-    return acts
+class _Run:
+    """The inputs of one verify run, built once and read by every check.
 
+    max_arrows=None means no cap; fits applies the cap.  Only inputs are
+    shared: each check builds its own products and orbit groupoids, so none
+    of them is alive at the run's memory peak, in abelianization.
+    """
 
-def _quotient_instances(max_arrows):
-    return [(k, gens) for (k, gens) in corpus.random_quotient_instances()
-            if max_arrows is None or len(k.arrows) <= max_arrows]
+    def __init__(self, targets=None, max_arrows=None):
+        self.max_arrows = max_arrows
+        self.named = dict(corpus.named_actions())
+        every = list(self.named.values()) + corpus.random_actions()
+        self.actions = [a for a in every if self.fits(a.space)]
+        self.quotients = [q for q in corpus.random_quotient_instances()
+                          if self.fits(q[0])]
+        self.orbit_actions = [
+            a for a in every + corpus.random_orbit_instances()
+            if self.fits(a.space, MAX_SOURCE_ARROWS)]
+        self.graphs = dict(corpus.named_graph_actions())
+        self.controls = corpus.standard_target_family()
+        self.targets = self.controls if targets is None else targets
 
-
-def _orbit_actions(max_arrows):
-    cap = MAX_SOURCE_ARROWS if max_arrows is None \
-        else min(max_arrows, MAX_SOURCE_ARROWS)
-    return [a for a in _actions(None) + corpus.random_orbit_instances()
-            if len(a.space.arrows) <= cap]
+    def fits(self, g, limit=None):
+        """Whether g has at most max_arrows arrows, and at most limit."""
+        return all(len(g.arrows) <= cap
+                   for cap in (self.max_arrows, limit) if cap is not None)
 
 
 @_check("corpus-valid")
-def check_corpus_valid(max_arrows=None):
+def check_corpus_valid(run):
     count = 0
-    for act in _actions(max_arrows):
+    for act in run.actions:
         problems = validate_groupoid(act.space)
         if problems:
             raise _Failed(f"{act.space.name}: {problems[0]}")
@@ -96,7 +108,7 @@ def check_corpus_valid(max_arrows=None):
         if problems:
             raise _Failed(f"{act.name}: {problems[0]}")
         count += 1
-    for (k, _gens) in _quotient_instances(max_arrows):
+    for (k, _gens) in run.quotients:
         problems = validate_groupoid(k)
         if problems:
             raise _Failed(f"{k.name}: {problems[0]}")
@@ -105,10 +117,10 @@ def check_corpus_valid(max_arrows=None):
 
 
 @_check("semidirect-laws")
-def check_semidirect_laws(max_arrows=None):
+def check_semidirect_laws(run):
     checked = 0
     validated = 0
-    for act in _actions(max_arrows):
+    for act in run.actions:
         sp, G = act.space, act.group
         sd = semidirect_product(act)
         e = G.identity
@@ -150,9 +162,9 @@ def _projection_iso_on_object_groups(sd):
 
 
 @_check("projection-trichotomy")
-def check_trichotomy(max_arrows=None):
+def check_trichotomy(run):
     branches = {"quotient": 0, "covering": 0, "object-iso": 0}
-    for act in _actions(max_arrows):
+    for act in run.actions:
         sp = act.space
         sd = semidirect_product(act)
         q = sd.projection
@@ -186,9 +198,9 @@ def check_trichotomy(max_arrows=None):
 
 
 @_check("first-isomorphism")
-def check_first_isomorphism(max_arrows=None):
+def check_first_isomorphism(run):
     checked = 0
-    for (k, gens) in _quotient_instances(max_arrows):
+    for (k, gens) in run.quotients:
         n = normal_closure(k, gens)
         quot = quotient_groupoid(k, n, name=f"{k.name}-mod")
         f = quot.morphism
@@ -218,18 +230,15 @@ def check_first_isomorphism(max_arrows=None):
 
 
 @_check("normal-closure-minimal")
-def check_normal_closure_minimal(max_arrows=None):
-    instances = list(corpus.random_quotient_instances())
-    named = dict(corpus.named_actions())
+def check_normal_closure_minimal(run):
+    instances = list(run.quotients)
     for name in ("tree-swap", "point-swap", "zmod4-inversion",
                  "trivial-on-z2", "path-reflection-fixed"):
-        sd = semidirect_product(named[name])
+        sd = semidirect_product(run.named[name])
         instances.append((sd.groupoid, sd.groupoid.arrows[-2:]))
     checked = 0
     for (k, gens) in instances:
-        if len(k.arrows) > MAX_LATTICE_ARROWS:
-            continue
-        if max_arrows is not None and len(k.arrows) > max_arrows:
+        if not run.fits(k, MAX_LATTICE_ARROWS):
             continue
         built = set(normal_closure(k, gens).arrows)
         brute = set(oracle.minimal_normal_closure(k, gens))
@@ -241,11 +250,11 @@ def check_normal_closure_minimal(max_arrows=None):
 
 
 @_check("orbit-kernel")
-def check_orbit_kernel(max_arrows=None):
+def check_orbit_kernel(run):
     covering = 0
     quotient = 0
     checked = 0
-    for act in _orbit_actions(max_arrows):
+    for act in run.orbit_actions:
         orb = orbit_groupoid(act)
         gens = orbit_kernel_generators(act)
         if set(generated_wide_subgroupoid(act.space, gens).arrows) != \
@@ -276,13 +285,12 @@ def check_orbit_kernel(max_arrows=None):
 
 
 @_check("orbit-universal")
-def check_universal_property(targets=None, max_arrows=None):
-    targets = targets if targets is not None else \
-        corpus.standard_target_family()
+def check_universal_property(run):
     checked = 0
-    for act in _orbit_actions(max_arrows):
+    for act in run.orbit_actions:
         orb = orbit_groupoid(act)
-        report = oracle.check_universal_property(act, orb.morphism, targets)
+        report = oracle.check_universal_property(act, orb.morphism,
+                                                 run.targets)
         if not report.ok:
             bad = [f"target {t}: {m} without factorization, {e} with several"
                    for (t, _c, m, e) in report.entries if m or e]
@@ -290,9 +298,8 @@ def check_universal_property(targets=None, max_arrows=None):
         checked += 1
 
     # the negative controls need targets rich enough to expose the planted
-    # defects (a two-object target for the padding), so they do not follow
-    # a user-supplied target list
-    control_targets = corpus.standard_target_family()
+    # defects (a two-object target for the padding), so they read the
+    # standard family in run.controls, not a user-supplied target list
 
     # negative control 1: collapsing everything loses factorizations
     z2_space = groupoid_from_group(cyclic_group(2), name="up-z2")
@@ -301,7 +308,7 @@ def check_universal_property(targets=None, max_arrows=None):
     collapse = GroupoidMorphism(
         z2_space, point, {z2_space.objects[0]: point.objects[0]},
         {u: point.arrows[0] for u in z2_space.arrows}, name="collapse")
-    report = oracle.check_universal_property(act, collapse, control_targets)
+    report = oracle.check_universal_property(act, collapse, run.controls)
     if report.ok:
         raise _Failed("collapsing candidate passed; the check cannot detect "
                       "missing factorizations")
@@ -318,7 +325,7 @@ def check_universal_property(targets=None, max_arrows=None):
     problems = validate_morphism(padded)
     if problems:
         raise _Failed(f"padded candidate is not a morphism: {problems[0]}")
-    report = oracle.check_universal_property(act, padded, control_targets)
+    report = oracle.check_universal_property(act, padded, run.controls)
     if report.ok:
         raise _Failed("padded candidate passed; the check cannot detect "
                       "non-unique factorizations")
@@ -327,7 +334,7 @@ def check_universal_property(targets=None, max_arrows=None):
 
 
 @_check("tree-orbit-groups")
-def check_tree_orbit_groups(max_arrows=None):
+def check_tree_orbit_groups(run):
     expected = {
         "tree-swap": cyclic_group(2),
         "path-reflection": cyclic_group(2),
@@ -335,12 +342,11 @@ def check_tree_orbit_groups(max_arrows=None):
         "threefold-rotation": cyclic_group(3),
         "symmetric-on-tree3": trivial_group(),
     }
-    named = dict(corpus.named_actions())
     for name, want in expected.items():
-        got = tree_orbit_group(named[name])
+        got = tree_orbit_group(run.named[name])
         if not group_isomorphic(got, want):
             raise _Failed(f"{name}: orbit object group is not {want.name}")
-        orbit = orbit_groupoid(named[name])
+        orbit = orbit_groupoid(run.named[name])
         for x in orbit.groupoid.objects:
             if not group_isomorphic(object_group(orbit.groupoid, x), got):
                 raise _Failed(f"{name}: orbit object group at {x} is not G/K")
@@ -349,8 +355,8 @@ def check_tree_orbit_groups(max_arrows=None):
 
 
 @_check("zmod4-inversion")
-def check_zmod4_inversion(max_arrows=None):
-    act = dict(corpus.named_actions())["zmod4-inversion"]
+def check_zmod4_inversion(run):
+    act = run.named["zmod4-inversion"]
     orb = orbit_groupoid(act)
     group = object_group(orb.groupoid, orb.groupoid.objects[0])
     if not group_isomorphic(group, cyclic_group(2)):
@@ -368,9 +374,9 @@ def check_zmod4_inversion(max_arrows=None):
 
 
 @_check("circle-reflection")
-def check_circle_reflection(max_arrows=None):
-    acts = dict(corpus.named_graph_actions())
-    pres, _elabel, _vlabel = orbit_presentation(acts["circle-reflection"])
+def check_circle_reflection(run):
+    pres, _elabel, _vlabel = orbit_presentation(
+        run.graphs["circle-reflection"])
     if tuple(pres.graph.vertices) != ("[1]", "[i]", "[-1]") or \
             tuple(pres.graph.edges) != ("[e1]", "[e2]"):
         raise _Failed(f"quotient graph is {pres.graph.vertices} / "
@@ -385,10 +391,8 @@ def check_circle_reflection(max_arrows=None):
 
 
 @_check("graph-orbit-presentations")
-def check_graph_orbit_presentations(max_arrows=None):
-    acts = dict(corpus.named_graph_actions())
-
-    pres, _e, _v = orbit_presentation(acts["antipodal"])
+def check_graph_orbit_presentations(run):
+    pres, _e, _v = orbit_presentation(run.graphs["antipodal"])
     if len(pres.graph.vertices) != 1 or len(pres.graph.edges) != 1 or \
             pres.relators:
         raise _Failed("antipodal quotient is not a single loop")
@@ -396,7 +400,7 @@ def check_graph_orbit_presentations(max_arrows=None):
             "free of rank 1":
         raise _Failed("antipodal vertex group is not free of rank 1")
 
-    pres, _e, _v = orbit_presentation(acts["edge-inverting-reflection"])
+    pres, _e, _v = orbit_presentation(run.graphs["edge-inverting-reflection"])
     if len(pres.graph.vertices) != 1 or len(pres.graph.edges) != 2 or \
             len(pres.relators) != 2:
         raise _Failed("edge-inverting quotient should be two squared loops")
@@ -436,7 +440,7 @@ _FROZEN_ABELIANIZATIONS = (
 
 
 @_check("abelianization")
-def check_abelianization(max_arrows=None):
+def check_abelianization(run):
     for (label, gt, frozen, pres) in _FROZEN_ABELIANIZATIONS:
         brute = oracle.brute_abelianization(gt)
         if brute != frozen:
@@ -474,7 +478,7 @@ _SQUARE_CASES = (
 
 
 @_check("symmetric-square")
-def check_symmetric_square(max_arrows=None):
+def check_symmetric_square(run):
     for (label, pres) in _SQUARE_CASES:
         want = abelian_invariants(pres)
         got = abelian_invariants(symmetric_square_presentation(pres))
@@ -508,7 +512,7 @@ def _universal_cover(g, x):
 
 
 @_check("regular-covers")
-def check_regular_covers(max_arrows=None):
+def check_regular_covers(run):
     # the universal covers of Z2 and Z4: the folding and winding covers
     covers = [_universal_cover(groupoid_from_group(cyclic_group(n)), "pt")
               for n in (2, 4)]
@@ -529,8 +533,8 @@ def check_regular_covers(max_arrows=None):
 
 
 @_check("restrict-orbit")
-def check_restrict_orbit(max_arrows=None):
-    act = dict(corpus.named_actions())["path-reflection-fixed"]
+def check_restrict_orbit(run):
+    act = run.named["path-reflection-fixed"]
     good = restrict_orbit_full_subgroupoid(act, ("b",))
     if not (good.hypothesis_ok and good.embedding_ok):
         raise _Failed(f"restriction to the fixed object failed: "
@@ -562,7 +566,7 @@ def _data_files():
 
 
 @_check("round-trip")
-def check_round_trip(max_arrows=None):
+def check_round_trip(run):
     root = resources.files("groupoids").joinpath("data")
     names = _data_files()
     for fname in names:
@@ -577,7 +581,7 @@ def check_round_trip(max_arrows=None):
             raise _Failed(f"{fname}: emission is not byte-stable")
         if reparsed.order != parsed.order:
             raise _Failed(f"{fname}: entity list changed on re-parse")
-    act = dict(corpus.named_actions())["zmod4-inversion"]
+    act = run.named["zmod4-inversion"]
     orb = orbit_groupoid(act)
     emitted = render_entities([orb.groupoid])
     reparsed = parse_text(emitted, path="<orbit>")
@@ -610,10 +614,5 @@ ALL_CHECKS = (
 
 
 def run_all(targets=None, max_arrows=None):
-    results = []
-    for check in ALL_CHECKS:
-        if check is check_universal_property:
-            results.append(check(targets=targets, max_arrows=max_arrows))
-        else:
-            results.append(check(max_arrows=max_arrows))
-    return results
+    run = _Run(targets, max_arrows)
+    return [check(run) for check in ALL_CHECKS]

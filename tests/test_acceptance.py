@@ -136,6 +136,25 @@ def test_unexpected_errors_escape_the_checks(monkeypatch):
         suite.run_all(max_arrows=4)
 
 
+def test_run_all_builds_each_corpus_once(monkeypatch):
+    calls = {}
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    builders = ("named_actions", "named_graph_actions", "random_actions",
+                "random_orbit_instances", "random_quotient_instances",
+                "standard_target_family")
+    for name in builders:
+        monkeypatch.setattr(suite.corpus, name,
+                            counted(name, getattr(suite.corpus, name)))
+    assert all(r.ok for r in suite.run_all(max_arrows=3))
+    assert calls == dict.fromkeys(builders, 1)
+
+
 def test_orbit_universal_property():
     with criterion("orbit-universal-property") as notes:
         small = [act for act in list(dict(named_actions()).values())

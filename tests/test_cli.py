@@ -419,6 +419,48 @@ round trip
 """
 
 
+# the checks that --max-arrows leaves alone print their VERIFY_LINES line
+_UNCAPPED = "".join(VERIFY_LINES.splitlines(keepends=True)[7:])
+
+VERIFY_LINES_CAP_3 = """\
+PASS corpus-valid: 30 corpus instances validate
+PASS semidirect-laws: 25 semidirect products obey both pairing laws; \
+25 fully validated
+PASS projection-trichotomy: quotient 17, covering 15, object-iso 8 \
+instances agree
+PASS first-isomorphism: 5 quotients factor correctly
+PASS normal-closure-minimal: 5 closures equal the lattice minimum
+PASS orbit-kernel: 37 orbit morphisms kill exactly the stabilizer \
+differences; 16 coverings, 28 quotient morphisms
+PASS orbit-universal: 37 orbit morphisms factor invariant morphisms \
+uniquely; both negative controls fail as they should
+""" + _UNCAPPED
+
+VERIFY_LINES_CAP_6 = """\
+PASS corpus-valid: 63 corpus instances validate
+PASS semidirect-laws: 49 semidirect products obey both pairing laws; \
+49 fully validated
+PASS projection-trichotomy: quotient 25, covering 18, object-iso 14 \
+instances agree
+PASS first-isomorphism: 14 quotients factor correctly
+PASS normal-closure-minimal: 16 closures equal the lattice minimum
+PASS orbit-kernel: 65 orbit morphisms kill exactly the stabilizer \
+differences; 27 coverings, 30 quotient morphisms
+PASS orbit-universal: 65 orbit morphisms factor invariant morphisms \
+uniquely; both negative controls fail as they should
+""" + _UNCAPPED
+
+
 def test_verify_lines_are_pinned(capsys):
     code, out, err = _run(capsys, "verify")
     assert (code, out, err) == (0, VERIFY_LINES, "")
+
+
+@pytest.mark.parametrize("cap, lines", [("3", VERIFY_LINES_CAP_3),
+                                        ("6", VERIFY_LINES_CAP_6)],
+                         ids=("3", "6"))
+def test_capped_verify_lines_are_pinned(capsys, cap, lines):
+    # the five named products that normal-closure-minimal adds are capped
+    # too: without that, a cap of 6 counts 19 closures
+    code, out, err = _run(capsys, "verify", "--max-arrows", cap)
+    assert (code, out, err) == (0, lines, "")

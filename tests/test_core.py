@@ -736,19 +736,48 @@ def test_morphism_postconditions_survive_python_O():
         "tree~tree is not a morphism: planted"]
 
 
+_PLANTED_POSTCONDITION_FAILURE = """
+import groupoids.constructions as c
+from groupoids import (normal_closure, orbit_groupoid, quotient_groupoid,
+                       semidirect_product, tree_groupoid)
+from groupoids.corpus import named_actions
+act = dict(named_actions())["tree-swap"]
+t = tree_groupoid(("x", "y"))
+c.is_fibration = c.is_quotient_morphism = c._constant_on_orbits = \\
+    lambda *_args: False
+for build in (lambda: semidirect_product(act), lambda: orbit_groupoid(act),
+              lambda: quotient_groupoid(t, normal_closure(t, ["x>y"]))):
+    try:
+        build()
+    except AssertionError as exc:
+        print(exc)
+"""
+
+
+def test_postconditions_survive_python_O():
+    src = str(Path(groupoids.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _PLANTED_POSTCONDITION_FAILURE],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines() == [
+        "proj-segxZ2 is not a fibration",
+        "orbit-tree-swap is not constant on orbits",
+        "cls-tree/N4 is not a quotient morphism"]
+
+
 def test_postcondition_asserts_do_not_grow():
-    # python -O strips asserts; the morphism postconditions are raises now,
-    # and ROADMAP item 2 plans the same for the rest, so no new one may
-    # come in meanwhile
+    # python -O strips asserts, so every postcondition is a raise through
+    # core._ensure, and no assert may come in
     root = Path(groupoids.__file__).parent
     asserts = {path.name: sum(isinstance(node, ast.Assert)
                               for node in ast.walk(ast.parse(
                                   path.read_text(encoding="utf-8"))))
                for path in sorted(root.glob("*.py"))}
-    assert sum(asserts.values()) <= 8, (
-        f"{sum(asserts.values())} asserts in src/groupoids, at most 8 "
-        f"allowed: turn postconditions into raises (ROADMAP item 2) "
-        f"instead of adding asserts; per file: {asserts}")
+    assert sum(asserts.values()) == 0, (
+        f"{sum(asserts.values())} asserts in src/groupoids, none allowed: "
+        f"write postconditions as core._ensure raises, which python -O "
+        f"keeps; per file: {asserts}")
 
 
 def test_constructors_keep_the_tables_they_are_given():

@@ -291,7 +291,7 @@ def test_enumeration_matches_the_full_scan_reference():
     # every (space, target) and (orbit groupoid, target) pair that the
     # orbit-universal check enumerates
     pairs = 0
-    for act in suite._orbit_actions(None):
+    for act in suite._Run().orbit_actions:
         orb = orbit_groupoid(act)
         for dom in (act.space, orb.groupoid):
             for cod in standard_target_family():
@@ -374,7 +374,7 @@ def _reference_entries(act, candidate, targets):
 
 def test_enumeration_and_invariance_on_the_benchmark_target_shapes():
     pairs = 0
-    for act in suite._orbit_actions(None):
+    for act in suite._Run().orbit_actions:
         orb = orbit_groupoid(act)
         for cod in _benchmark_targets():
             for dom in (act.space, orb.groupoid):
@@ -394,7 +394,7 @@ def test_enumeration_and_invariance_on_the_benchmark_target_shapes():
 
 def test_universal_property_entries_match_the_reference():
     targets = standard_target_family() + _benchmark_targets()
-    for act in suite._orbit_actions(None):
+    for act in suite._Run().orbit_actions:
         morphism = orbit_groupoid(act).morphism
         assert oracle.check_universal_property(
             act, morphism, targets).entries == \
