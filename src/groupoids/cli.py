@@ -8,7 +8,8 @@ report).
 Exit codes: 0 success, 1 a check failed, 2 malformed input, an input file
 that cannot be read or is not UTF-8, or an --emit path that cannot be
 written, 3 invalid hypotheses or selections, or a result that cannot be
-emitted (such as two entities with one name).
+emitted (such as two entities with one name), 4 an internal error (a failed
+postcondition: a bug in this package).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .constructions import (normal_closure, orbit_groupoid, quotient_groupoid,
                             regular_cover_orbit_check,
                             restrict_orbit_full_subgroupoid,
                             semidirect_product)
-from .core import (is_covering, is_fibration, is_quotient_morphism,
-                   object_group)
+from .core import (_InternalError, is_covering, is_fibration,
+                   is_quotient_morphism, object_group)
 from .fileformat import (ParseError, UnreadableInput, parse_input,
                          render_entities)
 from .presented import (GraphAction, abelian_invariants, describe_vertex_group,
@@ -285,6 +286,9 @@ def main(argv=None):
     except ValueError as err:
         print(err, file=sys.stderr)
         return 3
+    except _InternalError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 4
     if text is not None:
         if emit_to == "-":
             sys.stdout.write(text)

@@ -542,12 +542,15 @@ def _morphism_problems(f, gens):
     return problems
 
 
+class _InternalError(AssertionError):
+    """A failed postcondition: a bug in this package, not in its input."""
+
+
 def _ensure(holds, message, problems=()):
     """A postcondition that python -O keeps: unless holds, raise
-    AssertionError with message and the first of problems.  A failure is a
-    bug in this package."""
+    _InternalError with message and the first of problems."""
     if not holds:
-        raise AssertionError(": ".join((message, *problems[:1])))
+        raise _InternalError(": ".join((message, *problems[:1])))
 
 
 def _checked_morphism(f):

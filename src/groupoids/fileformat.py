@@ -41,7 +41,9 @@ Every entity is validated on load, and blocks may only refer to entities
 defined earlier in the file.  An error in a line points at that line; a
 problem of the whole block (a missing inverse, composition or image, a
 failed axiom, a duplicate entity name) points at the block's header line,
-column 1.
+column 1.  A clean groupoid or action block (one space between tokens, no
+comment, line kinds in the order above) is read in bulk, and any other block,
+or a clean one on any doubt, line by line, with the same tables and errors.
 
 The emitter writes this same format back, skipping everything implied, so
 emitting a parsed emission is byte-identical.
@@ -49,6 +51,7 @@ emitting a parsed emission is byte-identical.
 
 from __future__ import annotations
 
+import re
 from operator import itemgetter
 
 from .actions import GroupoidAction, validate_action
@@ -135,11 +138,17 @@ def parse_input(path):
 
 
 def parse_text(text, path="<input>"):
+    """The entities that text defines, read as the file path.  Clean groupoid
+    and action blocks are read in bulk (see _Block.bulk), any other block, or
+    a clean one again on any doubt, line by line; only the line reader raises
+    errors, so the tables, or the error and its place, are the same."""
     parsed = ParsedFile(path)
     block = line = None
-    # the split lines are not bound to a name, so the last block's build
-    # runs without them
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    at = line_no = 0
+    while at <= len(text):
+        line_no += 1
+        stop = text.find("\n", at) + 1 or len(text) + 1
+        raw, at = text[at:stop - 1], stop
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         tokens = raw.split()
@@ -148,6 +157,12 @@ def parse_text(text, path="<input>"):
         if tokens[0] in _BLOCKS:
             if block is not None:
                 block.finish()
+            block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
+            end = block.bulk(at)
+            if end is not None:
+                line_no += text.count("\n", at, end)
+                at, block = end, None
+                continue
             block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
             line = block.line
         elif block is None:
@@ -220,6 +235,7 @@ class _Block:
 
     header = ""
     grammar = ()
+    fill = None               # fills the tables from clean lines' tokens
 
     def __init_subclass__(cls):
         cls.kind = cls.header.split()[0]
@@ -282,6 +298,29 @@ class _Block:
             self.fail(problem)
         return self.parsed.entities[name]
 
+    def bulk(self, pos):
+        """Read the body from pos and finish the block, if the body matches
+        self.body (so reading kind by kind is reading in file order) and
+        fill(), given each kind's tokens by wildcard, finds the names good.
+        Return where the body ends, or None on any doubt; the line reader
+        then reads the block again, on a fresh block object."""
+        body = self.fill and re.compile(self.body).match(self.text, pos)
+        if not body or self.text.find("#", pos, body.end()) >= 0:
+            return None
+        try:
+            # no name holds the lists, so they go once fill() is done
+            if self.fill(*[
+                    [re.findall(r" (\S+)", lines)] if w[-1] == "..." else
+                    [tokens[i::len(w)] for i, x in enumerate(w) if x.isupper()]
+                    for lines, usage in zip(body.groups(), self.grammar)
+                    for w in [usage.split(" or ")[0].split()]
+                    for tokens in [lines.split()]]):
+                self.finish()
+                return body.end()
+        except ParseError:
+            pass
+        return None
+
     def finish(self):
         self.at = None
         entity, problems = self.build()
@@ -329,10 +368,18 @@ class _GroupoidBlock(_Block):
             self.inverse[u] = v
 
     def do_compose(self, v, u, w):
-        names = self.names
-        if v not in names or u not in names or w not in names:
-            self.known("arrow", names, v, u, w)
+        self.known("arrow", self.names, v, u, w)
         self.compose_lines.append((v, u, w, self.at))
+
+    def fill(self, objects, arrows, inverses, composes):
+        """Name lines go to the handlers; compose lines are checked as sets."""
+        self.do_objects(*objects[0])
+        for line in zip(*arrows):
+            self.do_arrow(*line)
+        for line in zip(*inverses):
+            self.do_inverse(*line)
+        self.compose_lines = zip(*composes, [None] * len(composes[0]))
+        return all(map(self.names.issuperset, composes))
 
     def build(self):
         identity_of = {x: f"id_{x}" for x in self.objects}
@@ -416,29 +463,21 @@ class _ActionBlock(_Block):
         self.obj_lines = {}
         self.arr_lines = {}       # arr or act lines, by the target's kind
 
-    # Each name is tested once, against the names it may be; the known()
-    # calls after a failed test only find the error and raise it.
-
     def do_obj(self, g, x, y):
-        points = self.points
-        if g not in self.acting or x not in points or y not in points:
-            self.element(g)
-            self.known("object", points, x, y)
+        self.element(g)
+        self.known("object", self.points, x, y)
         self.image(self.obj_lines, g, x, y)
 
     def do_arr(self, g, a, b):
-        if g not in self.acting or a not in self.moving or \
-                b not in self.space.arrow_index:
-            self.element(g)
-            self.known("arrow", self.space.arrow_index, a, b)
+        self.element(g)
+        self.known("arrow", self.space.arrow_index, a, b)
+        if a not in self.moving:
             self.fail(_IDENTITY_IMAGE)
         self.image(self.arr_lines, g, a, b)
 
     def do_act(self, g, e, f):
-        if g not in self.acting or e not in self.space.source or \
-                f not in self.letters:
-            self.element(g)
-            self.known("edge", self.space.source, e, f.removeprefix("-"))
+        self.element(g)
+        self.known("edge", self.space.source, e, f.removeprefix("-"))
         self.image(self.arr_lines, g, e, f)
 
     def element(self, g):
@@ -454,6 +493,20 @@ class _ActionBlock(_Block):
         if (g, a) in images:
             self.fail(f"duplicate image for {g} on {a}")
         images[(g, a)] = b
+
+    def fill(self, objs, arrs, acts):
+        """Each name must be in its pool, each (g, a) come once, and no line
+        be of the kind that the target refuses."""
+        lines, pools = (acts, (self.space.source, self.letters)) \
+            if self.target_kind == "graph" else \
+            (arrs, (self.moving, self.space.arrow_index))
+        self.obj_lines = dict(zip(zip(*objs[:2]), objs[2]))
+        self.arr_lines = dict(zip(zip(*lines[:2]), lines[2]))
+        pools = (self.acting, self.points, self.points, self.acting, *pools)
+        return len(self.obj_lines) + len(self.arr_lines) == len(objs[0]) + \
+            len(arrs[0]) + len(acts[0]) and all(
+                all(map(pool.__contains__, names))
+                for pool, names in zip(pools, objs + lines))
 
     def build(self):
         G, sp = self.group, self.space
@@ -596,6 +649,13 @@ class _MorphismBlock(_Block):
 
 _BLOCKS = {cls.kind: cls for cls in (_GroupoidBlock, _ActionBlock, _GraphBlock,
                                      _PresentationBlock, _MorphismBlock)}
+# A clean body: the clean lines of each kind in grammar order (tokens one
+# space apart, no other whitespace), blank lines, then a header or the end.
+for kind in _BLOCKS.values():
+    kind.body = "".join("((?:%s\n)*)" % " ".join(
+        r"\S+" if w.isupper() else w for w in usage.split(" or ")[0].split())
+        for usage in kind.grammar).replace(" ...", r"(?: \S+)*") + \
+        rf"\n*(?=\Z|(?:{'|'.join(_BLOCKS)}) )"
 
 
 def _unwritable(what, name, why):

@@ -125,6 +125,27 @@ def test_smith_normal_form_finishes_on_coefficient_explosion(tmp_path):
     assert "abelian invariants: rank 2\n" in done.stdout
 
 
+_PLANTED_POSTCONDITION_FAILURE = """
+import sys
+import groupoids.constructions as c
+from groupoids import cli
+c.is_fibration = lambda *_args: False
+sys.exit(cli.main(["semidirect", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_failed_postcondition_exits_4(flags):
+    # a bug in the package, not in the input: one stderr line, no traceback
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _PLANTED_POSTCONDITION_FAILURE,
+         _data("tree_swap.act")], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ,
+                 PYTHONPATH=str(Path(groupoids.__file__).parents[1])))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        4, "", "internal error: proj-segxZ2-gpd is not a fibration\n")
+
+
 def test_check_regular_cover_verb(capsys):
     code, out, _err = _run(capsys, "check-regular-cover",
                            _data("folding_cover.gpd"))

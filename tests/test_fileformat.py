@@ -663,6 +663,112 @@ def test_parse_error_messages_with_crlf_line_ends(text, message):
     assert str(err.value) == f"in.txt:{message}"
 
 
+def _read(text):
+    """The outcome of parsing text: its error message, or every table of
+    every entity with its order, and the text it emits again."""
+    try:
+        parsed = parse_text(text, path="in.txt")
+    except ParseError as err:
+        return str(err)
+    entities = [parsed.entities[name] for name in parsed.order]
+    tables = [{field: list(value.items()) if isinstance(value, dict)
+               else value for field, value in vars(entity).items()
+               if isinstance(value, (dict, tuple, list, str))}
+              for entity in entities]
+    return tables, render_entities(entities)
+
+
+def _clean_texts():
+    yield from (render_entities([connected_groupoid(
+        [f"x{i}" for i in range(k)], cyclic_group(m))])
+        for k, m in ((2, 3), (4, 5)))
+    yield from (render_entities([_rotation(n)]) for n in range(8, 13))
+    yield render_entities([act for _name, act in named_actions()])
+    yield render_entities(random_actions())
+
+
+def test_bulk_and_line_reads_agree(monkeypatch):
+    # with LF, no body line goes through the line reader; CRLF line ends
+    # send every one through it
+    body_lines = []
+    line = fileformat._Block.line
+    monkeypatch.setattr(fileformat._Block, "line", lambda self, tokens, at: (
+        tokens[0] in fileformat._BLOCKS or body_lines.append(at),
+        line(self, tokens, at))[1])
+    for text in _clean_texts():
+        body_lines.clear()
+        tables, emitted = _read(text)
+        assert body_lines == []
+        assert emitted == text
+        assert _read(text.replace("\n", "\r\n")) == (tables, emitted)
+        assert len(body_lines) == sum(
+            1 for raw in text.split("\n")
+            if raw and raw.split()[0] not in fileformat._BLOCKS)
+
+
+_Z3 = """\
+groupoid z3
+objects pt
+arrow a : pt -> pt
+arrow b : pt -> pt
+inverse a b
+compose a a = b
+compose b b = a
+"""
+
+_TREE = render_entities([tree_groupoid([f"t{i}" for i in range(18)],
+                                       name="tree18")])   # 306 arrow lines
+
+
+@pytest.mark.parametrize("text", [
+    "groupoid z3\nobjects pt\narrow = : pt -> pt\narrow compose : pt -> pt\n"
+    "inverse = compose\ncompose = = = compose\ncompose compose compose = =\n",
+    _Z3.replace("arrow b : pt -> pt\n",
+                "compose b b = a\narrow b : pt -> pt\n"),
+    _Z3 + "compose a a = b\n",
+    _Z3 + "compose a a = a\n",
+    _Z3.replace("inverse a b", "inverse\fa b"),
+    _Z3.replace("inverse a b", "inverse a\x1cb"),
+    _Z3.replace("inverse a b", "inverse a\xa0b"),
+    _Z3.replace("inverse a b", "inverse a b b"),
+    _Z3.replace("objects pt", "objects pt "),
+    _Z3.replace("objects pt", "objects pt q#c"),
+    _Z3.replace("objects pt", "objects pt\t"),
+    _Z3.replace("compose b b = a", "compose b b =  a"),
+    _Z3.replace("\narrow a", "\n\narrow a"),
+    _Z3 + "arrow c : pt -> pt\n",
+    _Z3.replace("objects pt", "objects pt pt"),
+    _Z3 + "compose a b = id_pt\n",
+    _Z3 + "compose a id_pt = b\n",
+    _Z3.replace("compose b b = a", "compose b c = a"),
+    _TREE.replace("\ncompose t3>t9 t7>t3 = t7>t9\n",
+                  "\ncompose t3>t9 t7>t3 = t7>t9 # a comment\n"),
+    _TREE.replace("\ncompose t3>t9 t7>t3 = t7>t9\n",
+                  "\ncompose t3>t9 t7>t3 = t7>t8\n"),
+    _TREE.rstrip("\n"),
+    SEG + "\n" + Z2 + "\naction a on seg by z2\narr t : f -> g\n"
+    "arr t : g -> f\nobj t : x -> y\nobj t : y -> x\n",
+    SEG + "\n" + Z2 + "\naction a on seg by z2\nobj t : x -> y\n"
+    "obj t : y -> x\narr t : f -> g\narr t : g -> f\nact t : f -> g\n",
+], ids=["names-=-and-compose", "compose-before-arrow", "agreeing-duplicate",
+        "contradicting-duplicate", "form-feed", "file-separator", "nbsp",
+        "extra-token", "trailing-space", "glued-comment", "trailing-tab",
+        "double-space", "blank-line", "arrow-after-compose",
+        "duplicate-object", "implied-compose", "contradicts-implied",
+        "unknown-name", "comment-in-300-arrows", "wrong-image-in-300-arrows",
+        "no-final-newline", "arr-before-obj", "act-on-groupoid"])
+def test_any_doubt_gives_the_line_readers_result(text):
+    assert _read(text) == _read(text.replace("\n", "\r\n"))
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS.values(),
+                         ids=PARSE_ERRORS.keys())
+def test_parse_errors_before_a_clean_block(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_text(text + "\n" + _TREE, path="in.txt")
+    assert str(err.value) == f"in.txt:{message}"
+
+
 @pytest.mark.parametrize("block, word, listed", [
     ("groupoid g", "objects", lambda g: g.objects),
     ("graph g", "vertex", lambda g: g.graph.vertices),
