@@ -13,7 +13,8 @@ class GroupoidAction:
     act_obj maps (g, object) to an object, act_arrow maps (g, arrow) to an
     arrow; both are total.  The constructor only stores, keeping the maps
     as given (see the core module docstring); validate_action checks the
-    axioms: each element acts by a morphism, unit, composition.
+    axioms: each element acts by a morphism, unit, composition, and keeps
+    its verdict on the action.
     """
 
     def __init__(self, group, space, act_obj, act_arrow, name="act",
@@ -26,6 +27,7 @@ class GroupoidAction:
         # optional: the one-object groupoid the group was read from, kept so
         # emitting the action reproduces the original block byte for byte
         self.group_groupoid = group_groupoid
+        self._problems = None     # validate_action's verdict, once computed
 
     def __repr__(self):
         return (f"GroupoidAction({self.name!r}: {self.group.name} on "
@@ -34,6 +36,19 @@ class GroupoidAction:
 
 def validate_action(act):
     """Return a list of violated action axioms; empty means valid.
+
+    The verdict is computed on the first call and kept on the action, so
+    later calls return a fresh copy of it without checking again: the
+    tables of an action are not written once handed over (see the core
+    module docstring).
+    """
+    if act._problems is None:
+        act._problems = tuple(_action_problems(act))
+    return list(act._problems)
+
+
+def _action_problems(act):
+    """validate_action's check itself, run once per action.
 
     Expects act.space to be a valid groupoid and act.group a group (an
     associative table).  Each g must act by a morphism (validate_morphism,

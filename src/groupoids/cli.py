@@ -259,13 +259,26 @@ _VERBS = {
 }
 
 
-def _parser():
+def _parser(verb=None):
+    """The argument parser, with every verb's subparser, or with verb's
+    only.
+
+    A job names its verb first, and parsing it needs no other subparser.
+    The one-verb parser spells out the full verb list as the subparsers'
+    metavar, so its top-level usage line, the one an "unrecognized
+    arguments" error prints, is the full parser's.  Without a known verb
+    first (no arguments, -h, or an unknown verb) the full parser is needed
+    for its help and its errors.
+    """
     parser = argparse.ArgumentParser(
         prog="groupoids",
         description="groupoid constructions on finite presentations")
-    subs = parser.add_subparsers(dest="verb", required=True)
-    for verb, (text, handler, arguments) in _VERBS.items():
-        sub = subs.add_parser(verb, help=text)
+    subs = parser.add_subparsers(
+        dest="verb", required=True,
+        metavar=None if verb is None else "{" + ",".join(_VERBS) + "}")
+    verbs = _VERBS if verb is None else {verb: _VERBS[verb]}
+    for name, (text, handler, arguments) in verbs.items():
+        sub = subs.add_parser(name, help=text)
         for flag, settings in arguments:
             sub.add_argument(flag, **settings)
         sub.set_defaults(handler=handler)
@@ -273,7 +286,10 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = _parser(verb).parse_args(argv)
     emit_to = getattr(args, "emit", None)
     try:
         parsed = parse_input(args.file) if "file" in args else None

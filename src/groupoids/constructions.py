@@ -65,7 +65,9 @@ def _pair_names(act):
 
     Identities first, id_x for (id_x, 1), then the pairs (a, g) in input
     order, "(a,g)" with primes added where names holding commas collide.
-    An invalid action raises ValueError.
+    An invalid action raises ValueError: validate_action runs here, so an
+    action never validated is still checked, and one validated before (as
+    every parsed action is) costs only the kept verdict.
     """
     problems = validate_action(act)
     if problems:

@@ -12,6 +12,10 @@ The entity constructors (FiniteGroupoid, GroupTable, GroupoidMorphism, and
 GroupoidAction, DirectedGraph and GraphAction elsewhere) keep the mappings
 they are given, not copies, and store objects, arrows and elements as tuples.
 A table once handed over is not written to; no code in this package does so.
+So a verdict on an entity depends on that entity alone, and two are computed
+once and kept on it: validate_action's (and validate_graph_action's) list of
+problems, and the generating set _generators picks for a groupoid.  A caller
+who wants different tables builds a new entity.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ class FiniteGroupoid:
         self._identities = set(self.identity_of.values())
         self._hom, self._star, self._costar = \
             _index(self.arrows, self.source, self.target)
+        self._gens = None      # _generators(self), once picked
 
     def is_identity_arrow(self, u):
         return u in self._identities
@@ -247,7 +252,17 @@ def _generators(g):
 
     An arrow joins when it is not yet a product of the identities and the
     earlier generators.  Expects a complete table with the right endpoints.
+    The list is picked on the first call and kept on g, whose tables are
+    not written once handed over (see the module docstring); every later
+    call returns that same list, which callers only read.
     """
+    if g._gens is None:
+        g._gens = _pick_generators(g)
+    return g._gens
+
+
+def _pick_generators(g):
+    """_generators' pick itself, run once per groupoid."""
     compose, source, target = g.compose, g.source, g.target
     products = set(g._identities)     # closed under w -> s + w, s in gens
     gens, gens_from = [], {}          # gens_from: object -> gens leaving it

@@ -141,7 +141,7 @@ class GraphAction:
     act_vertex maps (g, v) to a vertex; act_edge maps (g, e) to a signed
     edge token: "f" if g carries e to f preserving direction, "-f" if it
     reverses direction.  The maps are kept as given (see the core module
-    docstring).
+    docstring); validate_graph_action keeps its verdict on the action.
     """
 
     def __init__(self, group, graph, act_vertex, act_edge, name="graph-action",
@@ -153,6 +153,7 @@ class GraphAction:
         self.name = name
         # one-object groupoid the group was read from, kept for re-emission
         self.group_groupoid = group_groupoid
+        self._problems = None     # validate_graph_action's verdict
 
     def edge_image(self, g, e):
         tok = self.act_edge[(g, e)]
@@ -162,6 +163,18 @@ class GraphAction:
 
 
 def validate_graph_action(act):
+    """Return a list of violated graph action axioms; empty means valid.
+
+    As with validate_action, the verdict is computed on the first call and
+    kept on the action; later calls return a fresh copy of it.
+    """
+    if act._problems is None:
+        act._problems = tuple(_graph_action_problems(act))
+    return list(act._problems)
+
+
+def _graph_action_problems(act):
+    """validate_graph_action's check itself, run once per action."""
     problems = []
     G, gr = act.group, act.graph
     vset, eset = set(gr.vertices), set(gr.edges)

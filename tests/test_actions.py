@@ -6,10 +6,12 @@ from groupoids import (GroupoidAction, GroupoidMorphism,
                        action_from_object_map, cyclic_group,
                        connected_groupoid, fixed_subgroupoid,
                        groupoid_from_group, is_free_action, normal_closure,
-                       object_orbits, orbit_groupoid, quotient_groupoid,
-                       restrict_action, semidirect_product, tree_groupoid,
-                       trivial_action, validate_action, validate_morphism)
-from groupoids import actions, corpus
+                       object_orbits, orbit_groupoid, parse_text,
+                       quotient_groupoid, render_entities, restrict_action,
+                       restrict_orbit_full_subgroupoid, semidirect_product,
+                       tree_groupoid, trivial_action, validate_action,
+                       validate_morphism)
+from groupoids import actions, core, corpus
 from groupoids.actions import _acting
 from groupoids.core import _group_generators
 from groupoids.corpus import (named_actions, random_actions,
@@ -389,3 +391,56 @@ def test_the_unit_and_generator_clauses_are_needed():
         problems = validate_action(act)
         assert problems
         assert problems == _full_scan_validate_action(act)
+
+
+def _counted(monkeypatch, module, name):
+    """Count the runs of module.name, which stays in place."""
+    runs = []
+    body = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: (runs.append(1), body(*args))[1])
+    return runs
+
+
+def test_verdicts_are_computed_once(monkeypatch):
+    text = render_entities([_rotation(12)])
+    checks = _counted(monkeypatch, actions, "_action_problems")
+    picks = _counted(monkeypatch, core, "_pick_generators")
+    act = parse_text(text).pick("action", None)
+    orbit_groupoid(act)
+    # the parser's check serves orbit_groupoid too; the space, the group's
+    # groupoid and the orbit groupoid each have their generators picked once
+    assert (len(checks), len(picks)) == (1, 3)
+    assert validate_action(act) == []
+    assert len(checks) == 1
+
+
+def test_kept_verdicts_still_refuse_invalid_actions():
+    named = [act for _name, act in named_actions()]
+    cases = [b for act in named + [_rotation(n) for n in (3, 4, 6)]
+             for b in _past_the_generators(act)]
+    assert cases
+    for b in cases:
+        for validated_first in (False, True):
+            # a fresh copy each time, so that no verdict is kept yet
+            c = GroupoidAction(b.group, b.space, b.act_obj, b.act_arrow,
+                               name=b.name)
+            if validated_first:
+                assert validate_action(c)
+            with pytest.raises(ValueError, match="invalid action"):
+                orbit_groupoid(c)
+            with pytest.raises(ValueError, match="invalid action"):
+                semidirect_product(c)
+            with pytest.raises(ValueError, match="invalid action"):
+                restrict_orbit_full_subgroupoid(c, c.space.objects)
+
+
+def test_a_returned_problem_list_is_the_callers():
+    b = next(_past_the_generators(_rotation(4)))
+    problems = validate_action(b)
+    expected = list(problems)
+    problems.append("planted")
+    assert validate_action(b) == expected
+    valid = _rotation(4)
+    validate_action(valid).append("planted")
+    assert validate_action(valid) == []

@@ -10,7 +10,7 @@ import pytest
 
 import groupoids
 from groupoids import cli, cyclic_group, groupoid_from_group, parse_text
-from groupoids import render_entities
+from groupoids import presented, render_entities
 from groupoids.corpus import (named_actions, random_actions,
                               random_quotient_instances)
 
@@ -47,6 +47,18 @@ def test_orbit_verb_on_a_graph_action(capsys):
     assert code == 0
     assert "vertex group at orbit(1): trivial" in out
     assert "vertex group at orbit(-1): trivial" in out
+
+
+def test_the_tour_graph_action_is_validated_once(monkeypatch, capsys):
+    runs = []
+    body = presented._graph_action_problems
+    monkeypatch.setattr(presented, "_graph_action_problems",
+                        lambda act: (runs.append(act.name), body(act))[1])
+    for verb in ("orbit", "presentation"):
+        runs.clear()
+        code, _out, _err = _run(capsys, verb, _data("circle_reflection.act"))
+        # the parser's check serves orbit_presentation too
+        assert (code, runs) == (0, ["circle-reflection"]), verb
 
 
 def test_presentation_verb_with_base(capsys):
@@ -485,3 +497,25 @@ def test_capped_verify_lines_are_pinned(capsys, cap, lines):
     # too: without that, a cap of 6 counts 19 closures
     code, out, err = _run(capsys, "verify", "--max-arrows", cap)
     assert (code, out, err) == (0, lines, "")
+
+
+def _parse_outcome(parser, argv, capsys):
+    """What parsing argv prints and its exit code (None: it parsed)."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_a_one_verb_parser_reads_as_the_full_one(verb, capsys):
+    cases = [[verb, "--help"], [verb], [verb, "--no-such-option"],
+             [verb, "a", "b", "c"], [verb, "a", "--no-such-option"]]
+    if verb == "verify":
+        cases += [[verb, "--max-arrows", "0"], [verb, "--max-arrows=x"]]
+    for argv in cases:
+        full = _parse_outcome(cli._parser(), argv, capsys)
+        assert _parse_outcome(cli._parser(verb), argv, capsys) == full, argv
