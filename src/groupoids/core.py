@@ -21,6 +21,8 @@ who wants different tables builds a new entity.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
+from itertools import product
 from operator import itemgetter
 
 
@@ -471,15 +473,51 @@ def fresh_name(name, taken):
     return name
 
 
+class _ProductTable(Mapping):
+    """The multiplication table of a direct product, each entry computed
+    when read; nothing is stored per entry.
+
+    name_of maps each pair (x, y) to its element name.  The entry at
+    (u, v) is the name of the componentwise product of the pairs behind
+    u and v.  Keys go in the order of a dict built row by row over
+    name_of's order.
+    """
+
+    def __init__(self, a, b, name_of):
+        self._a, self._b, self._name_of = a.mul, b.mul, name_of
+        self._pair = {u: xy for xy, u in name_of.items()}
+
+    def __getitem__(self, key):
+        try:
+            u, v = key
+            (x1, y1), (x2, y2) = self._pair[u], self._pair[v]
+            if isinstance(key, tuple):
+                return self._name_of[(self._a[(x1, x2)], self._b[(y1, y2)])]
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return product(self._pair, repeat=2)
+
+    def __len__(self):
+        return len(self._pair) ** 2
+
+
 def direct_product_group(a, b, name=None):
+    """The direct product of group tables a and b.
+
+    Its elements are the pairs (x, y), x in a's order and, for each x, y
+    in b's, named "(x,y)" made fresh (fresh_name).  Its multiplication
+    table is a read-only _ProductTable that multiplies componentwise on
+    lookup, so the square of an order-n group costs O(n^2) to build, not
+    O(n^4).
+    """
     taken = set()
     name_of = {(x, y): fresh_name(f"({x},{y})", taken)
                for x in a.elements for y in b.elements}
     return GroupTable(
-        name_of.values(),
-        {(u, v): name_of[(a.mul[(x1, x2)], b.mul[(y1, y2)])]
-         for (x1, y1), u in name_of.items()
-         for (x2, y2), v in name_of.items()},
+        name_of.values(), _ProductTable(a, b, name_of),
         name=name or f"{a.name}x{b.name}",
         identity=name_of[(a.identity, b.identity)],
         inv={u: name_of[(a.inv[x], b.inv[y])] for (x, y), u in name_of.items()})

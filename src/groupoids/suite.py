@@ -5,15 +5,19 @@ and returns a CheckResult.  A check is declared once, with its name, by
 the _check decorator: its body returns the PASS detail or raises _Failed
 with the FAIL detail, and any other exception propagates.  Its one
 argument is a _Run, the corpus of one run built once: run_all builds one
-and shares it, and a check called alone builds its own.  No verdict rests
-on a statement that ``python -O`` strips, so an optimized run makes the
-same checks.  The CLI verify verb runs them all, and the acceptance tests
-run them one criterion at a time.
+and shares it, and a check called alone builds its own.  The run also
+shares the semidirect products and orbit groupoids of its corpus, each
+built once and dropped by its last reader, so none is alive in
+abelianization and the checks after it.  No verdict rests on a statement
+that ``python -O`` strips, so an optimized run makes the same checks.  The
+CLI verify verb runs them all, and the acceptance tests run them one
+criterion at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from . import corpus, oracle
@@ -72,9 +76,14 @@ def _check(name):
 class _Run:
     """The inputs of one verify run, built once and read by every check.
 
-    max_arrows=None means no cap; fits applies the cap.  Only inputs are
-    shared: each check builds its own products and orbit groupoids, so none
-    of them is alive at the run's memory peak, in abelianization.
+    max_arrows=None means no cap; fits applies the cap.  The semidirect
+    products of the actions and the orbit groupoids of the orbit actions
+    are built on first read and shared too.  Their last reader in
+    ALL_CHECKS order (projection-trichotomy, orbit-universal) takes each
+    list off the run with _last_read, so each is freed when that check
+    returns, before abelianization.  A check that reads one after that,
+    alone or in another order, builds it again, so no verdict depends on
+    check order.
     """
 
     def __init__(self, targets=None, max_arrows=None):
@@ -95,6 +104,22 @@ class _Run:
         """Whether g has at most max_arrows arrows, and at most limit."""
         return all(len(g.arrows) <= cap
                    for cap in (self.max_arrows, limit) if cap is not None)
+
+    @cached_property
+    def products(self):
+        return [semidirect_product(a) for a in self.actions]
+
+    @cached_property
+    def orbits(self):
+        return [orbit_groupoid(a) for a in self.orbit_actions]
+
+
+def _last_read(run, field):
+    """run's shared list field, taken off run: the caller is its last
+    reader, and the list is freed when the caller returns."""
+    built = getattr(run, field)
+    del vars(run)[field]
+    return built
 
 
 @_check("corpus-valid")
@@ -120,9 +145,8 @@ def check_corpus_valid(run):
 def check_semidirect_laws(run):
     checked = 0
     validated = 0
-    for act in run.actions:
+    for act, sd in zip(run.actions, run.products):
         sp, G = act.space, act.group
-        sd = semidirect_product(act)
         e = G.identity
         for g in G.elements:
             for a in sp.arrows:
@@ -164,9 +188,8 @@ def _projection_iso_on_object_groups(sd):
 @_check("projection-trichotomy")
 def check_trichotomy(run):
     branches = {"quotient": 0, "covering": 0, "object-iso": 0}
-    for act in run.actions:
+    for act, sd in zip(run.actions, _last_read(run, "products")):
         sp = act.space
-        sd = semidirect_product(act)
         q = sd.projection
         if is_quotient_morphism(q) != is_connected(sp):
             raise _Failed(f"{act.name}: quotient-morphism test disagrees "
@@ -254,8 +277,7 @@ def check_orbit_kernel(run):
     covering = 0
     quotient = 0
     checked = 0
-    for act in run.orbit_actions:
-        orb = orbit_groupoid(act)
+    for act, orb in zip(run.orbit_actions, run.orbits):
         gens = orbit_kernel_generators(act)
         if set(generated_wide_subgroupoid(act.space, gens).arrows) != \
                 set(kernel(orb.morphism).arrows):
@@ -287,8 +309,7 @@ def check_orbit_kernel(run):
 @_check("orbit-universal")
 def check_universal_property(run):
     checked = 0
-    for act in run.orbit_actions:
-        orb = orbit_groupoid(act)
+    for act, orb in zip(run.orbit_actions, _last_read(run, "orbits")):
         report = oracle.check_universal_property(act, orb.morphism,
                                                  run.targets)
         if not report.ok:

@@ -4,7 +4,10 @@ Each test prints PASS or FAIL with its label to the real stdout so the
 report survives pytest's capture; the assertions carry the actual checks.
 """
 
+import gc
 import sys
+import tracemalloc
+import weakref
 from contextlib import contextmanager
 from importlib import resources
 
@@ -153,6 +156,57 @@ def test_run_all_builds_each_corpus_once(monkeypatch):
                             counted(name, getattr(suite.corpus, name)))
     assert all(r.ok for r in suite.run_all(max_arrows=3))
     assert calls == dict.fromkeys(builders, 1)
+
+
+def test_each_product_and_orbit_groupoid_is_built_once(monkeypatch):
+    built = {"orbit_groupoid": [], "semidirect_product": []}
+
+    def counted(name):
+        build = getattr(suite, name)
+
+        def wrapper(act):
+            result = build(act)
+            built[name].append(weakref.ref(result))
+            return result
+        monkeypatch.setattr(suite, name, wrapper)
+
+    for name in built:
+        counted(name)
+    run = suite._Run()
+    assert suite.check_orbit_kernel(run).ok
+    assert suite.check_universal_property(run).ok
+    # the +1 is negative control 2's orbit groupoid
+    assert len(built["orbit_groupoid"]) == len(run.orbit_actions) + 1
+    assert suite.check_semidirect_laws(run).ok
+    assert suite.check_trichotomy(run).ok
+    assert len(built["semidirect_product"]) == len(run.actions)
+    # their last readers have dropped the shared lists
+    gc.collect()
+    assert all(ref() is None for refs in built.values() for ref in refs)
+
+
+@pytest.mark.parametrize("max_arrows", [None, 3])
+def test_verify_lines_do_not_depend_on_check_order(max_arrows):
+    expected = [r.line() for r in suite.run_all(max_arrows=max_arrows)]
+    alone = [check(suite._Run(max_arrows=max_arrows)).line()
+             for check in suite.ALL_CHECKS]
+    run = suite._Run(max_arrows=max_arrows)
+    backwards = [check(run).line() for check in reversed(suite.ALL_CHECKS)]
+    assert alone == expected
+    assert backwards[::-1] == expected
+
+
+def test_abelianization_stays_under_half_a_megabyte():
+    # the squared-group route once held A4 x A4's 20,736-entry table
+    run = suite._Run()
+    tracemalloc.start()
+    try:
+        result = suite.check_abelianization(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok, result.detail
+    assert peak < 500_000, peak
 
 
 def test_orbit_universal_property():

@@ -27,9 +27,10 @@ from groupoids import (DirectedGraph, FiniteGroupoid, GraphAction,
                        validate_morphism)
 from groupoids.catalog import bundle
 from groupoids.constructions import _PairGroupoid
-from groupoids.core import _associativity_failures, _generators, \
-    _generators_associate, _group_generators, _span, element_order, \
-    group_isomorphism, is_abelian_group, is_normal_subgroup, subgroup_closure
+from groupoids.core import ISO_ARROW_CAP, _associativity_failures, \
+    _generators, _generators_associate, _group_generators, _span, \
+    element_order, group_isomorphism, is_abelian_group, is_normal_subgroup, \
+    subgroup_closure
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
@@ -332,6 +333,43 @@ def test_direct_product_group():
     assert p.order == 6
     assert is_abelian_group(p)
     assert group_isomorphic(p, cyclic_group(6))
+
+
+def _eager_product(a, b):
+    """direct_product_group(a, b), and the same group with its table built
+    as a dict from the two component tables: the reference for the table
+    that computes products on lookup."""
+    p = direct_product_group(a, b)
+    pair = dict(zip(p.elements, ((x, y) for x in a.elements
+                                 for y in b.elements)))
+    name_of = {xy: u for u, xy in pair.items()}
+    mul = {(u, v): name_of[(a.mul[(pair[u][0], pair[v][0])],
+                            b.mul[(pair[u][1], pair[v][1])])]
+           for u in p.elements for v in p.elements}
+    return p, GroupTable(p.elements, mul, name="eager", identity=p.identity,
+                         inv=p.inv)
+
+
+@pytest.mark.parametrize("a, b", [
+    (cyclic_group(2), cyclic_group(3)),
+    (cyclic_group(2), cyclic_group(2)),     # the klein group
+    *((g, g) for g in (symmetric_group(3), dihedral_group(4),
+                       quaternion_group(), alternating_group(4)))],
+    ids=lambda g: g.name)
+def test_direct_product_table_is_computed_on_lookup(a, b):
+    p, eager = _eager_product(a, b)
+    assert dict(p.mul.items()) == eager.mul
+    assert len(p.mul) == len(eager.mul)
+    assert list(p.mul) == list(eager.mul)
+    e = p.identity
+    assert p.mul.get(("bogus", e)) is None
+    for key in (("bogus", e), 7, (e,)):
+        with pytest.raises(KeyError):
+            p.mul[key]
+    # equal tables on the same names already make the identity map an
+    # isomorphism; the search runs where its size cap lets it
+    if p.order <= ISO_ARROW_CAP:
+        assert group_isomorphic(p, eager)
 
 
 def test_direct_product_names_with_commas_stay_distinct():
