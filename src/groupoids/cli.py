@@ -3,7 +3,10 @@
 Each verb reads definitions from a text file, runs one construction or
 check, prints a short report, and can emit the result in the same text
 format with --emit (a path, or "-" for stdout, which suppresses the
-report).
+report).  Every check of the result runs before the first byte is written,
+and the text is then streamed, a row at a time, so memory does not grow
+with its size; a write that fails part way is still exit 2, and may leave a
+partial file.
 
 Exit codes: 0 success, 1 a check failed, 2 malformed input, an input file
 that cannot be read or is not UTF-8, or an --emit path that cannot be
@@ -25,8 +28,8 @@ from .constructions import (normal_closure, orbit_groupoid, quotient_groupoid,
                             semidirect_product)
 from .core import (_InternalError, is_covering, is_fibration,
                    is_quotient_morphism, object_group)
-from .fileformat import (ParseError, UnreadableInput, parse_input,
-                         render_entities)
+from .fileformat import (ParseError, UnreadableInput, entity_writer,
+                         parse_input)
 from .presented import (GraphAction, abelian_invariants, describe_vertex_group,
                         orbit_presentation, symmetric_square_presentation)
 
@@ -294,8 +297,9 @@ def main(argv=None):
     try:
         parsed = parse_input(args.file) if "file" in args else None
         lines, code, entities = args.handler(parsed, args)
-        text = None if entities is None or emit_to is None \
-            else render_entities(entities)
+        # every check of the result runs here, before a byte is written
+        write = None if entities is None or emit_to is None \
+            else entity_writer(entities)
     except (ParseError, UnreadableInput) as err:
         print(err, file=sys.stderr)
         return 2
@@ -305,13 +309,13 @@ def main(argv=None):
     except _InternalError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 4
-    if text is not None:
+    if write is not None:
         if emit_to == "-":
-            sys.stdout.write(text)
+            write(sys.stdout)
             return code
         try:
             with open(emit_to, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                write(handle)
         except OSError as exc:
             print(f"{emit_to}: {exc.strerror or exc}", file=sys.stderr)
             return 2

@@ -38,6 +38,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 
 from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
@@ -94,7 +95,11 @@ class _PairTable(Mapping):
     v + u = (b + h.a, hk) is names[row[ha[i]]|G| + hg[j]], and row has no
     entry for h.a exactly when u does not end at the source of v.  Rows go
     in name_of order, each over the pairs ending at the row's source, also
-    in name_of order.
+    in name_of order: _pair_names lists (id_y, 1) first, then the pairs
+    (a, k) by a in the space's order, k in the group's.  So a row is read a
+    block of |G| entries per arrow a ending there (row() keeps, on first
+    use, their positions per object and the permutation k -> hk per
+    element h), with (id_y, 1) moved to the front.
     """
 
     def __init__(self, act, name_of, source):
@@ -108,16 +113,16 @@ class _PairTable(Mapping):
                   for h in G.elements}
         self._names = names = [None] * (len(sp.arrows) * n)
         self._n, self._source = n, source
+        self._space, self._unit = sp, g_at[G.identity]
+        self._blocks, self._perms = {}, {}   # by object, by element position
         self._left, self._right = {}, {}
-        self._into = {}     # object -> (the pairs ending there, positions)
+        self._into = {}     # object -> the pairs ending there
         for (a, g), u in name_of.items():
             names[a_at[a] * n + g_at[g]] = u
             self._left[u] = (plus[a], act_at[g], mul_at[g])
-            self._right[u] = at = (a_at[a], g_at[g])
-            us, ats = self._into.setdefault(sp.target[a], ([], []))
-            us.append(u)
-            ats.append(at)
-        self._len = sum(len(self._into[source[v]][0]) for v in self._left)
+            self._right[u] = (a_at[a], g_at[g])
+            self._into.setdefault(sp.target[a], []).append(u)
+        self._len = sum(len(self._into[source[v]]) for v in self._left)
 
     def __getitem__(self, key):
         try:
@@ -132,18 +137,34 @@ class _PairTable(Mapping):
 
     def __iter__(self):
         into, source = self._into, self._source
-        return chain.from_iterable(zip(repeat(v), into[source[v]][0])
+        return chain.from_iterable(zip(repeat(v), into[source[v]])
                                    for v in self._left)
 
     def __len__(self):
         return self._len
 
     def row(self, v):
-        """v + u for every pair u ending at the source of v, in order."""
+        """v + u for every pair u ending at the source of v, in order: for
+        v = (b, h) and each arrow a ending there, the names of the pairs
+        (b + h.a, hk), k in the group's order."""
         row, ha, hg = self._left[v]
-        names, n = self._names, self._n
-        return [names[row[ha[i]] * n + hg[j]]
-                for i, j in self._into[self._source[v]][1]]
+        y, h = self._source[v], self._right[v][1]
+        if y not in self._blocks:
+            into = self._space.costar(y)
+            self._blocks[y] = (
+                [self._space.arrow_index[a] for a in into],
+                into.index(self._space.identity_of[y]) * self._n +
+                self._unit)
+        if h not in self._perms:
+            self._perms[h] = itemgetter(*hg) if len(hg) > 1 else tuple
+        at, first = self._blocks[y]
+        names, n, perm = self._names, self._n, self._perms[h]
+        cells = []
+        for i in at:
+            c = row[ha[i]] * n
+            cells += perm(names[c:c + n])
+        cells.insert(0, cells.pop(first))
+        return cells
 
     def items(self):
         return _RowItems(self)
@@ -156,7 +177,7 @@ class _RowItems(ItemsView):
         table = self._mapping
         into, source = table._into, table._source
         return chain.from_iterable(
-            zip(zip(repeat(v), into[source[v]][0]), table.row(v))
+            zip(zip(repeat(v), into[source[v]]), table.row(v))
             for v in table._left)
 
 

@@ -46,12 +46,16 @@ comment, line kinds in the order above) is read in bulk, and any other block,
 or a clean one on any doubt, line by line, with the same tables and errors.
 
 The emitter writes this same format back, skipping everything implied, so
-emitting a parsed emission is byte-identical.
+emitting a parsed emission is byte-identical.  It runs every check first and
+then streams the text to a handle, a block's head and a compose row at a
+time (entity_writer); render_entities gives the same text as a string.
 """
 
 from __future__ import annotations
 
+import io
 import re
+from itertools import chain
 from operator import itemgetter
 
 from .actions import GroupoidAction, validate_action
@@ -141,38 +145,50 @@ def parse_text(text, path="<input>"):
     """The entities that text defines, read as the file path.  Clean groupoid
     and action blocks are read in bulk (see _Block.bulk), any other block, or
     a clean one again on any doubt, line by line; only the line reader raises
-    errors, so the tables, or the error and its place, are the same."""
+    errors, so the tables, or the error and its place, are the same.
+
+    The line reader splits the text in chunks, from a few lines at the start
+    and after each bulk read up to _CHUNK characters, so a body read in bulk
+    is not split and the split lines held stay few."""
     parsed = ParsedFile(path)
     block = line = None
-    at = line_no = 0
+    at = line_no = 0          # where the next line starts, and its number
+    size = _FIRST_CHUNK
     while at <= len(text):
-        line_no += 1
-        stop = text.find("\n", at) + 1 or len(text) + 1
-        raw, at = text[at:stop - 1], stop
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if tokens[0] in _BLOCKS:
-            if block is not None:
-                block.finish()
-            block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
-            end = block.bulk(at)
-            if end is not None:
-                line_no += text.count("\n", at, end)
-                at, block = end, None
+        stop = text.find("\n", at + size)
+        stop = len(text) if stop < 0 else stop
+        size = min(2 * size, _CHUNK)
+        for raw in text[at:stop].split("\n"):
+            line_no += 1
+            at += len(raw) + 1
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            tokens = raw.split()
+            if not tokens:
                 continue
-            block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
-            line = block.line
-        elif block is None:
-            raise ParseError(path, line_no, _column(raw),
-                             f"expected a block header, got {tokens[0]}")
-        else:
-            line(tokens, line_no)
+            if tokens[0] in _BLOCKS:
+                if block is not None:
+                    block.finish()
+                block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
+                end = block.bulk(at)
+                if end is not None:
+                    line_no += text.count("\n", at, end)
+                    at, block, size = end, None, _FIRST_CHUNK
+                    break
+                block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
+                line = block.line
+            elif block is None:
+                raise ParseError(path, line_no, _column(raw),
+                                 f"expected a block header, got {tokens[0]}")
+            else:
+                line(tokens, line_no)
     if block is not None:
         block.finish()
     return parsed
+
+
+# Characters the line reader splits at a time: the first chunk, and the most
+_FIRST_CHUNK, _CHUNK = 256, 1 << 16
 
 
 def _column(line):
@@ -194,8 +210,9 @@ _IDENTITY_IMAGE = "identity arrow images follow the object map; remove " \
 
 
 def _getter(positions):
-    """A function of a token list that gives the tokens at positions in a
-    sequence; a bare itemgetter would give a single token unwrapped."""
+    """A function of a sequence (a token list, a compose row) that gives its
+    items at positions in a sequence; a bare itemgetter would give a single
+    item unwrapped."""
     if len(positions) > 1:
         return itemgetter(*positions)
     return itemgetter(slice(positions[0], positions[0] + 1) if positions
@@ -368,7 +385,10 @@ class _GroupoidBlock(_Block):
             self.inverse[u] = v
 
     def do_compose(self, v, u, w):
-        self.known("arrow", self.names, v, u, w)
+        names = self.names
+        # known() finds and raises the error, once a test has failed
+        if v not in names or u not in names or w not in names:
+            self.known("arrow", names, v, u, w)
         self.compose_lines.append((v, u, w, self.at))
 
     def fill(self, objects, arrows, inverses, composes):
@@ -665,7 +685,9 @@ def _unwritable(what, name, why):
 
 def _token(name, what):
     """name, if the parser reads it back unchanged as a new what."""
-    if not name or any(ch.isspace() for ch in name) or "#" in name:
+    # str.split cuts at exactly the characters str.isspace accepts, and a
+    # name it leaves whole is one nonempty token
+    if name.split() != [name] or "#" in name:
         raise _unwritable(what, name, "whitespace or '#'")
     banned = _BANNED.get(what)
     if banned and name.startswith(banned[0]):
@@ -678,21 +700,53 @@ def _relator(letters):
         (e if s > 0 else f"-{e}") for (e, s) in letters)
 
 
+def _compose_rows(g, arrows, identities):
+    """The compose lines of each of arrows, one string per row, a newline
+    before each line; an entry that the identity or inverse laws imply is
+    left out.  Each row is one join over (separator, "u = ", v + u)
+    triples, with "u = " made once per source object."""
+    inverse, into = g.inverse_of, {}
+    for v in arrows:
+        y = g.source[v]
+        if y not in into:
+            costar = g.costar(y)
+            keep = [k for k, u in enumerate(costar) if u not in identities]
+            into[y] = ([f"{costar[k]} = " for k in keep], _getter(keep),
+                       {costar[k]: 3 * i for i, k in enumerate(keep)})
+        heads, get, slot = into[y]
+        parts = [f"\ncompose {v} "] * (3 * len(heads))
+        parts[1::3] = heads
+        parts[2::3] = get(g.compose_row(v))
+        # v + (-v) is implied
+        at = slot[inverse[v]]
+        del parts[at:at + 3]
+        yield "".join(parts)
+
+
 class _Emitter:
+    """Entities in the text format, in two passes.  emit() runs every check
+    that can fail (names, the id_x rule, two blocks under one name) and
+    keeps each block as chunks still to be computed; write() then writes
+    them, so an error leaves nothing written and the text is never held
+    whole."""
+
     def __init__(self):
         # id of each emitted entity -> (the entity, its name); holding the
         # entity keeps a freed temporary's id from being reused
         self.seen = {}
-        self.blocks = {}          # name -> its block, in emission order
+        # name -> (its block's chunks, a function that renders the block
+        # afresh), in emission order
+        self.blocks = {}
 
-    def text(self):
-        # blocks, a blank line between two, a newline after the last: one
-        # join, so the text is copied once
-        pieces = []
-        for block in self.blocks.values():
-            pieces += (block, "\n\n")
-        pieces[-1:] = ["\n"]
-        return "".join(pieces)
+    def write(self, handle):
+        """Write the blocks to handle, a blank line between two and a
+        newline after the last; the chunks are read once, so once only."""
+        sep = ""
+        for chunks, _again in self.blocks.values():
+            handle.write(sep)
+            handle.writelines(chunks)
+            sep = "\n\n"
+        handle.write("\n")
 
     def emit(self, entity):
         if id(entity) in self.seen:
@@ -720,16 +774,23 @@ class _Emitter:
         return name
 
     def _register(self, entity, render, *args):
-        """Emit render(*args, name) under the entity's name, which only an
-        identical block may already hold (so equal groups share one)."""
+        """Keep render(*args, name), the block's chunks, under the entity's
+        name, which only an identical block may already hold (so equal
+        groups share one).  render checks the block's names when called
+        and may leave its chunks to be computed as they are written; only
+        two blocks under one name are rendered whole, to compare them."""
         name = _token(entity.name, "entity name")
-        block = render(*args, name)
-        if self.blocks.setdefault(name, block) != block:
+        chunks = render(*args, name)
+        if name not in self.blocks:
+            self.blocks[name] = (chunks, lambda: render(*args, name))
+        elif "".join(self.blocks[name][1]()) != "".join(chunks):
             raise ValueError(f"two entities would be emitted as {name}")
         self.seen[id(entity)] = (entity, name)
         return name
 
     def _groupoid(self, g, name):
+        """The head (header, objects, arrow and inverse lines), checked and
+        joined now, then the compose rows, computed as they are read."""
         lines = [f"groupoid {name}"]
         if g.objects:
             lines.append("objects " + " ".join(
@@ -746,19 +807,8 @@ class _Emitter:
         inverse, at = g.inverse_of, g.arrow_index
         lines += [f"inverse {u} {inverse[u]}" for u in non_identity
                   if at[u] <= at[inverse[u]]]
-        # each source's non-identity costar: position in the costar, arrow
-        # and its inverse
-        into = {y: [(k, u, inverse[u]) for k, u in enumerate(g.costar(y))
-                    if u not in identities]
-                for y in {g.source[v] for v in non_identity}}
-        # one string per row, so that the entries' lines are never all held
-        for v in non_identity:
-            row = g.compose_row(v)
-            row_text = "\n".join([f"compose {v} {u} = {row[k]}"
-                                  for k, u, w in into[g.source[v]] if w != v])
-            if row_text:
-                lines.append(row_text)
-        return "\n".join(lines)
+        return chain(("\n".join(lines),),
+                     _compose_rows(g, non_identity, identities))
 
     def _action(self, act):
         if isinstance(act, GraphAction):
@@ -776,6 +826,7 @@ class _Emitter:
             act.group, name=f"{act.group.name}-gpd"))
 
         def block(name):
+            # no name to check: the block is made when it is written
             lines = [f"action {name} on {space_name} by {group_name}"]
             for word, names, image in maps:
                 for g in act.group.elements:
@@ -785,7 +836,7 @@ class _Emitter:
                         y = image[(g, x)]
                         if y != x:
                             lines.append(f"{word} {g} : {x} -> {y}")
-            return "\n".join(lines)
+            yield "\n".join(lines)
         return self._register(act, block)
 
     def _graph(self, graph, relators, name):
@@ -797,7 +848,8 @@ class _Emitter:
             _token(e, "edge")
             lines.append(f"edge {e} : {graph.source[e]} -> {graph.target[e]}")
         lines.extend(_relator(w.letters) for w in relators)
-        return "\n".join(lines)
+        # as small as its input: made whole with its checks
+        return ("\n".join(lines),)
 
     def _presentation(self, pres, name):
         lines = [f"presentation {name}"]
@@ -805,26 +857,38 @@ class _Emitter:
             lines.append("generators " + " ".join(
                 _token(g, "generator") for g in pres.generators))
         lines.extend(_relator(r) for r in pres.relators)
-        return "\n".join(lines)
+        return ("\n".join(lines),)
 
     def _morphism(self, f):
         dom_name = self.emit(f.dom)
         cod_name = self.emit(f.cod)
 
         def block(name):
+            # as for an action, made when it is written
             lines = [f"morphism {name} : {dom_name} -> {cod_name}"]
             for x in f.dom.objects:
                 lines.append(f"obj {x} -> {f.object_map[x]}")
             for a in f.dom.arrows:
                 if not f.dom.is_identity_arrow(a):
                     lines.append(f"arr {a} -> {f.arrow_map[a]}")
-            return "\n".join(lines)
+            yield "\n".join(lines)
         return self._register(f, block)
+
+
+def entity_writer(entities):
+    """Check that entities (with their prerequisites) can be written in the
+    text format, and return a function that writes them to a text handle,
+    once.  Every ValueError is raised here, before a byte is written, and
+    the writer never holds the whole text: a groupoid block goes out a
+    compose row at a time."""
+    emitter = _Emitter()
+    for entity in entities:
+        emitter.emit(entity)
+    return emitter.write
 
 
 def render_entities(entities):
     """Serialize entities (with their prerequisites) to the text format."""
-    emitter = _Emitter()
-    for entity in entities:
-        emitter.emit(entity)
-    return emitter.text()
+    out = io.StringIO()
+    entity_writer(entities)(out)
+    return out.getvalue()

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from groupoids import (GroupoidAction, GroupoidMorphism,
+from groupoids import (FiniteGroupoid, GroupoidAction, GroupoidMorphism,
                        action_from_object_map, components,
                        connected_groupoid, cyclic_group, full_subgroupoid,
                        generated_wide_subgroupoid,
@@ -102,6 +102,42 @@ def test_semidirect_table_reads_as_a_dict(act):
         with pytest.raises(KeyError):
             table[key]
     assert (v, g.identity_of[g.source[v]]) in table
+
+
+def _tree_with_identities_last():
+    """The two-object tree with its identities listed after its arrows,
+    so no costar starts with its identity."""
+    ends = {"a": ("x", "y"), "id_x": ("x", "x"), "b": ("y", "x"),
+            "id_y": ("y", "y")}
+    names = {("x", "y"): "a", ("y", "x"): "b", ("x", "x"): "id_x",
+             ("y", "y"): "id_y"}
+    return FiniteGroupoid(
+        ("x", "y"), tuple(ends), {u: s for u, (s, _t) in ends.items()},
+        {u: t for u, (_s, t) in ends.items()}, {"x": "id_x", "y": "id_y"},
+        {"a": "b", "b": "a", "id_x": "id_x", "id_y": "id_y"},
+        {(v, u): names[(ends[u][0], ends[v][1])]
+         for v in ends for u in ends if ends[u][1] == ends[v][0]},
+        name="late")
+
+
+@pytest.mark.parametrize("act", [
+    trivial_action(trivial_group(), _tree_with_identities_last()),
+    trivial_action(cyclic_group(3), _tree_with_identities_last()),
+    action_from_object_map(cyclic_group(2), _tree_with_identities_last(),
+                           {("0", "x"): "x", ("0", "y"): "y",
+                            ("1", "x"): "y", ("1", "y"): "x"}, name="swap"),
+], ids=["trivial", "z3-fixing", "z2-swapping"])
+def test_semidirect_rows_when_no_costar_starts_with_its_identity(act):
+    # a row reads a block of |G| names per arrow of the space, and moves
+    # (id_y, 1) to the front wherever id_y stands in the space's costar
+    assert validate_groupoid(act.space) == []
+    sd = semidirect_product(act)
+    g, reference = sd.groupoid, _reference_semidirect_table(sd)
+    for v in g.arrows:
+        assert g.compose_row(v) == \
+            [reference[(v, u)] for u in g.costar(g.source[v])]
+    assert list(g.compose.items()) == list(reference.items())
+    assert validate_groupoid(g) == []
 
 
 def test_semidirect_table_of_the_z16_ring():

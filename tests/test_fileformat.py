@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import time
 
 import pytest
@@ -325,8 +326,29 @@ def test_emitter_rejects_unwritable_names():
             render_entities([entity])
 
 
+@pytest.mark.parametrize("name", [
+    "a\xa0b", "a\x1cb", "a\u2028b", "\u3000", "a#b", ""],
+    ids=["nbsp", "file-separator", "line-separator", "ideographic-space",
+         "hash", "empty"])
+def test_a_name_with_any_whitespace_or_a_hash_cannot_be_written(name):
+    with pytest.raises(ValueError) as err:
+        _token(name, "object")
+    assert str(err.value) == f"object {name!r} cannot be written to the " \
+        f"text format (whitespace or '#')"
+
+
+def test_str_split_cuts_at_exactly_the_isspace_characters():
+    # _token reads a name as one token as the parser does, with str.split
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = [ch for ch in every if ch.isspace()]
+    assert len(spaces) == 29
+    assert "".join(every.split()) == \
+        "".join(ch for ch in every if not ch.isspace())
+
+
 def _reference_groupoid_block(self, g, name):
-    """The groupoid block written arrow by arrow and entry by entry."""
+    """The groupoid block written arrow by arrow and entry by entry, checked
+    when called and given as one chunk, as the emitter takes a block."""
     lines = [f"groupoid {name}"]
     if g.objects:
         lines.append("objects " + " ".join(
@@ -348,7 +370,7 @@ def _reference_groupoid_block(self, g, name):
             if g.is_identity_arrow(u) or v == g.inverse_of[u]:
                 continue
             lines.append(f"compose {v} {u} = {g.compose[(v, u)]}")
-    return "\n".join(lines)
+    return ["\n".join(lines)]
 
 
 def _render_both(monkeypatch, entities):
@@ -767,6 +789,21 @@ def test_parse_errors_before_a_clean_block(text, message):
     with pytest.raises(ParseError) as err:
         parse_text(text + "\n" + _TREE, path="in.txt")
     assert str(err.value) == f"in.txt:{message}"
+
+
+def test_the_line_readers_chunks_change_no_result(monkeypatch):
+    # chunks of one line, and of a few lines, end at every place where a
+    # result could depend on them
+    texts = [text for text, _message in PARSE_ERRORS.values()]
+    texts += [text + "\n" + _TREE for text in texts[:40]]
+    texts += [text.replace("\n", "\r\n") for text in texts]
+    texts += list(_clean_texts())[:3]
+    expected = [_read(text) for text in texts]
+    assert sum(isinstance(result, str) for result in expected) > 100
+    for first, most in ((1, 1), (1, 40), (300, 300)):
+        monkeypatch.setattr(fileformat, "_FIRST_CHUNK", first)
+        monkeypatch.setattr(fileformat, "_CHUNK", most)
+        assert [_read(text) for text in texts] == expected
 
 
 @pytest.mark.parametrize("block, word, listed", [
