@@ -145,50 +145,38 @@ def parse_text(text, path="<input>"):
     """The entities that text defines, read as the file path.  Clean groupoid
     and action blocks are read in bulk (see _Block.bulk), any other block, or
     a clean one again on any doubt, line by line; only the line reader raises
-    errors, so the tables, or the error and its place, are the same.
-
-    The line reader splits the text in chunks, from a few lines at the start
-    and after each bulk read up to _CHUNK characters, so a body read in bulk
-    is not split and the split lines held stay few."""
+    errors, so the tables, or the error and its place, are the same."""
     parsed = ParsedFile(path)
     block = line = None
-    at = line_no = 0          # where the next line starts, and its number
-    size = _FIRST_CHUNK
+    at = line_no = 0
     while at <= len(text):
-        stop = text.find("\n", at + size)
-        stop = len(text) if stop < 0 else stop
-        size = min(2 * size, _CHUNK)
-        for raw in text[at:stop].split("\n"):
-            line_no += 1
-            at += len(raw) + 1
-            if "#" in raw:
-                raw = raw.split("#", 1)[0]
-            tokens = raw.split()
-            if not tokens:
+        line_no += 1
+        stop = text.find("\n", at) + 1 or len(text) + 1
+        raw, at = text[at:stop - 1], stop
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if tokens[0] in _BLOCKS:
+            if block is not None:
+                block.finish()
+            block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
+            end = block.bulk(at)
+            if end is not None:
+                line_no += text.count("\n", at, end)
+                at, block = end, None
                 continue
-            if tokens[0] in _BLOCKS:
-                if block is not None:
-                    block.finish()
-                block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
-                end = block.bulk(at)
-                if end is not None:
-                    line_no += text.count("\n", at, end)
-                    at, block, size = end, None, _FIRST_CHUNK
-                    break
-                block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
-                line = block.line
-            elif block is None:
-                raise ParseError(path, line_no, _column(raw),
-                                 f"expected a block header, got {tokens[0]}")
-            else:
-                line(tokens, line_no)
+            block = _BLOCKS[tokens[0]](parsed, text, tokens, line_no)
+            line = block.line
+        elif block is None:
+            raise ParseError(path, line_no, _column(raw),
+                             f"expected a block header, got {tokens[0]}")
+        else:
+            line(tokens, line_no)
     if block is not None:
         block.finish()
     return parsed
-
-
-# Characters the line reader splits at a time: the first chunk, and the most
-_FIRST_CHUNK, _CHUNK = 256, 1 << 16
 
 
 def _column(line):
@@ -385,10 +373,7 @@ class _GroupoidBlock(_Block):
             self.inverse[u] = v
 
     def do_compose(self, v, u, w):
-        names = self.names
-        # known() finds and raises the error, once a test has failed
-        if v not in names or u not in names or w not in names:
-            self.known("arrow", names, v, u, w)
+        self.known("arrow", self.names, v, u, w)
         self.compose_lines.append((v, u, w, self.at))
 
     def fill(self, objects, arrows, inverses, composes):
@@ -726,25 +711,24 @@ def _compose_rows(g, arrows, identities):
 class _Emitter:
     """Entities in the text format, in two passes.  emit() runs every check
     that can fail (names, the id_x rule, two blocks under one name) and
-    keeps each block as chunks still to be computed; write() then writes
-    them, so an error leaves nothing written and the text is never held
-    whole."""
+    keeps each block as a function that renders it; write() then writes
+    the blocks as they are rendered, so an error leaves nothing written and
+    the text is never held whole."""
 
     def __init__(self):
         # id of each emitted entity -> (the entity, its name); holding the
         # entity keeps a freed temporary's id from being reused
         self.seen = {}
-        # name -> (its block's chunks, a function that renders the block
-        # afresh), in emission order
+        # name -> a function giving its block's chunks, in emission order
         self.blocks = {}
 
     def write(self, handle):
         """Write the blocks to handle, a blank line between two and a
-        newline after the last; the chunks are read once, so once only."""
+        newline after the last."""
         sep = ""
-        for chunks, _again in self.blocks.values():
+        for block in self.blocks.values():
             handle.write(sep)
-            handle.writelines(chunks)
+            handle.writelines(block())
             sep = "\n\n"
         handle.write("\n")
 
@@ -777,13 +761,13 @@ class _Emitter:
         """Keep render(*args, name), the block's chunks, under the entity's
         name, which only an identical block may already hold (so equal
         groups share one).  render checks the block's names when called
-        and may leave its chunks to be computed as they are written; only
-        two blocks under one name are rendered whole, to compare them."""
+        and may leave its chunks to be computed as they are read; only two
+        blocks under one name are rendered whole, to compare them."""
         name = _token(entity.name, "entity name")
         chunks = render(*args, name)
         if name not in self.blocks:
-            self.blocks[name] = (chunks, lambda: render(*args, name))
-        elif "".join(self.blocks[name][1]()) != "".join(chunks):
+            self.blocks[name] = lambda: render(*args, name)
+        elif "".join(self.blocks[name]()) != "".join(chunks):
             raise ValueError(f"two entities would be emitted as {name}")
         self.seen[id(entity)] = (entity, name)
         return name
@@ -877,10 +861,10 @@ class _Emitter:
 
 def entity_writer(entities):
     """Check that entities (with their prerequisites) can be written in the
-    text format, and return a function that writes them to a text handle,
-    once.  Every ValueError is raised here, before a byte is written, and
-    the writer never holds the whole text: a groupoid block goes out a
-    compose row at a time."""
+    text format, and return a function that writes them to a text handle.
+    Every ValueError is raised here, before a byte is written, and the
+    writer never holds the whole text: a groupoid block goes out a compose
+    row at a time."""
     emitter = _Emitter()
     for entity in entities:
         emitter.emit(entity)

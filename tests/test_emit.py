@@ -64,11 +64,13 @@ def test_the_writer_gives_render_entities_text_to_any_handle(tmp_path):
     count = 0
     for entities in _cases():
         text = render_entities(entities)
+        write = entity_writer(entities)
         recorder = _Recorder()
-        entity_writer(entities)(recorder)
+        write(recorder)
         assert "".join(recorder.writes) == text
+        # a writer writes the whole text again when called again
         with open(path, "w", encoding="utf-8") as handle:
-            entity_writer(entities)(handle)
+            write(handle)
         assert path.read_bytes() == text.encode("utf-8")
         count += 1
     assert count == 129

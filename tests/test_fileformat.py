@@ -791,21 +791,6 @@ def test_parse_errors_before_a_clean_block(text, message):
     assert str(err.value) == f"in.txt:{message}"
 
 
-def test_the_line_readers_chunks_change_no_result(monkeypatch):
-    # chunks of one line, and of a few lines, end at every place where a
-    # result could depend on them
-    texts = [text for text, _message in PARSE_ERRORS.values()]
-    texts += [text + "\n" + _TREE for text in texts[:40]]
-    texts += [text.replace("\n", "\r\n") for text in texts]
-    texts += list(_clean_texts())[:3]
-    expected = [_read(text) for text in texts]
-    assert sum(isinstance(result, str) for result in expected) > 100
-    for first, most in ((1, 1), (1, 40), (300, 300)):
-        monkeypatch.setattr(fileformat, "_FIRST_CHUNK", first)
-        monkeypatch.setattr(fileformat, "_CHUNK", most)
-        assert [_read(text) for text in texts] == expected
-
-
 @pytest.mark.parametrize("block, word, listed", [
     ("groupoid g", "objects", lambda g: g.objects),
     ("graph g", "vertex", lambda g: g.graph.vertices),
