@@ -18,11 +18,14 @@ Armstrong, "The fundamental group of the orbit space of a discontinuous
 group", Proc. Cambridge Philos. Soc. 64, 1968), on a G-orbit of components
 of the space with first object x, K(x) is the group of pairs (a, g) with
 a: g.x -> x, and N(x) is generated by F(x), the elements of G with fixed
-points lifted to K(x) (see _fixer_pairs).  The semidirect verb and the
-semidirect-laws check read the product's composition table, but no entry
-of it is stored: _PairTable computes each entry from integer positions
-when it is read, and a whole row, one per product arrow, in the order the
-emitter writes it, through compose_row.
+points lifted to K(x) (see _fixer_pairs).  K(x)'s table is a _LoopTable,
+which computes each product when it is read, and quotient_map checks
+normality on generators only, so neither stores nor scans anything
+quadratic in |K(x)|.  The semidirect verb and the semidirect-laws check
+read the product's composition table, but no entry of it is stored:
+_PairTable computes each entry from integer positions when it is read, and
+a whole row, one per product arrow, in the order the emitter writes it,
+through compose_row.
 
 Results come back as dataclasses: SemidirectProduct (groupoid, projection,
 action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
@@ -37,7 +40,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 
 from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
@@ -383,21 +386,47 @@ def _constant_on_orbits(act, f):
             for g in G.elements for a in sp.arrows)
 
 
+class _LoopTable(Mapping):
+    """K(x)'s multiplication table, (b, h)(a, g) = (b + h.a, hg) for pairs
+    of K(x), each entry computed when read and none stored.  Keys go in the
+    order of a dict built row by row over the pairs' order."""
+
+    def __init__(self, act, pairs):
+        self._act, self._pairs, self._members = act, pairs, set(pairs)
+
+    def __getitem__(self, key):
+        try:
+            v, u = key
+            if isinstance(key, tuple) and v in self._members \
+                    and u in self._members:
+                act, (b, h), (a, g) = self._act, v, u
+                return (act.space.compose[(b, act.act_arrow[(h, a)])],
+                        act.group.mul[(h, g)])
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return product(self._pairs, repeat=2)
+
+    def __len__(self):
+        return len(self._pairs) ** 2
+
+
 def _loop_group(act, x):
     """K(x): the object group at x of the semidirect product, built alone.
 
     Its elements are the pairs (a, g) with a: g.x -> x, in input order of
-    a and then of g, under (b, h)(a, g) = (b + h.a, hg).
+    a and then of g, under (b, h)(a, g) = (b + h.a, hg).  Its table is a
+    _LoopTable, which computes each product on lookup, so K(x) costs its
+    |K| pairs, not |K|^2 table entries.
     """
     G, sp = act.group, act.space
     pairs = [(a, g) for a in sp.costar(x) for g in G.elements
              if act.act_obj[(g, x)] == sp.source[a]]
-    mul = {(v, u): (sp.compose[(v[0], act.act_arrow[(v[1], u[0])])],
-                    G.mul[(v[1], u[1])])
-           for v in pairs for u in pairs}
     inverse = {(a, g): (act.act_arrow[(G.inv[g], sp.inverse_of[a])],
                         G.inv[g]) for (a, g) in pairs}
-    return GroupTable(pairs, mul, name=f"K({x})",
+    return GroupTable(pairs, _LoopTable(act, pairs), name=f"K({x})",
                       identity=(sp.identity_of[x], G.identity), inv=inverse)
 
 

@@ -423,6 +423,9 @@ def _group_generators(gt):
 
 
 def is_normal_subgroup(gt, members):
+    """Whether members is closed under conjugation by every element of gt:
+    the full scan over all of gt and all of members, kept as the reference
+    that quotient_map's check on generators is tested against."""
     mset = set(members)
     return all(gt.prod(gt.prod(g, n), gt.inv[g]) in mset
                for g in gt.elements for n in members)
@@ -433,15 +436,20 @@ def quotient_map(gt, members, name=None):
     the map sending each element of gt to its coset.
 
     Cosets are named "[r]" after their first element in input order.  A name
-    that is not an element raises ValueError.
+    that is not an element raises ValueError.  Normality is checked as
+    g n g^-1 in N for g among the generators of gt and n among those of N:
+    conjugation by g is a homomorphism, so it maps N into N when it maps
+    N's generators there, and the g that do so are closed under product,
+    which in a finite group makes them a subgroup, all of gt.
     """
-    mset, span = set(members), _span(gt, members)[1]
+    mset, (gens, span) = set(members), _span(gt, members)
     members = tuple(x for x in gt.elements if x in mset)
     if gt.identity not in mset:
         raise ValueError(f"{gt.name}: subgroup misses the identity")
     if span != mset:
         raise ValueError(f"{gt.name}: subset not closed under product")
-    if not is_normal_subgroup(gt, members):
+    if gens and not all(gt.prod(gt.prod(g, n), gt.inv[g]) in mset
+                        for g in _group_generators(gt) for n in gens):
         raise ValueError(f"{gt.name}: subgroup is not normal")
     first = classes(gt.elements, lambda x: [gt.prod(x, n) for n in members])
     coset = {x: f"[{first[x]}]" for x in gt.elements}

@@ -6,18 +6,22 @@ report survives pytest's capture; the assertions carry the actual checks.
 
 import gc
 import sys
+import time
 import tracemalloc
 import weakref
 from contextlib import contextmanager
 from importlib import resources
+from itertools import permutations
 
 import pytest
 
 from groupoids import (AbelianInvariants, GroupPresentation,
-                       abelian_invariants, cli, direct_product_group, suite,
+                       abelian_invariants, cli, cyclic_group,
+                       direct_product_group, object_group, orbit_groupoid,
+                       quaternion_group, suite, symmetric_group,
                        symmetric_square_presentation)
-from groupoids.corpus import (named_actions, random_actions,
-                              random_orbit_instances,
+from groupoids.corpus import (_one_object_action, named_actions,
+                              random_actions, random_orbit_instances,
                               random_quotient_instances)
 from groupoids.oracle import (abelian_group_invariants, brute_abelianization,
                               finite_quotient)
@@ -77,6 +81,51 @@ def test_abelianization_routes_agree():
             assert via_square == direct == frozen, (label, via_square, direct)
         notes.append("skew-diagonal quotient matches the commutator "
                      "quotient on Z4, S3, D4, Q8, A4")
+
+
+def _permuting_factors(group, perm_of, gt, n):
+    """group permuting the n factors of the one-object groupoid of gt^n:
+    g sends (x_0, ..., x_{n-1}) to the tuple whose i-th entry is x_j,
+    perm_of[g] sending j to i."""
+    power, tuples = gt, [(x,) for x in gt.elements]
+    for _ in range(n - 1):
+        power = direct_product_group(power, gt)
+        tuples = [t + (y,) for t in tuples for y in gt.elements]
+    name = dict(zip(tuples, power.elements))
+    images = {g: {name[t]: name[tuple(t[p.index(i)] for i in range(n))]
+                  for t in tuples} for g, p in perm_of.items()}
+    return _one_object_action(group, power, images,
+                              f"{group.name}-on-{power.name}")
+
+
+def test_symmetric_powers_through_the_orbit_groupoid():
+    # each group fixes the one object, so the orbit group is K/<F>: G^ab
+    start = time.perf_counter()
+    s3 = symmetric_group(3)
+    swap = {"0": (0, 1), "1": (1, 0)}
+    # symmetric_group(3) lists its elements in the order of their sorted
+    # permutations
+    shuffle = dict(zip(s3.elements, sorted(permutations(range(3)))))
+    cases = [(cyclic_group(2), swap, gt, 2, frozen)
+             for _label, gt, frozen, _pres in suite._FROZEN_ABELIANIZATIONS]
+    cases += [(s3, shuffle, gt, 3, frozen) for gt, frozen in (
+        (cyclic_group(4), (4,)), (s3, (2,)), (quaternion_group(), (2, 2)))]
+    with criterion("symmetric-powers-via-orbit") as notes:
+        for group, perm_of, gt, n, frozen in cases:
+            act = _permuting_factors(group, perm_of, gt, n)
+            tracemalloc.start()
+            try:
+                orb = orbit_groupoid(act)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            (x,) = orb.groupoid.objects
+            got = abelian_group_invariants(object_group(orb.groupoid, x))
+            assert got == frozen, (act.name, got)
+            assert peak < 8_000_000, (act.name, peak)
+        notes.append("Z2 on the squares of Z4, S3, D4, Q8, A4 and S3 on the "
+                     "cubes of Z4, S3, Q8 give G^ab")
+    assert time.perf_counter() - start < 2
 
 
 def test_projection_trichotomy():

@@ -17,6 +17,7 @@ from groupoids import (FiniteGroupoid, GroupoidAction, GroupoidMorphism,
                        trivial_action, trivial_group, validate_groupoid,
                        validate_morphism)
 from groupoids import constructions, suite
+from groupoids.constructions import _loop_group
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
@@ -102,6 +103,43 @@ def test_semidirect_table_reads_as_a_dict(act):
         with pytest.raises(KeyError):
             table[key]
     assert (v, g.identity_of[g.source[v]]) in table
+
+
+def _reference_loop_table(act, x):
+    """K(x)'s table by the pair rule, as a dict: rows over the pairs
+    (a, g) with a: g.x -> x, by a in the costar's order and g in the
+    group's, each row over the same pairs."""
+    G, sp = act.group, act.space
+    pairs = [(a, g) for a in sp.costar(x) for g in G.elements
+             if act.act_obj[(g, x)] == sp.source[a]]
+    return {((b, h), (a, g)): (sp.compose[(b, act.act_arrow[(h, a)])],
+                               G.mul[(h, g)])
+            for (b, h) in pairs for (a, g) in pairs}
+
+
+@pytest.mark.parametrize("act", [act for _name, act in named_actions()]
+                         + random_actions() + random_orbit_instances(),
+                         ids=lambda act: act.name)
+def test_loop_group_table_reads_as_a_dict(act):
+    G, sp = act.group, act.space
+    for x in sp.objects:
+        table, reference = _loop_group(act, x).mul, \
+            _reference_loop_table(act, x)
+        assert len(table) == len(reference)
+        assert dict(table) == reference
+        assert list(table.items()) == list(reference.items())
+        v = next(iter(reference))[0]
+        # the pairs of other objects, and the product arrows into or out
+        # of x that are no loops there, with some of which the pair rule
+        # would still compose v
+        strangers = [key for a in sp.arrows for g in G.elements
+                     if ((a, g), (a, g)) not in reference
+                     for key in ((v, (a, g)), ((a, g), v))]
+        for key in strangers + [(v, "ab"), "ab", (v, v, v)]:
+            assert key not in table and key not in reference
+            assert table.get(key) is None
+            with pytest.raises(KeyError):
+                table[key]
 
 
 def _tree_with_identities_last():

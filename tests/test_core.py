@@ -30,7 +30,7 @@ from groupoids.constructions import _PairGroupoid
 from groupoids.core import ISO_ARROW_CAP, _associativity_failures, \
     _generators, _generators_associate, _group_generators, _span, \
     element_order, group_isomorphism, is_abelian_group, is_normal_subgroup, \
-    subgroup_closure
+    quotient_map, subgroup_closure
 from groupoids.corpus import (named_actions, random_actions,
                               random_orbit_instances,
                               random_quotient_instances)
@@ -324,6 +324,29 @@ def test_span_matches_the_earlier_closure_and_generators(group):
         assert subgroup_closure(group, candidates) == closure
     assert _group_generators(group) == \
         _reference_group_generators(group, elements)
+
+
+@pytest.mark.parametrize("group", [
+    symmetric_group(3), dihedral_group(4), quaternion_group(),
+    alternating_group(4), symmetric_group(4)], ids=lambda gt: gt.name)
+def test_quotient_map_checks_normality_on_generators(group):
+    subgroups = {subgroup_closure(group, (a, b))
+                 for a in group.elements for b in group.elements}
+    normal = [h for h in subgroups if is_normal_subgroup(group, h)]
+    # every subgroup of Q8 is normal; the other four have some that are not
+    assert len(normal) > 2
+    assert (len(normal) == len(subgroups)) == (group.name == "Q8")
+    for h in subgroups:
+        if h in normal:
+            quotient_map(group, h)
+        else:
+            with pytest.raises(ValueError, match="subgroup is not normal$"):
+                quotient_map(group, h)
+        # a subgroup less one element is no subgroup, normal or not
+        if len(h) > 2:
+            with pytest.raises(ValueError,
+                               match="subset not closed under product$"):
+                quotient_map(group, h[:-1])
 
 
 def test_direct_product_group():
