@@ -30,8 +30,8 @@ through compose_row.
 Results come back as dataclasses: SemidirectProduct (groupoid, projection,
 action, name_of), QuotientGroupoid (groupoid, morphism), OrbitGroupoid
 (groupoid, morphism, and the semidirect product, which orbit_groupoid does
-not build: it is built on first read, from the action and the pair names,
-together with its position tables, and still no entry is stored), and the
+not build: it is built on first read, from the action, together with its
+pair names and position tables, and still no entry is stored), and the
 RestrictOrbitReport and RegularCoverReport check reports.
 """
 
@@ -47,7 +47,8 @@ from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
 from .catalog import bundle, group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, GroupTable,
-                   WideSubgroupoid, _checked_morphism, _ensure, blocks_by,
+                   WideSubgroupoid, _checked_morphism, _ensure,
+                   _group_generators, blocks_by,
                    components, fresh_name, full_subgroupoid, is_covering,
                    is_fibration, is_quotient_morphism, is_tree_groupoid,
                    object_group, quotient_group, quotient_map, star,
@@ -65,11 +66,13 @@ class SemidirectProduct:
 
 
 def _pair_names(act):
-    """Names of the semidirect arrows of a valid action, keyed by pair.
+    """The semidirect arrows of a valid action, ((a, g), name) in name order.
 
-    Identities first, id_x for (id_x, 1), then the pairs (a, g) in input
-    order, "(a,g)" with primes added where names holding commas collide.
-    An invalid action raises ValueError: validate_action runs here, so an
+    Identities first, id_x for (id_x, 1), then the pairs (a, g) by a in the
+    space's order and g in the group's, "(a,g)" with primes added where
+    names holding commas collide.  A name depends only on the pairs before
+    it, so a caller may stop the walk early.  An invalid action raises
+    ValueError before any pair is named: validate_action runs here, so an
     action never validated is still checked, and one validated before (as
     every parsed action is) costs only the kept verdict.
     """
@@ -77,13 +80,12 @@ def _pair_names(act):
     if problems:
         raise ValueError(f"{act.name}: invalid action: {problems[0]}")
     G, sp = act.group, act.space
-    name_of = {(sp.identity_of[x], G.identity): f"id_{x}" for x in sp.objects}
-    taken = set(name_of.values())
-    for a in sp.arrows:
-        for g in G.elements:
-            if (a, g) not in name_of:
-                name_of[(a, g)] = fresh_name(f"({a},{g})", taken)
-    return name_of
+    ids = {sp.identity_of[x]: f"id_{x}" for x in sp.objects}
+    taken = set(ids.values())
+    return chain((((a, G.identity), u) for a, u in ids.items()),
+                 (((a, g), fresh_name(f"({a},{g})", taken))
+                  for a in sp.arrows for g in G.elements
+                  if g != G.identity or a not in ids))
 
 
 class _PairTable(Mapping):
@@ -213,10 +215,9 @@ class _PairGroupoid(FiniteGroupoid):
         return self.compose.row(v)
 
 
-def _semidirect(act, name_of):
-    """The semidirect product of a valid action on the named pairs, its
-    projection not checked."""
-    G = act.group
+def _semidirect(act):
+    """The semidirect product of an action, its projection not checked."""
+    G, name_of = act.group, dict(_pair_names(act))
     gpd = _PairGroupoid(act, name_of)
     cod = groupoid_from_group(G, name=f"{G.name}-gpd")
     projection = GroupoidMorphism(
@@ -235,7 +236,7 @@ def semidirect_product(act):
     generators, which takes the product to be a groupoid, as it is for a
     valid action; the semidirect-laws check validates the corpus products.
     """
-    sd = _semidirect(act, _pair_names(act))
+    sd = _semidirect(act)
     _checked_morphism(sd.projection)
     _ensure(is_fibration(sd.projection),
             f"{sd.projection.name} is not a fibration")
@@ -294,20 +295,26 @@ class QuotientGroupoid:
     morphism: GroupoidMorphism
 
 
-def _assemble(objects, blocks, key_of, name):
-    """The quotient with these components, and the class of each arrow.
+def _assemble(objects, blocks, keyed, name):
+    """The quotient with these components, and the name of each class.
 
     blocks lists each component's objects with its vertex group K(x)/N(x),
-    x its base.  key_of maps every arrow u, in input order, to (Y, c, Z):
-    u runs Y -> Z and is in the coset c after transport to x.  Classes open
-    in that order, id_Y for (Y, identity, Y) and [u] otherwise, and the
+    x its base.  keyed yields, in input order, arrows u with their keys
+    (Y, c, Z): u runs Y -> Z and is in the coset c after transport to x.
+    Each key is a class, named after its first arrow, id_Y for
+    (Y, identity, Y) and [u] otherwise; keyed is read only until every
+    class has its name, and running out first is an _InternalError.  The
     quotient lists the identity classes first.
     """
     ids = {(y, vg.identity, y) for objs, vg in blocks for y in objs}
+    wanted = sum(len(objs) ** 2 * len(vg.elements) for objs, vg in blocks)
     label = {}
-    for u, key in key_of.items():
+    for u, key in keyed:
         if key not in label:
             label[key] = f"id_{key[0]}" if key in ids else f"[{u}]"
+            if len(label) == wanted:
+                break
+    _ensure(len(label) == wanted, f"{name}: a class has no arrow")
     shape = bundle(objects, blocks, lambda y, v, z, _vg: label[(y, v, z)],
                    name)
     arrows = sorted(label.values(), key=lambda u: not u.startswith("id_"))
@@ -316,7 +323,7 @@ def _assemble(objects, blocks, key_of, name):
                          name=name)
     problems = validate_groupoid(gpd)
     _ensure(not problems, f"{name} is not a groupoid", problems)
-    return gpd, {u: label[key] for u, key in key_of.items()}
+    return gpd, label
 
 
 def quotient_groupoid(k, n, name=None):
@@ -352,10 +359,11 @@ def quotient_groupoid(k, n, name=None):
                           k.compose[(a, transport[y])])]
         key_of[a] = (obj_class[y], coset_of[y][loop], obj_class[z])
 
-    gpd, arrow_class = _assemble(list(dict.fromkeys(obj_class.values())),
-                                 blocks, key_of, name)
+    gpd, label = _assemble(list(dict.fromkeys(obj_class.values())), blocks,
+                           key_of.items(), name)
     morphism = _checked_morphism(GroupoidMorphism(
-        k, gpd, obj_class, arrow_class, name=f"cls-{name}"))
+        k, gpd, obj_class, {a: label[key] for a, key in key_of.items()},
+        name=f"cls-{name}"))
     _ensure(is_quotient_morphism(morphism),
             f"{morphism.name} is not a quotient morphism")
     return QuotientGroupoid(gpd, morphism)
@@ -364,26 +372,34 @@ def quotient_groupoid(k, n, name=None):
 @dataclass
 class OrbitGroupoid:
     """An orbit groupoid, its canonical morphism and its semidirect product,
-    which is built on first read, together with its position tables; still
-    no entry of its composition table is stored."""
+    which is built on first read, from the action: its pair names (most of
+    which orbit_groupoid never makes) and its position tables; still no
+    entry of its composition table is stored."""
 
     groupoid: FiniteGroupoid
     morphism: GroupoidMorphism
     _action: GroupoidAction = field(repr=False, compare=False)
-    _name_of: dict = field(repr=False, compare=False)
 
     @cached_property
     def semidirect(self):
-        return _semidirect(self._action, self._name_of)
+        return _semidirect(self._action)
 
 
 def _constant_on_orbits(act, f):
-    """Whether the morphism f out of act.space is constant on orbits."""
-    G, sp = act.group, act.space
+    """Whether the morphism f out of act.space is constant on orbits, for
+    a valid action.
+
+    Checked for g among the generators of G only: if f(s.a) = f(a) for
+    every generator s, then f(st.a) = f(s.(t.a)) = f(t.a) by the action
+    law, which validate_action has checked, and every element of a finite
+    group is a product of generators.  oracle._constant_on_orbits is the
+    full scan over G that this is tested against.
+    """
+    gens, sp = _group_generators(act.group), act.space
     return all(f.object_map[act.act_obj[(g, x)]] == f.object_map[x]
-               for g in G.elements for x in sp.objects) and \
+               for g in gens for x in sp.objects) and \
         all(f.arrow_map[act.act_arrow[(g, a)]] == f.arrow_map[a]
-            for g in G.elements for a in sp.arrows)
+            for g in gens for a in sp.arrows)
 
 
 class _LoopTable(Mapping):
@@ -451,11 +467,14 @@ def orbit_groupoid(act):
     (identity, k) + t_y0 for y = k.y0, y0 the first object of y's orbit.
     The canonical morphism sends an arrow a to the class of (a, 1); it is
     constant on orbits, surjective, and a fibration, and its objects
-    correspond to the object orbits.  The semidirect product is built when
-    the result's semidirect field is first read.
+    correspond to the object orbits.  Pairs are named and keyed in name
+    order only until every class has its first pair, and the morphism keys
+    the pairs (a, 1): Z12 rotating the 12-object tree names 265 of its 1728
+    pairs.  The semidirect product is built when the result's semidirect
+    field is first read.
     """
     G, sp = act.group, act.space
-    name_of = _pair_names(act)
+    pairs = _pair_names(act)
     orbits = object_orbits(act)
 
     # base[c] = (x, h): x the first object of the G-orbit of the space's
@@ -485,8 +504,7 @@ def orbit_groupoid(act):
         vg, coset[x] = quotient_map(loops, members)
         blocks.append((names, vg))
 
-    key_of = {}
-    for (a, g), u in name_of.items():
+    def key(a, g):
         y, z = act.act_obj[(G.inv[g], sp.source[a])], sp.target[a]
         (cy, hy), (cz, hz) = transport[y], transport[z]
         back = G.inv[hz]
@@ -494,11 +512,12 @@ def orbit_groupoid(act):
                     sp.inverse_of[cz],
                     sp.compose[(a, act.act_arrow[(g, cy)])])])],
                 G.mul[(G.mul[(back, g)], hy)])
-        key_of[u] = (orbit_of[y], coset[base_of[y]][loop], orbit_of[z])
+        return (orbit_of[y], coset[base_of[y]][loop], orbit_of[z])
 
-    gpd, class_of = _assemble([f"[{block[0]}]" for block in orbits], blocks,
-                              key_of, f"{sp.name}//{G.name}")
-    arrow_map = {a: class_of[name_of[(a, G.identity)]] for a in sp.arrows}
+    gpd, label = _assemble([f"[{block[0]}]" for block in orbits], blocks,
+                           ((u, key(a, g)) for (a, g), u in pairs),
+                           f"{sp.name}//{G.name}")
+    arrow_map = {a: label[key(a, G.identity)] for a in sp.arrows}
     morphism = _checked_morphism(GroupoidMorphism(
         sp, gpd, orbit_of, arrow_map, name=f"orbit-{act.name}"))
 
@@ -512,7 +531,7 @@ def orbit_groupoid(act):
     _ensure(set(morphism.arrow_map.values()) == set(gpd.arrows),
             f"{name} is not onto the arrows")
     _ensure(is_fibration(morphism), f"{name} is not a fibration")
-    return OrbitGroupoid(gpd, morphism, act, name_of)
+    return OrbitGroupoid(gpd, morphism, act)
 
 
 def orbit_kernel_generators(act):

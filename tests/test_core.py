@@ -873,7 +873,8 @@ def test_constructors_keep_the_tables_they_are_given():
     assert isinstance(semidirect_product(rotation).groupoid.compose,
                       constructions._PairTable)
     # handed to the constructor, not made on a later read
-    product = _PairGroupoid(rotation, constructions._pair_names(rotation))
+    product = _PairGroupoid(rotation,
+                            dict(constructions._pair_names(rotation)))
     assert isinstance(vars(product)["compose"], constructions._PairTable)
 
 
