@@ -18,7 +18,7 @@ Armstrong, "The fundamental group of the orbit space of a discontinuous
 group", Proc. Cambridge Philos. Soc. 64, 1968), on a G-orbit of components
 of the space with first object x, K(x) is the group of pairs (a, g) with
 a: g.x -> x, and N(x) is generated by F(x), the elements of G with fixed
-points lifted to K(x) (see _fixer_pairs).  K(x)'s table is a _LoopTable,
+points lifted to K(x) (see _fixer_pairs).  K(x)'s table is a core._Table,
 which computes each product when it is read, and quotient_map checks
 normality on generators only, so neither stores nor scans anything
 quadratic in |K(x)|.  The semidirect verb and the semidirect-laws check
@@ -40,14 +40,14 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
 from .catalog import bundle, group_isomorphic, groupoid_from_group
 from .core import (FiniteGroupoid, GroupoidMorphism, GroupTable,
-                   WideSubgroupoid, _checked_morphism, _ensure,
+                   WideSubgroupoid, _Table, _checked_morphism, _ensure,
                    _group_generators, blocks_by,
                    components, fresh_name, full_subgroupoid, is_covering,
                    is_fibration, is_quotient_morphism, is_tree_groupoid,
@@ -402,47 +402,30 @@ def _constant_on_orbits(act, f):
             for g in gens for a in sp.arrows)
 
 
-class _LoopTable(Mapping):
-    """K(x)'s multiplication table, (b, h)(a, g) = (b + h.a, hg) for pairs
-    of K(x), each entry computed when read and none stored.  Keys go in the
-    order of a dict built row by row over the pairs' order."""
-
-    def __init__(self, act, pairs):
-        self._act, self._pairs, self._members = act, pairs, set(pairs)
-
-    def __getitem__(self, key):
-        try:
-            v, u = key
-            if isinstance(key, tuple) and v in self._members \
-                    and u in self._members:
-                act, (b, h), (a, g) = self._act, v, u
-                return (act.space.compose[(b, act.act_arrow[(h, a)])],
-                        act.group.mul[(h, g)])
-        except (TypeError, ValueError):
-            pass
-        raise KeyError(key)
-
-    def __iter__(self):
-        return product(self._pairs, repeat=2)
-
-    def __len__(self):
-        return len(self._pairs) ** 2
-
-
 def _loop_group(act, x):
     """K(x): the object group at x of the semidirect product, built alone.
 
     Its elements are the pairs (a, g) with a: g.x -> x, in input order of
     a and then of g, under (b, h)(a, g) = (b + h.a, hg).  Its table is a
-    _LoopTable, which computes each product on lookup, so K(x) costs its
-    |K| pairs, not |K|^2 table entries.
+    core._Table, which computes each product on lookup, so K(x) costs its
+    |K| pairs, not |K|^2 table entries.  The pair rule also composes some
+    pairs outside K(x), so the entry checks that both are members.
     """
     G, sp = act.group, act.space
     pairs = [(a, g) for a in sp.costar(x) for g in G.elements
              if act.act_obj[(g, x)] == sp.source[a]]
     inverse = {(a, g): (act.act_arrow[(G.inv[g], sp.inverse_of[a])],
                         G.inv[g]) for (a, g) in pairs}
-    return GroupTable(pairs, _LoopTable(act, pairs), name=f"K({x})",
+    members, compose, act_arrow, mul = \
+        set(pairs), sp.compose, act.act_arrow, G.mul
+
+    def entry(v, u):
+        if v not in members or u not in members:
+            raise KeyError((v, u))
+        (b, h), (a, g) = v, u
+        return compose[(b, act_arrow[(h, a)])], mul[(h, g)]
+
+    return GroupTable(pairs, _Table(pairs, entry), name=f"K({x})",
                       identity=(sp.identity_of[x], G.identity), inv=inverse)
 
 

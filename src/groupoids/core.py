@@ -15,7 +15,9 @@ A table once handed over is not written to; no code in this package does so.
 So a verdict on an entity depends on that entity alone, and two are computed
 once and kept on it: validate_action's (and validate_graph_action's) list of
 problems, and the generating set _generators picks for a groupoid.  A caller
-who wants different tables builds a new entity.
+who wants different tables builds a new entity.  Three derived tables are
+computed on lookup, not stored, each a _Table: direct_product_group's, K(x)'s
+in constructions and groupoid_from_group's composition table in catalog.
 """
 
 from __future__ import annotations
@@ -481,35 +483,28 @@ def fresh_name(name, taken):
     return name
 
 
-class _ProductTable(Mapping):
-    """The multiplication table of a direct product, each entry computed
-    when read; nothing is stored per entry.
+class _Table(Mapping):
+    """A read-only table over keys whose entry at (v, u) is entry(v, u),
+    computed when read, which raises KeyError off the table.  Nothing is
+    stored per entry; keys go in the order of a dict built row by row."""
 
-    name_of maps each pair (x, y) to its element name.  The entry at
-    (u, v) is the name of the componentwise product of the pairs behind
-    u and v.  Keys go in the order of a dict built row by row over
-    name_of's order.
-    """
-
-    def __init__(self, a, b, name_of):
-        self._a, self._b, self._name_of = a.mul, b.mul, name_of
-        self._pair = {u: xy for xy, u in name_of.items()}
+    def __init__(self, keys, entry):
+        self._keys, self._entry = tuple(keys), entry
 
     def __getitem__(self, key):
         try:
-            u, v = key
-            (x1, y1), (x2, y2) = self._pair[u], self._pair[v]
+            v, u = key
             if isinstance(key, tuple):
-                return self._name_of[(self._a[(x1, x2)], self._b[(y1, y2)])]
+                return self._entry(v, u)
         except (KeyError, TypeError, ValueError):
             pass
         raise KeyError(key)
 
     def __iter__(self):
-        return product(self._pair, repeat=2)
+        return product(self._keys, repeat=2)
 
     def __len__(self):
-        return len(self._pair) ** 2
+        return len(self._keys) ** 2
 
 
 def direct_product_group(a, b, name=None):
@@ -517,15 +512,20 @@ def direct_product_group(a, b, name=None):
 
     Its elements are the pairs (x, y), x in a's order and, for each x, y
     in b's, named "(x,y)" made fresh (fresh_name).  Its multiplication
-    table is a read-only _ProductTable that multiplies componentwise on
-    lookup, so the square of an order-n group costs O(n^2) to build, not
-    O(n^4).
+    table is a read-only _Table that multiplies componentwise on lookup,
+    so the square of an order-n group costs O(n^2) to build, not O(n^4).
     """
     taken = set()
     name_of = {(x, y): fresh_name(f"({x},{y})", taken)
                for x in a.elements for y in b.elements}
+    pair, amul, bmul = {u: xy for xy, u in name_of.items()}, a.mul, b.mul
+
+    def entry(v, u):
+        (x1, y1), (x2, y2) = pair[v], pair[u]
+        return name_of[(amul[(x1, x2)], bmul[(y1, y2)])]
+
     return GroupTable(
-        name_of.values(), _ProductTable(a, b, name_of),
+        name_of.values(), _Table(name_of.values(), entry),
         name=name or f"{a.name}x{b.name}",
         identity=name_of[(a.identity, b.identity)],
         inv={u: name_of[(a.inv[x], b.inv[y])] for (x, y), u in name_of.items()})
