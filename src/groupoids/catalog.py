@@ -1,16 +1,16 @@
 """Stock groups and groupoids used by tests, the CLI corpus, and the docs.
 
 Every connected finite groupoid is a tree groupoid times its object group,
-so one builder, ``bundle``, makes the discrete, tree and connected
-groupoids, each a choice of blocks and of arrow names.  A group as a
-one-object groupoid reads the group's table on lookup (core._Table).
+so one builder, ``bundle``, makes all the stock groupoids: a group as a
+one-object groupoid, discrete, tree and connected groupoids, each a
+choice of blocks and of arrow names.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .core import (FiniteGroupoid, GroupTable, _Table, direct_product_group,
+from .core import (FiniteGroupoid, GroupTable, direct_product_group,
                    element_order, group_isomorphism, is_abelian_group,
                    object_group)
 
@@ -161,22 +161,11 @@ def groupoid_from_group(gt, object_name="pt", name=None):
     """A group as a one-object groupoid.
 
     The identity element becomes the identity arrow id_<object>; every other
-    element is the arrow of the same name, listed after the identity in
-    element order.  compose multiplies in gt when read and stores nothing.
+    element is the arrow of the same name.
     """
-    e, ident = gt.identity, f"id_{object_name}"
-    arrow = {v: ident if v == e else v for v in gt.elements}
-    element, mul = {u: v for v, u in arrow.items()}, gt.mul
-
-    def entry(w, v):
-        return arrow[mul[(element[w], element[v])]]
-
-    return FiniteGroupoid(
-        (object_name,), [ident, *(v for v in gt.elements if v != e)],
-        dict.fromkeys(arrow.values(), object_name),
-        dict.fromkeys(arrow.values(), object_name), {object_name: ident},
-        {u: arrow[gt.inv[v]] for v, u in arrow.items()},
-        _Table(arrow.values(), entry), name=name or f"{gt.name}-gpd")
+    return bundle((object_name,), [((object_name,), gt)],
+                  lambda x, v, _y, vg: f"id_{x}" if v == vg.identity else v,
+                  name or f"{gt.name}-gpd")
 
 
 def discrete_groupoid(objects, name="discrete"):

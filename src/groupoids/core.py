@@ -15,9 +15,9 @@ A table once handed over is not written to; no code in this package does so.
 So a verdict on an entity depends on that entity alone, and two are computed
 once and kept on it: validate_action's (and validate_graph_action's) list of
 problems, and the generating set _generators picks for a groupoid.  A caller
-who wants different tables builds a new entity.  Three derived tables are
-computed on lookup, not stored, each a _Table: direct_product_group's, K(x)'s
-in constructions and groupoid_from_group's composition table in catalog.
+who wants different tables builds a new entity.  Two derived tables are
+computed on lookup, not stored, each a _Table: direct_product_group's and
+K(x)'s in constructions.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -413,70 +412,6 @@ def test_direct_product_names_with_commas_stay_distinct():
                                                     cyclic_group(3)))
     # names that do not collide keep their plain pair form
     assert klein_group().elements == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
-
-
-class _CountingTable(Mapping):
-    """A group table that counts the entries read from it."""
-
-    def __init__(self, mul):
-        self._mul, self.reads = mul, 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return self._mul[key]
-
-    def __iter__(self):
-        return iter(self._mul)
-
-    def __len__(self):
-        return len(self._mul)
-
-
-def _bundled_group_groupoid(gt):
-    """gt as a one-object groupoid built by bundle, its composition table a
-    dict: the reference for groupoid_from_group's table computed on
-    lookup."""
-    return bundle(("pt",), [(("pt",), gt)],
-                  lambda x, v, _y, vg: f"id_{x}" if v == vg.identity else v,
-                  f"{gt.name}-gpd")
-
-
-def _z3(names, identity, name):
-    """Z3 on the given element names, identity at any position."""
-    at = {x: (i - names.index(identity)) % 3 for i, x in enumerate(names)}
-    of = {k: x for x, k in at.items()}
-    return GroupTable(names, {(x, y): of[(at[x] + at[y]) % 3]
-                              for x in names for y in names}, name=name)
-
-
-@pytest.mark.parametrize("base", [
-    trivial_group(), cyclic_group(1), cyclic_group(4), klein_group(),
-    symmetric_group(3), dihedral_group(4), quaternion_group(),
-    alternating_group(4), direct_product_group(symmetric_group(3),
-                                               cyclic_group(2)),
-    _z3(["a", "e", "b"], "e", "late-identity"),
-    _z3(["u,v", "w", "e,f"], "w", "commas")], ids=lambda g: g.name)
-def test_groupoid_from_group_reads_its_table_on_lookup(base):
-    counting = _CountingTable(base.mul)
-    gt = GroupTable(base.elements, counting, name=base.name,
-                    identity=base.identity, inv=base.inv)
-    gpd = groupoid_from_group(gt)
-    assert counting.reads == 0
-    ref = _bundled_group_groupoid(base)
-    for field in ("objects", "arrows", "identity_of", "name"):
-        assert getattr(gpd, field) == getattr(ref, field)
-    for field in ("source", "target", "inverse_of"):
-        assert list(getattr(gpd, field).items()) == \
-            list(getattr(ref, field).items())
-    assert len(gpd.compose) == len(ref.compose)
-    assert list(gpd.compose.items()) == list(ref.compose.items())
-    assert counting.reads == len(ref.compose)
-    e = gpd.identity_of["pt"]
-    assert gpd.compose.get(("bogus", e)) is None
-    for key in (("bogus", e), 7, (e,)):
-        with pytest.raises(KeyError):
-            gpd.compose[key]
-    assert validate_groupoid(gpd) == []
 
 
 def test_object_group_reads_loops():
