@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from itertools import product
+from itertools import product, repeat
 from operator import itemgetter
 
 
@@ -83,9 +83,10 @@ class FiniteGroupoid:
 
     def compose_row(self, v):
         """v + u for the arrows u ending at the source of v, in costar
-        order; a missing entry raises KeyError."""
-        compose = self.compose
-        return [compose[(v, u)] for u in self._costar.get(self.source[v], ())]
+        order: here a tuple, one map of the table's lookup over the keys
+        (v, u), and a missing entry raises KeyError."""
+        return tuple(map(self.compose.__getitem__,
+                         zip(repeat(v), self._costar.get(self.source[v], ()))))
 
     def __repr__(self):
         return (f"FiniteGroupoid({self.name!r}, {len(self.objects)} objects, "
@@ -179,12 +180,17 @@ def is_tree_groupoid(g):
 def validate_groupoid(g):
     """Return a list of violated invariants; empty means valid.
 
-    Associativity is checked with Light's test (A. H. Clifford and G. B.
-    Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2): only
-    triples whose middle arrow lies in a generating set are tried.  The
-    scan of every composable triple runs only to report failures, when
-    Light's test finds one or an identity or inverse law already failed,
-    so the list is always the full scan's.
+    The composition table is checked on rows: each arrow's row is read
+    once (_table_rows), and the table holds when every row reads through
+    to arrows with the right endpoints and the entries are as many as the
+    composable pairs.  The scans of every entry and of every pair run only
+    when that fails, to word the problems.  Associativity is checked with
+    Light's test (A. H. Clifford and G. B. Preston, The Algebraic Theory
+    of Semigroups I, 1961, section 1.2) on the same rows: only triples
+    whose middle arrow lies in a generating set are tried.  The scan of
+    every composable triple runs only to report failures, when Light's
+    test finds one or an identity or inverse law already failed.  So the
+    list is always the full scans'.
     """
     problems = []
     for x in g.objects:
@@ -211,28 +217,28 @@ def validate_groupoid(g):
     if problems:
         return problems
 
-    # composition table keyed exactly by the composable pairs
-    for (v, u), w in g.compose.items():
-        if v not in g.arrow_index or u not in g.arrow_index:
-            problems.append(f"compose({v}, {u}) involves unknown arrows")
-            continue
-        if g.target[u] != g.source[v]:
-            problems.append(f"compose({v}, {u}) defined but not composable")
-            continue
-        if w not in g.arrow_index:
-            problems.append(f"compose({v}, {u}) = {w} is not an arrow")
-        elif g.source[w] != g.source[u] or g.target[w] != g.target[v]:
-            problems.append(f"compose({v}, {u}) = {w} has wrong endpoints")
-    # the entries are distinct composable pairs, so as many as there are
-    # pairs means none is missing
-    pairs = sum(len(g._costar.get(g.source[v], ())) for v in g.arrows)
-    if problems or len(g.compose) != pairs:
+    rows = _table_rows(g)
+    if rows is None:
+        # composition table keyed exactly by the composable pairs
+        for (v, u), w in g.compose.items():
+            if v not in g.arrow_index or u not in g.arrow_index:
+                problems.append(f"compose({v}, {u}) involves unknown arrows")
+                continue
+            if g.target[u] != g.source[v]:
+                problems.append(
+                    f"compose({v}, {u}) defined but not composable")
+                continue
+            if w not in g.arrow_index:
+                problems.append(f"compose({v}, {u}) = {w} is not an arrow")
+            elif g.source[w] != g.source[u] or g.target[w] != g.target[v]:
+                problems.append(
+                    f"compose({v}, {u}) = {w} has wrong endpoints")
         for v in g.arrows:
             for u in g._costar.get(g.source[v], ()):
                 if (v, u) not in g.compose:
                     problems.append(f"missing composition: compose {v} {u}")
-    if problems:
-        return problems
+        if problems:
+            return problems
 
     for u in g.arrows:
         x, y = g.source[u], g.target[u]
@@ -245,9 +251,37 @@ def validate_groupoid(g):
             problems.append(f"{u} + inverse({u}) is not the identity at {y}")
         if g.compose[(v, u)] != g.identity_of[x]:
             problems.append(f"inverse({u}) + {u} is not the identity at {x}")
-    if problems or not _generators_associate(g):
+    if problems or not _generators_associate(g, rows):
         problems.extend(_associativity_failures(g))
     return problems
+
+
+def _table_rows(g):
+    """Every arrow's row (compose_row, as a tuple), or None unless the
+    table holds: every row reads through, its entry at u is an arrow from
+    the source of u to the target of the row's arrow, and the table has
+    as many entries as the rows, so no key off the composable pairs.  Each
+    row is checked in one map over it of the number of each arrow's
+    hom-set, compared with the numbers it should have (-1 for an empty
+    hom-set, which no entry matches).  Expects known endpoints."""
+    source, target, costar = g.source, g.target, g._costar
+    hom = {}
+    hom_of = {u: hom.setdefault((source[u], target[u]), len(hom))
+              for u in g.arrows}
+    rows, want, entries = {}, {}, 0
+    for v in g.arrows:
+        y, z = source[v], target[v]
+        if (y, z) not in want:
+            want[y, z] = [hom.get((source[u], z), -1)
+                          for u in costar.get(y, ())]
+        try:
+            row = rows[v] = tuple(g.compose_row(v))
+        except KeyError:
+            return None
+        if list(map(hom_of.get, row)) != want[y, z]:
+            return None
+        entries += len(row)
+    return rows if len(g.compose) == entries else None
 
 
 def _generators(g):
@@ -286,23 +320,27 @@ def _pick_generators(g):
     return gens
 
 
-def _generators_associate(g):
+def _generators_associate(g, rows=None):
     """Light's test: whether (w + s) + u == w + (s + u) for every s of
     _generators(g) and every composable w and u.
 
     The arrows s for which this holds are closed under composition, and
     contain the identities when the identity laws hold, so checking a
     generating set is enough.  The test compares rows: each arrow's row
-    (compose_row, read once, as a tuple) lists v + u over the costar of
-    its source.  For s from x to y, the row of w + s lists (w + s) + u over
-    the costar of x; w's row, read at the positions in the costar of y of
-    the entries s + u of s's row, lists w + (s + u).  So one itemgetter
-    per s makes each w a single tuple comparison.  Expects a complete
-    table with the right endpoints."""
+    (compose_row, as a tuple) lists v + u over the costar of its source;
+    rows maps arrows to them, as validate_groupoid has read them, and
+    when it is None the rows needed are read here, once each.  For s from
+    x to y, the row of w + s lists (w + s) + u over the costar of x; w's
+    row, read at the positions in the costar of y of the entries s + u of
+    s's row, lists w + (s + u).  So one itemgetter per s makes each w a
+    single tuple comparison.  Expects a complete table with the right
+    endpoints."""
     gens = _generators(g)
     costar, star = g._costar, g._star
     ends = {x for s in gens for x in (g.source[s], g.target[s])}
-    rows = {w: tuple(g.compose_row(w)) for x in ends for w in star.get(x, ())}
+    if rows is None:
+        rows = {w: tuple(g.compose_row(w))
+                for x in ends for w in star.get(x, ())}
     position = {x: {u: i for i, u in enumerate(costar.get(x, ()))}
                 for x in ends}
     for s in gens:

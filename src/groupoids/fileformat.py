@@ -42,8 +42,12 @@ defined earlier in the file.  An error in a line points at that line; a
 problem of the whole block (a missing inverse, composition or image, a
 failed axiom, a duplicate entity name) points at the block's header line,
 column 1.  A clean groupoid or action block (one space between tokens, no
-comment, line kinds in the order above) is read in bulk, and any other block,
-or a clean one on any doubt, line by line, with the same tables and errors.
+comment, line kinds in the order above, the last line with or without its
+newline) is read in bulk, and any other block, or a clean one on any doubt,
+line by line, with the same tables and errors.  The bulk reader matches
+each line kind in runs of at most 1024 lines, so the regex engine holds no
+state for more lines than that, and puts a groupoid's compose lines into
+its table in one update.
 
 The emitter writes this same format back, skipping everything implied, so
 emitting a parsed emission is byte-identical.  It runs every check first and
@@ -304,20 +308,34 @@ class _Block:
         return self.parsed.entities[name]
 
     def bulk(self, pos):
-        """Read the body from pos and finish the block, if the body matches
-        self.body (so reading kind by kind is reading in file order) and
-        fill(), given each kind's tokens by wildcard, finds the names good.
-        Return where the body ends, or None on any doubt; the line reader
-        then reads the block again, on a fresh block object."""
-        body = self.fill and re.compile(self.body).match(self.text, pos)
-        if not body or self.text.find("#", pos, body.end()) >= 0:
+        """Read the body from pos and finish the block, if the body is clean
+        (so reading kind by kind is reading in file order) and fill(), given
+        each kind's tokens by wildcard, finds the names good.  Return where
+        the body ends, or None on any doubt; the line reader then reads the
+        block again, on a fresh block object.
+
+        The body is each kind's clean lines in grammar order, matched a run
+        of at most 1024 lines at a time (self.runs), so the regex engine
+        holds no state for more lines than that; then blank lines, and a
+        header or the end.  The last line may lack its newline."""
+        if not self.fill:
+            return None
+        text, at, spans = self.text, pos, []
+        for run in self.runs:
+            start, match = at, re.compile(run).match
+            while (end := match(text, at).end()) > at:
+                at = end
+            spans.append((start, at))
+        body = re.compile(_BODY_END).match(text, at)
+        if not body or text.find("#", pos, body.end()) >= 0:
             return None
         try:
-            # no name holds the lists, so they go once fill() is done
+            # no name holds the lines or lists, so they go after fill()
             if self.fill(*[
                     [re.findall(r" (\S+)", lines)] if w[-1] == "..." else
                     [tokens[i::len(w)] for i, x in enumerate(w) if x.isupper()]
-                    for lines, usage in zip(body.groups(), self.grammar)
+                    for (start, end), usage in zip(spans, self.grammar)
+                    for lines in [text[start:end]]
                     for w in [usage.split(" or ")[0].split()]
                     for tokens in [lines.split()]]):
                 self.finish()
@@ -347,6 +365,7 @@ class _GroupoidBlock(_Block):
         self.target = {}
         self.inverse = {}
         self.compose_lines = []   # (v, u, w, line)
+        self.columns = None       # fill()'s compose columns v, u, w
 
     def do_objects(self, *names):
         for x in names:
@@ -377,13 +396,15 @@ class _GroupoidBlock(_Block):
         self.compose_lines.append((v, u, w, self.at))
 
     def fill(self, objects, arrows, inverses, composes):
-        """Name lines go to the handlers; compose lines are checked as sets."""
+        """Name lines go to the handlers; compose lines are checked as sets
+        and kept as their three columns, for build() to put in the table
+        whole."""
         self.do_objects(*objects[0])
         for line in zip(*arrows):
             self.do_arrow(*line)
         for line in zip(*inverses):
             self.do_inverse(*line)
-        self.compose_lines = zip(*composes, [None] * len(composes[0]))
+        self.columns = composes
         return all(map(self.names.issuperset, composes))
 
     def build(self):
@@ -406,6 +427,16 @@ class _GroupoidBlock(_Block):
             compose[(identity_of[target[u]], u)] = u
             compose[(u, inverse[u])] = identity_of[target[u]]
             compose[(inverse[u], u)] = identity_of[source[u]]
+        if self.columns is not None:
+            # read in bulk: an entry given twice, or also implied, shows as
+            # a short table, and a pair that does not compose as a problem
+            # of validate_groupoid; either sends the block to the line
+            # reader, which words it
+            vs, us, ws = self.columns
+            implied = len(compose)
+            compose.update(zip(zip(vs, us), ws))
+            if len(compose) != implied + len(ws):
+                self.fail("a compose line repeats an entry")
         for (v, u, w, line) in self.compose_lines:
             if target[u] != source[v]:
                 self.fail(f"compose {v} {u}: not composable", line)
@@ -413,7 +444,7 @@ class _GroupoidBlock(_Block):
                 self.fail(f"compose {v} {u} = {w} contradicts an implied "
                           f"composition", line)
         # the line records are freed before the groupoid is validated
-        del self.compose_lines
+        self.compose_lines = self.columns = None
         gpd = FiniteGroupoid(self.objects, arrows, source, target,
                              identity_of, inverse, compose, name=self.name)
         return gpd, validate_groupoid(gpd)
@@ -654,13 +685,15 @@ class _MorphismBlock(_Block):
 
 _BLOCKS = {cls.kind: cls for cls in (_GroupoidBlock, _ActionBlock, _GraphBlock,
                                      _PresentationBlock, _MorphismBlock)}
-# A clean body: the clean lines of each kind in grammar order (tokens one
-# space apart, no other whitespace), blank lines, then a header or the end.
+# A clean body (see _Block.bulk): the clean lines of each kind in grammar
+# order (tokens one space apart, no other whitespace), blank lines, then a
+# header or the end.
 for kind in _BLOCKS.values():
-    kind.body = "".join("((?:%s\n)*)" % " ".join(
-        r"\S+" if w.isupper() else w for w in usage.split(" or ")[0].split())
-        for usage in kind.grammar).replace(" ...", r"(?: \S+)*") + \
-        rf"\n*(?=\Z|(?:{'|'.join(_BLOCKS)}) )"
+    kind.runs = ["(?:%s(?:\n|\\Z)){0,1024}" % " ".join(
+        r"\S+" if w.isupper() else w
+        for w in usage.split(" or ")[0].split()).replace(" ...", r"(?: \S+)*")
+        for usage in kind.grammar]
+_BODY_END = rf"\n*(?=\Z|(?:{'|'.join(_BLOCKS)}) )"
 
 
 def _unwritable(what, name, why):

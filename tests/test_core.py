@@ -237,6 +237,78 @@ def test_identity_law_failure_keeps_every_associativity_failure():
         "associativity fails on (1, 2, 1)"]
 
 
+def _table_scan(g):
+    """The unindexed scan of every entry, then of every composable pair:
+    the reference for the table part of validate_groupoid."""
+    problems = []
+    for (v, u), w in g.compose.items():
+        if v not in g.arrows or u not in g.arrows:
+            problems.append(f"compose({v}, {u}) involves unknown arrows")
+        elif g.target[u] != g.source[v]:
+            problems.append(f"compose({v}, {u}) defined but not composable")
+        elif w not in g.arrows:
+            problems.append(f"compose({v}, {u}) = {w} is not an arrow")
+        elif (g.source[w], g.target[w]) != (g.source[u], g.target[v]):
+            problems.append(f"compose({v}, {u}) = {w} has wrong endpoints")
+    problems += [f"missing composition: compose {v} {u}"
+                 for v in g.arrows for u in g.arrows
+                 if g.target[u] == g.source[v] and (v, u) not in g.compose]
+    return problems
+
+
+def _bad_entry(g, compose, rng, kind):
+    """Plant one bad entry of kind in compose, a copy of g's table; False
+    when g has no room for that kind."""
+    keys = list(g.compose)
+    v, u = rng.choice(keys)
+    if kind == "unknown":
+        compose[rng.choice([(v, "nope"), ("nope", u)])] = u
+    elif kind == "apart":
+        apart = [(v, u) for v in g.arrows for u in g.arrows
+                 if g.target[u] != g.source[v]]
+        if not apart:
+            return False
+        compose[rng.choice(apart)] = rng.choice(g.arrows)
+    elif kind == "not-an-arrow":
+        compose[(v, u)] = "nope"
+    elif kind == "endpoints":
+        wrong = [w for w in g.arrows if (g.source[w], g.target[w]) !=
+                 (g.source[u], g.target[v])]
+        if not wrong:
+            return False
+        compose[(v, u)] = rng.choice(wrong)
+    else:
+        compose.pop((v, u), None)
+    return True
+
+
+def test_table_problems_match_the_entry_scan():
+    # validate_groupoid reads the table by rows; the scans that word its
+    # problems must still list every bad entry, in the entries' order
+    spaces = [act.space for _name, act in named_actions()]
+    spaces += [act.space for act in random_actions()[:20]]
+    spaces += [connected_groupoid(("a", "b", "c"), vg)
+               for vg in (cyclic_group(3), klein_group())]
+    kinds = ("unknown", "apart", "not-an-arrow", "endpoints", "missing")
+    words = ("involves unknown arrows", "defined but not composable",
+             "is not an arrow", "has wrong endpoints", "missing composition")
+    rng = random.Random(11)
+    seen = dict.fromkeys(words, 0)
+    for g in spaces:
+        assert validate_groupoid(g) == [] == _table_scan(g)
+        for mix in [[kind] for kind in kinds] + [
+                rng.sample(kinds, rng.randint(2, 5)) for _ in range(4)]:
+            compose = dict(g.compose)
+            if not all([_bad_entry(g, compose, rng, kind) for kind in mix]):
+                continue
+            h = _with_compose(g, compose)
+            problems = validate_groupoid(h)
+            assert problems and problems == _table_scan(h)
+            for word in words:
+                seen[word] += any(word in p for p in problems)
+    assert min(seen.values()) > 20, seen
+
+
 def test_star_orders_arrows_by_input():
     t = tree_groupoid(("a", "b", "c"))
     assert star(t, "a") == ("id_a", "a>b", "a>c")
