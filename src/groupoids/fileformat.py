@@ -46,8 +46,13 @@ comment, line kinds in the order above, the last line with or without its
 newline) is read in bulk, and any other block, or a clean one on any doubt,
 line by line, with the same tables and errors.  The bulk reader matches
 each line kind in runs of at most 1024 lines, so the regex engine holds no
-state for more lines than that, and puts a groupoid's compose lines into
-its table in one update.
+state for more lines than that, and splits the lines into tokens a run at
+a time, so a run's tokens are freed before the next run is split; it puts
+a run of a groupoid's compose lines into its table in one update.  Either
+reader stores, for each name a line gives, the object the block listed for
+it (an object or arrow line, a target's cell, a group's element), so a
+parsed table holds one string object per name and finds its keys by
+identity.
 
 The emitter writes this same format back, skipping everything implied, so
 emitting a parsed emission is byte-identical.  It runs every check first and
@@ -289,9 +294,12 @@ class _Block:
         self.fail(f"expected: {usage}")
 
     def known(self, what, pool, *names):
-        for name in names:
-            if name not in pool:
-                self.fail(f"unknown {what} {name}")
+        """The objects listed for names in pool, a map from each name to
+        its listed object; fail at the first name that pool lacks."""
+        try:
+            return [pool[name] for name in names]
+        except KeyError as missing:
+            self.fail(f"unknown {what} {missing.args[0]}")
 
     def fresh(self, what, pool, name):
         """Check that name may be introduced as a new what."""
@@ -309,38 +317,37 @@ class _Block:
 
     def bulk(self, pos):
         """Read the body from pos and finish the block, if the body is clean
-        (so reading kind by kind is reading in file order) and fill(), given
-        each kind's tokens by wildcard, finds the names good.  Return where
-        the body ends, or None on any doubt; the line reader then reads the
-        block again, on a fresh block object.
+        (so reading kind by kind is reading in file order) and fill() and
+        build() find the names good.  Return where the body ends, or None
+        on any doubt; the line reader then reads the block again, on a
+        fresh block object.
 
         The body is each kind's clean lines in grammar order, matched a run
         of at most 1024 lines at a time (self.runs), so the regex engine
         holds no state for more lines than that; then blank lines, and a
-        header or the end.  The last line may lack its newline."""
+        header or the end.  The last line may lack its newline.  fill()
+        gets each kind's runs one at a time (see _columns), so tokens are
+        made only for the run in hand.  fill() and build() store for each
+        name the object that the block's name map lists, so the tables hold
+        one object per name; a name not in the map raises KeyError, a doubt
+        like a ParseError."""
         if not self.fill:
             return None
-        text, at, spans = self.text, pos, []
-        for run in self.runs:
-            start, match = at, re.compile(run).match
+        text, at, kinds = self.text, pos, []
+        for run, usage in zip(self.runs, self.grammar):
+            match, spans = re.compile(run).match, []
             while (end := match(text, at).end()) > at:
+                spans.append((at, end))
                 at = end
-            spans.append((start, at))
+            kinds.append(_columns(text, spans, usage))
         body = re.compile(_BODY_END).match(text, at)
         if not body or text.find("#", pos, body.end()) >= 0:
             return None
         try:
-            # no name holds the lines or lists, so they go after fill()
-            if self.fill(*[
-                    [re.findall(r" (\S+)", lines)] if w[-1] == "..." else
-                    [tokens[i::len(w)] for i, x in enumerate(w) if x.isupper()]
-                    for (start, end), usage in zip(spans, self.grammar)
-                    for lines in [text[start:end]]
-                    for w in [usage.split(" or ")[0].split()]
-                    for tokens in [lines.split()]]):
+            if self.fill(*kinds):
                 self.finish()
                 return body.end()
-        except ParseError:
+        except (ParseError, KeyError):
             pass
         return None
 
@@ -352,37 +359,56 @@ class _Block:
         self.parsed.add(self.name, self.kind, entity, self.head)
 
 
+def _columns(text, spans, usage):
+    """The wildcard tokens of each run text[start:end] of clean usage lines,
+    column by column (one column of every name for a "..." usage), a run
+    at a time: a run is split when it is reached, and no name here holds
+    its tokens once its columns are made."""
+    words = usage.split(" or ")[0].split()
+    if words[-1] == "...":
+        for start, end in spans:
+            yield [re.findall(r" (\S+)", text[start:end])]
+        return
+    slots = [i for i, w in enumerate(words) if w.isupper()]
+    for start, end in spans:
+        yield [tokens[i::len(words)]
+               for tokens in [text[start:end].split()] for i in slots]
+
+
 class _GroupoidBlock(_Block):
     header = "groupoid NAME"
     grammar = ("objects ...", "arrow NAME : SRC -> TGT", "inverse A B",
                "compose V U = W")
 
     def start(self):
-        self.objects = {}         # object -> None, in order
-        self.arrows = []          # non-identity arrows
-        self.names = set()        # all arrow names, identities included
+        # the name maps, each listed name -> itself, in order: objects,
+        # non-identity arrows, and all arrows, identities included
+        self.objects = {}
+        self.arrows = {}
+        self.names = {}
+        self.identity_of = {}
         self.source = {}
         self.target = {}
         self.inverse = {}
         self.compose_lines = []   # (v, u, w, line)
-        self.columns = None       # fill()'s compose columns v, u, w
+        self.columns = ()         # fill()'s compose columns v, u, w, by run
 
     def do_objects(self, *names):
         for x in names:
             self.fresh("object", self.objects, x)
-            self.objects[x] = None
-            self.names.add(f"id_{x}")
+            self.objects[x] = x
+            self.identity_of[x] = u = f"id_{x}"
+            self.names[u] = u
 
     def do_arrow(self, name, src, tgt):
-        self.fresh("arrow", self.source, name)
-        self.known("object", self.objects, src, tgt)
-        self.arrows.append(name)
-        self.names.add(name)
+        self.fresh("arrow", self.arrows, name)
+        src, tgt = self.known("object", self.objects, src, tgt)
+        self.arrows[name] = self.names[name] = name
         self.source[name] = src
         self.target[name] = tgt
 
     def do_inverse(self, a, b):
-        self.known("arrow", self.source, a, b)
+        a, b = self.known("arrow", self.arrows, a, b)
         if self.source[a] != self.target[b] or \
                 self.target[a] != self.source[b]:
             self.fail(f"inverse pair {a} {b} has mismatched endpoints")
@@ -392,34 +418,40 @@ class _GroupoidBlock(_Block):
             self.inverse[u] = v
 
     def do_compose(self, v, u, w):
-        self.known("arrow", self.names, v, u, w)
-        self.compose_lines.append((v, u, w, self.at))
+        self.compose_lines.append(
+            (*self.known("arrow", self.names, v, u, w), self.at))
 
     def fill(self, objects, arrows, inverses, composes):
-        """Name lines go to the handlers; compose lines are checked as sets
-        and kept as their three columns, for build() to put in the table
-        whole."""
-        self.do_objects(*objects[0])
-        for line in zip(*arrows):
+        """Name lines go to the handlers, which store the listed names; the
+        compose lines' runs are kept unsplit, for build() to read and put
+        in the table a run at a time."""
+        for run in objects:
+            self.do_objects(*run[0])
+        for line in chain.from_iterable(zip(*run) for run in arrows):
             self.do_arrow(*line)
-        for line in zip(*inverses):
+        for line in chain.from_iterable(zip(*run) for run in inverses):
             self.do_inverse(*line)
         self.columns = composes
-        return all(map(self.names.issuperset, composes))
+        return True
 
     def build(self):
-        identity_of = {x: f"id_{x}" for x in self.objects}
-        idents = [identity_of[x] for x in self.objects]
-        source = {identity_of[x]: x for x in self.objects}
-        target = {identity_of[x]: x for x in self.objects}
+        """The groupoid and validate_groupoid's problems.  Read in bulk,
+        each run of compose lines is split and goes into the table in one
+        update, every name mapped to its listed arrow on the way, so the
+        table holds one object per name; an unlisted name raises
+        KeyError."""
+        identity_of = self.identity_of
+        idents = list(identity_of.values())
+        source = {u: x for x, u in identity_of.items()}
+        target = dict(source)
         source.update(self.source)
         target.update(self.target)
-        inverse = {identity_of[x]: identity_of[x] for x in self.objects}
+        inverse = {u: u for u in idents}
         for u in self.arrows:
             if u not in self.inverse:
                 self.fail(f"arrow {u} has no declared inverse")
         inverse.update(self.inverse)
-        arrows = idents + self.arrows
+        arrows = idents + list(self.arrows)
 
         compose = {}
         for u in arrows:
@@ -427,16 +459,18 @@ class _GroupoidBlock(_Block):
             compose[(identity_of[target[u]], u)] = u
             compose[(u, inverse[u])] = identity_of[target[u]]
             compose[(inverse[u], u)] = identity_of[source[u]]
-        if self.columns is not None:
-            # read in bulk: an entry given twice, or also implied, shows as
-            # a short table, and a pair that does not compose as a problem
-            # of validate_groupoid; either sends the block to the line
-            # reader, which words it
-            vs, us, ws = self.columns
-            implied = len(compose)
-            compose.update(zip(zip(vs, us), ws))
-            if len(compose) != implied + len(ws):
+        # read in bulk: an entry given twice, or also implied, shows as a
+        # short table, and a pair that does not compose as a problem of
+        # validate_groupoid; either sends the block to the line reader,
+        # which words it
+        name = self.names.__getitem__
+        for vs, us, ws in self.columns:
+            before = len(compose)
+            compose.update(zip(zip(map(name, vs), map(name, us)),
+                               map(name, ws)))
+            if len(compose) != before + len(ws):
                 self.fail("a compose line repeats an entry")
+            del vs, us, ws      # freed before the next run is split
         for (v, u, w, line) in self.compose_lines:
             if target[u] != source[v]:
                 self.fail(f"compose {v} {u}: not composable", line)
@@ -475,6 +509,8 @@ class _ActionBlock(_Block):
         if self.target_kind not in ("groupoid", "graph"):
             self.fail(f"{target} is not a groupoid or graph")
         space = self.parsed.entities[target]
+        # the name maps: each name a line may give -> the target's cell or
+        # the group's element of that name
         if self.target_kind == "graph":
             if space.relators:
                 self.fail(f"graph {target} has relators; an action needs a "
@@ -482,47 +518,52 @@ class _ActionBlock(_Block):
             space = space.graph
             self.rules = self.graph_rules
             self.cells = (space.vertices, space.edges)
-            self.points = set(space.vertices)
+            self.edges = dict(zip(space.edges, space.edges))
             # every edge letter an act line may name as an image
-            self.letters = {*space.edges, *(f"-{e}" for e in space.edges)}
+            letters = [*space.edges, *(f"-{e}" for e in space.edges)]
+            self.letters = dict(zip(letters, letters))
+            self.arr_names = (self.edges, self.letters)
         else:
             self.rules = self.groupoid_rules
             self.cells = (space.objects, space.arrows)
-            self.points = space.object_index
-            self.moving = space.arrow_index.keys() - space.identity_of.values()
+            self.arrows = dict(zip(space.arrows, space.arrows))
+            self.moving = {a: a for a in space.arrows
+                           if not space.is_identity_arrow(a)}
+            self.arr_names = (self.moving, self.arrows)
+        self.points = dict(zip(self.cells[0], self.cells[0]))
         self.space = space
         self.group_groupoid = self.entity(group, "groupoid")
         if len(self.group_groupoid.objects) != 1:
             self.fail(f"group block {group} must have exactly one object")
         self.group = group_of_one_object_groupoid(self.group_groupoid)
-        self.acting = self.group.index.keys() - {self.group.identity}
+        self.acting = {g: g for g in self.group.elements
+                       if g != self.group.identity}
         self.obj_lines = {}
         self.arr_lines = {}       # arr or act lines, by the target's kind
 
     def do_obj(self, g, x, y):
-        self.element(g)
-        self.known("object", self.points, x, y)
-        self.image(self.obj_lines, g, x, y)
+        self.image(self.obj_lines, self.element(g),
+                   *self.known("object", self.points, x, y))
 
     def do_arr(self, g, a, b):
-        self.element(g)
-        self.known("arrow", self.space.arrow_index, a, b)
+        g = self.element(g)
+        a, b = self.known("arrow", self.arrows, a, b)
         if a not in self.moving:
             self.fail(_IDENTITY_IMAGE)
         self.image(self.arr_lines, g, a, b)
 
     def do_act(self, g, e, f):
-        self.element(g)
-        self.known("edge", self.space.source, e, f.removeprefix("-"))
-        self.image(self.arr_lines, g, e, f)
+        g = self.element(g)
+        e, _f = self.known("edge", self.edges, e, f.removeprefix("-"))
+        self.image(self.arr_lines, g, e, self.letters[f])
 
     def element(self, g):
-        """Fail unless g is an element of the group other than the
+        """The listed element g, if it is one of the group's other than the
         identity."""
-        self.known("group element", self.group.index, g)
         if g == self.group.identity:
             self.fail("the identity element acts trivially; remove this "
                       "line")
+        return self.known("group element", self.acting, g)[0]
 
     def image(self, images, g, a, b):
         """Record that g carries a to b."""
@@ -531,18 +572,25 @@ class _ActionBlock(_Block):
         images[(g, a)] = b
 
     def fill(self, objs, arrs, acts):
-        """Each name must be in its pool, each (g, a) come once, and no line
-        be of the kind that the target refuses."""
-        lines, pools = (acts, (self.space.source, self.letters)) \
-            if self.target_kind == "graph" else \
-            (arrs, (self.moving, self.space.arrow_index))
-        self.obj_lines = dict(zip(zip(*objs[:2]), objs[2]))
-        self.arr_lines = dict(zip(zip(*lines[:2]), lines[2]))
-        pools = (self.acting, self.points, self.points, self.acting, *pools)
-        return len(self.obj_lines) + len(self.arr_lines) == len(objs[0]) + \
-            len(arrs[0]) + len(acts[0]) and all(
-                all(map(pool.__contains__, names))
-                for pool, names in zip(pools, objs + lines))
+        """Each name must be in its name map, which gives the listed object
+        the tables hold (KeyError if not), each (g, a) come once, and no
+        line be of the kind that the target refuses; the lines are read a
+        run at a time."""
+        lines, refused = (acts, arrs) if self.target_kind == "graph" else \
+            (arrs, acts)
+        if next(refused, None) is not None:
+            return False
+        listed = 0
+        for images, runs, maps in (
+                (self.obj_lines, objs, (self.acting, self.points,
+                                        self.points)),
+                (self.arr_lines, lines, (self.acting, *self.arr_names))):
+            for run in runs:
+                g, a, b = (map(names.__getitem__, column)
+                           for names, column in zip(maps, run))
+                images.update(zip(zip(g, a), b))
+                listed += len(run[0])
+        return len(self.obj_lines) + len(self.arr_lines) == listed
 
     def build(self):
         G, sp = self.group, self.space
@@ -576,7 +624,7 @@ class _GraphBlock(_Block):
     grammar = ("vertex ...", "edge NAME : SRC -> TGT", "relator ...")
 
     def start(self):
-        self.vertices = {}        # vertex -> None, in order
+        self.vertices = {}        # vertex -> itself, in order
         self.edges = []
         self.source = {}
         self.target = {}
@@ -585,11 +633,11 @@ class _GraphBlock(_Block):
     def do_vertex(self, *names):
         for v in names:
             self.fresh("vertex", self.vertices, v)
-            self.vertices[v] = None
+            self.vertices[v] = v
 
     def do_edge(self, name, src, tgt):
         self.fresh("edge", self.source, name)
-        self.known("vertex", self.vertices, src, tgt)
+        src, tgt = self.known("vertex", self.vertices, src, tgt)
         self.edges.append(name)
         self.source[name] = src
         self.target[name] = tgt
@@ -620,13 +668,13 @@ class _PresentationBlock(_Block):
     grammar = ("generators ...", "relator ...")
 
     def start(self):
-        self.gens = {}            # generator -> None, in order
+        self.gens = {}            # generator -> itself, in order
         self.relators = []
 
     def do_generators(self, *names):
         for g in names:
             self.fresh("generator", self.gens, g)
-            self.gens[g] = None
+            self.gens[g] = g
 
     def do_relator(self, *tokens):
         if not tokens:
@@ -648,19 +696,24 @@ class _MorphismBlock(_Block):
     def start(self, src, dst):
         self.dom = self.entity(src, "groupoid")
         self.cod = self.entity(dst, "groupoid")
+        # the name maps: each name -> the object or arrow listed for it
+        self.dom_objects, self.dom_arrows, self.cod_objects, \
+            self.cod_arrows = (dict(zip(cells, cells))
+                               for g in (self.dom, self.cod)
+                               for cells in (g.objects, g.arrows))
         self.object_map = {}
         self.arrow_map = {}
 
     def do_obj(self, x, y):
-        self.known("object", self.dom.object_index, x)
-        self.known("object", self.cod.object_index, y)
+        x, = self.known("object", self.dom_objects, x)
+        y, = self.known("object", self.cod_objects, y)
         if x in self.object_map:
             self.fail(f"duplicate image for object {x}")
         self.object_map[x] = y
 
     def do_arr(self, a, b):
-        self.known("arrow", self.dom.arrow_index, a)
-        self.known("arrow", self.cod.arrow_index, b)
+        a, = self.known("arrow", self.dom_arrows, a)
+        b, = self.known("arrow", self.cod_arrows, b)
         if self.dom.is_identity_arrow(a):
             self.fail(_IDENTITY_IMAGE)
         if a in self.arrow_map:

@@ -1,11 +1,19 @@
+import functools
 import hashlib
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import chain
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
-from groupoids import (DirectedGraph, FiniteGroupoid, GroupoidMorphism,
+import groupoids
+from groupoids import (DirectedGraph, FiniteGroupoid, GraphAction,
+                       GroupoidAction, GroupoidMorphism,
                        GroupPresentation, ParseError, PresentedGroupoid,
                        connected_groupoid, cyclic_group, discrete_groupoid,
                        groupoid_from_group, orbit_groupoid, parse_input,
@@ -748,14 +756,20 @@ _TREE = render_entities([tree_groupoid([f"t{i}" for i in range(18)],
                                        name="tree18")])   # 306 arrow lines
 
 
-def test_bulk_read_keeps_no_state_per_line():
-    # an unbounded repeat of the line pattern keeps a backtrack point per
-    # line: the parse then needs 2.2 to 4.3 MB beyond the tables it
-    # returns (Python 3.10 to 3.12).  Runs of at most 1024 lines need
-    # 1.0 to 1.1 MB, under the bound of 3 bytes per byte of text (1.8 MB)
+@functools.cache
+def _k8z6():
+    """connected_groupoid(8 objects, Z6): 17,866 lines, 17,296 of them
+    compose lines, in 17 runs of the bulk reader."""
     text = render_entities([connected_groupoid(
         [f"x{i}" for i in range(8)], cyclic_group(6), name="k8")])
     assert text.count("\n") == 17866
+    return text
+
+
+@functools.cache
+def _k8z6_parse_memory():
+    """tracemalloc's (kept, peak) bytes when _k8z6() is parsed."""
+    text = _k8z6()
     parse_text(_Z3)             # the patterns are compiled before measuring
     tracemalloc.start()
     try:
@@ -764,7 +778,121 @@ def test_bulk_read_keeps_no_state_per_line():
     finally:
         tracemalloc.stop()
     assert parsed.order == ["k8"]
-    assert peak - kept < 3 * len(text)
+    return kept, peak
+
+
+def test_bulk_read_keeps_no_state_per_line():
+    # an unbounded repeat of the line pattern keeps a backtrack point per
+    # line: the parse then needs 2.2 to 4.3 MB beyond the tables it
+    # returns (Python 3.10 to 3.12).  Runs of at most 1024 lines, each
+    # split into tokens only when it is reached, need 0.3 MB (Python
+    # 3.11), under the bound of 3 bytes per byte of text (1.8 MB)
+    kept, peak = _k8z6_parse_memory()
+    assert peak - kept < 3 * len(_k8z6())
+
+
+def test_parsed_tables_keep_one_string_per_name():
+    # tables whose every token is its own string keep 4.6 MB, and one
+    # string object per name 1.6 MB (Python 3.11), under the bound of 4
+    # bytes per byte of text (2.4 MB)
+    kept, _peak = _k8z6_parse_memory()
+    assert kept < 4 * len(_k8z6())
+
+
+def _commented(text):
+    """text with a comment on every line, which the line reader reads."""
+    return text.replace("\n", " # a comment\n")
+
+
+def _faulty_compose_line(fault, g, first, line):
+    """A compose line to replace line, which has fault; first is the first
+    compose line."""
+    _compose, v, u, _eq, w = line.split()
+    if fault == "unknown-arrow":
+        return f"compose {v} {u} = nosuch"
+    if fault == "repeat-of-the-first-run":
+        return first
+    if fault == "not-composable":
+        far = next(a for a in g.arrows if g.source[a] != g.target[u])
+        return f"compose {far} {u} = {w}"
+    # v + id = w contradicts the implied v + id = v
+    return f"compose {v} {g.identity_of[g.source[v]]} = {w}"
+
+
+@pytest.mark.parametrize("where", ["run-2", "last-line"])
+@pytest.mark.parametrize("fault", ["unknown-arrow", "repeat-of-the-first-run",
+                                   "not-composable", "contradicts-implied"])
+def test_errors_in_a_later_run_are_the_line_readers(tmp_path, fault, where):
+    # the bulk reader meets the fault past its first run of compose lines
+    # and leaves the block to the line reader, which words it as it words
+    # the commented copy, which it reads itself
+    text = _k8z6()
+    lines = text.split("\n")
+    first = next(i for i, raw in enumerate(lines) if raw.startswith("compose"))
+    at = first + 1024 + 500 if where == "run-2" else len(lines) - 2
+    g = parse_text(text).entities["k8"]
+    lines[at] = _faulty_compose_line(fault, g, lines[first], lines[at])
+    bad = "\n".join(lines)
+    path = tmp_path / "k8.gpd"
+    messages = []
+    for copy in (bad, _commented(bad)):
+        with pytest.raises(ParseError) as err:
+            parse_text(copy, path=str(path))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{path}:")
+    path.write_text(bad, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "groupoids", "quotient", str(path),
+         "--arrows", g.arrows[-1]], capture_output=True, text=True,
+        timeout=60, env=dict(
+            os.environ, PYTHONPATH=str(Path(groupoids.__file__).parents[1])))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", messages[0] + "\n")
+
+
+def _shares_names(entity):
+    """Whether each name in entity's tables is the very object that the
+    entity lists for it: its groupoid's object or arrow, its action's group
+    element or cell of the space."""
+    def within(names, *listed):
+        ids = {id(x) for pool in listed for x in pool}
+        return all(id(x) in ids for x in names)
+
+    if isinstance(entity, FiniteGroupoid):
+        g = entity
+        return within(chain(chain.from_iterable(g.compose), g.compose.values(),
+                            *g.inverse_of.items(), g.identity_of.values()),
+                      g.arrows) and \
+            within(chain(g.source.values(), g.target.values(), g.identity_of),
+                   g.objects)
+    if isinstance(entity, GroupoidAction):
+        sp = entity.space
+        tables = ((entity.act_obj, sp.objects, sp.objects),
+                  (entity.act_arrow, sp.arrows, sp.arrows))
+    elif isinstance(entity, GraphAction):
+        graph = entity.graph
+        # an edge's image is a signed edge letter, of no listed edge
+        tables = ((entity.act_vertex, graph.vertices, graph.vertices),
+                  (entity.act_edge, graph.edges, None))
+    else:
+        return True
+    return all(within(map(itemgetter(0), table), entity.group.elements) and
+               within(map(itemgetter(1), table), cells) and
+               (images is None or within(table.values(), images))
+               for table, cells, images in tables)
+
+
+def test_parsed_tables_share_name_objects():
+    # each key and value of a parsed table is the object its block lists
+    # for the name, so a lookup compares names by identity; in bulk (the
+    # k8 Z6 compose lines in 17 runs) and through the line reader alike
+    texts = [*_clean_texts(), _k8z6(), render_entities(
+        [act for _name, act in named_graph_actions()])]
+    for text in texts + [_commented(t) for t in texts]:
+        parsed = parse_text(text)
+        for name in parsed.order:
+            assert _shares_names(parsed.entities[name]), name
 
 
 @pytest.mark.parametrize("text", [
