@@ -41,7 +41,6 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from operator import itemgetter
 
 from .actions import (GroupoidAction, fixed_subgroupoid, is_free_action,
                       object_orbits, restrict_action, validate_action)
@@ -102,9 +101,11 @@ class _PairTable(Mapping):
     in name_of order, each over the pairs ending at the row's source, also
     in name_of order: _pair_names lists (id_y, 1) first, then the pairs
     (a, k) by a in the space's order, k in the group's.  So a row is read a
-    block of |G| entries per arrow a ending there (row() keeps, on first
-    use, their positions per object and the permutation k -> hk per
-    element h), with (id_y, 1) moved to the front.
+    block of |G| entries per arrow a ending there, with (id_y, 1) moved to
+    the front.  row() keeps, on first use, those arrow positions per object
+    and, per element h, names permuted by k -> hk, so that each block is
+    one slice: at most |G| lists of |A||G| names, built only when rows are
+    read.
     """
 
     def __init__(self, act, name_of, source):
@@ -119,7 +120,7 @@ class _PairTable(Mapping):
         self._names = names = [None] * (len(sp.arrows) * n)
         self._n, self._source = n, source
         self._space, self._unit = sp, g_at[G.identity]
-        self._blocks, self._perms = {}, {}   # by object, by element position
+        self._blocks, self._by = {}, {}   # by object, by element position
         self._left, self._right = {}, {}
         self._into = {}     # object -> the pairs ending there
         for (a, g), u in name_of.items():
@@ -153,21 +154,23 @@ class _PairTable(Mapping):
         v = (b, h) and each arrow a ending there, the names of the pairs
         (b + h.a, hk), k in the group's order."""
         row, ha, hg = self._left[v]
-        y, h = self._source[v], self._right[v][1]
+        y, h, n = self._source[v], self._right[v][1], self._n
         if y not in self._blocks:
             into = self._space.costar(y)
             self._blocks[y] = (
                 [self._space.arrow_index[a] for a in into],
-                into.index(self._space.identity_of[y]) * self._n +
-                self._unit)
-        if h not in self._perms:
-            self._perms[h] = itemgetter(*hg) if len(hg) > 1 else tuple
+                into.index(self._space.identity_of[y]) * n + self._unit)
+        by_h = self._by.get(h)
+        if by_h is None:
+            names = self._names
+            by_h = self._by[h] = [names[c + k]
+                                  for c in range(0, len(names), n)
+                                  for k in hg]
         at, first = self._blocks[y]
-        names, n, perm = self._names, self._n, self._perms[h]
         cells = []
         for i in at:
             c = row[ha[i]] * n
-            cells += perm(names[c:c + n])
+            cells += by_h[c:c + n]
         cells.insert(0, cells.pop(first))
         return cells
 

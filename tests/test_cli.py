@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import shlex
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import groupoids
-from groupoids import cli, cyclic_group, groupoid_from_group, parse_text
+from groupoids import (cli, constructions, cyclic_group, groupoid_from_group,
+                       parse_input, parse_text)
 from groupoids import presented, render_entities
 from groupoids.corpus import (named_actions, random_actions,
                               random_quotient_instances)
@@ -183,6 +185,27 @@ def test_check_regular_cover_failure_exits_1(tmp_path, capsys):
     ]
 
 
+def test_check_regular_cover_exits_1_when_only_object_groups_differ(
+        monkeypatch, capsys):
+    # the orbit groupoid still matches the target, so the report's verdict
+    # rests on the object group flag alone
+    monkeypatch.setattr(constructions, "group_isomorphic",
+                        lambda *_groups: False)
+    parsed = parse_input(_data("folding_cover.gpd"))
+    report = constructions.regular_cover_orbit_check(
+        parsed.pick("morphism"), parsed.pick("action"))
+    assert (report.orbit_iso_ok, report.object_group_iso_ok, report.ok) == (
+        True, False, False)
+    code, out, _err = _run(capsys, "check-regular-cover",
+                           _data("folding_cover.gpd"))
+    assert code == 1
+    assert out.splitlines() == [
+        "orbit groupoid of the deck action matches the target",
+        "object group at pt does not match the semidirect object group at x",
+        "object group at pt does not match the semidirect object group at y",
+    ]
+
+
 def test_restrict_orbit_verb(tmp_path, capsys):
     act = dict(named_actions())["path-reflection-fixed"]
     path = tmp_path / "reflect.act"
@@ -238,8 +261,7 @@ def test_missing_input_exits_2_with_one_line(tmp_path, capsys):
         code, out, err = _run(capsys, *argv)
         assert code == 2
         assert not out
-        assert err.startswith(f"{missing}: ")
-        assert err.count("\n") == 1
+        assert err == f"{missing}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys):

@@ -869,6 +869,15 @@ def test_morphism_postconditions_survive_python_O():
         "tree~tree is not a morphism: planted"]
 
 
+def test_a_failed_postcondition_names_its_first_problem(monkeypatch):
+    monkeypatch.setattr(groupoids.core, "validate_morphism",
+                        lambda f: ["first", "second"])
+    act = dict(named_actions())["tree-swap"]
+    with pytest.raises(AssertionError) as err:
+        semidirect_product(act)
+    assert str(err.value) == "proj-segxZ2 is not a morphism: first"
+
+
 _PLANTED_POSTCONDITION_FAILURE = """
 import groupoids.constructions as c
 from groupoids import (normal_closure, orbit_groupoid, quotient_groupoid,

@@ -1,5 +1,7 @@
 """The streaming writer behind --emit and render_entities."""
 
+import errno
+import os
 import tracemalloc
 from importlib import resources
 
@@ -115,6 +117,43 @@ def test_emitting_the_z12_product_to_a_file_holds_little(tmp_path):
     # 10 MB of text; holding it once, as a joined string, fails the bound
     assert size > 10e6
     assert peak < size / 4
+
+
+@pytest.fixture(scope="module")
+def ring12(tmp_path_factory):
+    """Z12 rotating the 12-object tree, as an action file."""
+    path = tmp_path_factory.mktemp("ring") / "ring12.act"
+    path.write_text(render_entities([_rotation(12)]), encoding="utf-8")
+    return str(path)
+
+
+def test_emitting_the_z12_product_through_the_cli_holds_little(
+        tmp_path, ring12):
+    path = tmp_path / "z12.gpd"
+    tracemalloc.start()
+    try:
+        assert cli.main(["semidirect", ring12, "--emit", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    # the bound covers the parse, the product, the rows' name arrays and
+    # the file's write buffer
+    assert size > 10e6
+    assert peak < size / 4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose every write fails")
+@pytest.mark.parametrize("source", ["tree_swap.act", "ring12"])
+def test_a_full_disk_exits_2_without_the_report(capsys, ring12, source):
+    # the tree_swap text fits the write buffer, so its write fails at the
+    # final flush; the Z12 text fails part way
+    path = ring12 if source == "ring12" else str(DATA.joinpath(source))
+    assert cli.main(["semidirect", path, "--emit", "/dev/full"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"/dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
 def _misnamed_identity():

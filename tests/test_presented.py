@@ -114,9 +114,12 @@ def test_validate_graph_action_catches_broken_incidence():
     assert validate_graph_action(act) == []
     broken = GraphAction(act.group, act.graph, dict(act.act_vertex),
                          {**act.act_edge, ("1", "a"): "-b"}, name="broken")
-    assert validate_graph_action(broken) != []
-    with pytest.raises(ValueError):
+    problems = validate_graph_action(broken)
+    assert len(problems) > 1
+    with pytest.raises(ValueError) as err:
         orbit_presentation(broken)
+    # the message names the first problem only
+    assert str(err.value) == f"broken: invalid graph action: {problems[0]}"
 
 
 def test_direct_product_presentation():
