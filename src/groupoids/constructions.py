@@ -122,13 +122,16 @@ class _PairTable(Mapping):
         self._space, self._unit = sp, g_at[G.identity]
         self._blocks, self._by = {}, {}   # by object, by element position
         self._left, self._right = {}, {}
-        self._into = {}     # object -> the pairs ending there
         for (a, g), u in name_of.items():
             names[a_at[a] * n + g_at[g]] = u
             self._left[u] = (plus[a], act_at[g], mul_at[g])
             self._right[u] = (a_at[a], g_at[g])
-            self._into.setdefault(sp.target[a], []).append(u)
-        self._len = sum(len(self._into[source[v]]) for v in self._left)
+
+    def take_costar(self, into):
+        """Read the pairs ending at each object from the product's own
+        costar index, which its groupoid builds after this table."""
+        self._into = into
+        self._len = sum(len(into[self._source[v]]) for v in self._left)
 
     def __getitem__(self, key):
         try:
@@ -209,10 +212,11 @@ class _PairGroupoid(FiniteGroupoid):
             target[u] = sp.target[a]
             inverse[u] = name_of[(act.act_arrow[(ginv, sp.inverse_of[a])],
                                   ginv)]
+        table = _PairTable(act, name_of, source)
         super().__init__(sp.objects, name_of.values(), source, target,
-                         {x: f"id_{x}" for x in sp.objects}, inverse,
-                         _PairTable(act, name_of, source),
+                         {x: f"id_{x}" for x in sp.objects}, inverse, table,
                          name=f"{sp.name}x{G.name}")
+        table.take_costar(self._costar)
 
     def compose_row(self, v):
         return self.compose.row(v)
